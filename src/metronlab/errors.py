@@ -2,7 +2,8 @@
 
 Two base classes split failures into "the inputs were never admissible"
 (ValidationError, CLI exit code 2) and "the computation did not reach its
-goal" (NumericalError, CLI exit code 3).
+goal" (NumericalError, CLI exit code 3).  ValidationError is also a
+ValueError, so callers catching the builtin still see bad inputs.
 """
 
 
@@ -10,7 +11,7 @@ class MetronLabError(Exception):
     pass
 
 
-class ValidationError(MetronLabError):
+class ValidationError(MetronLabError, ValueError):
     exit_code = 2
 
 
@@ -29,7 +30,7 @@ class NonFiniteState(NumericalError):
 
 
 class NoBracket(ValidationError):
-    """Shooting mismatch has equal signs at both bracket ends."""
+    """Radial eigenfrequency at or below the bracket's lower end (well too deep)."""
 
 
 class NotTrapped(NumericalError):

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: adaptive ODE integration, radial eigenvalue
-shooting on a uniform grid, and the spherically symmetric Poisson solve.
+"""Shared numerical kernels: adaptive ODE integration, the radial eigenvalue
+problem on a uniform grid, and the spherically symmetric Poisson solve.
 
 All radial work uses the substitution u(r) = r * phi(r), which turns the
 spherical Laplacian into a plain second derivative and removes the 2/r
@@ -14,15 +14,19 @@ i.e. the central second difference applied to u = r*phi, divided by r_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
     NoBracket,
+    NoConvergence,
     NonDecayingSource,
     NonFiniteState,
     NotTrapped,
     StepUnderflow,
+    ValidationError,
 )
 
 __all__ = [
@@ -45,17 +49,20 @@ class RadialGrid:
 
     def __post_init__(self):
         if self.n_points < 16:
-            raise ValueError("n_points must be >= 16")
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+            raise ValidationError("n_points must be >= 16")
+        if not (self.r_max > 0 and np.isfinite(self.r_max)):
+            raise ValidationError("r_max must be positive and finite")
 
     @property
     def spacing(self) -> float:
         return self.r_max / (self.n_points - 1)
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_points)
+        """Node radii, built once per grid and shared read-only."""
+        r = np.linspace(0.0, self.r_max, self.n_points)
+        r.flags.writeable = False
+        return r
 
 
 @dataclass(frozen=True)
@@ -68,9 +75,9 @@ class RadialField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_points,):
-            raise ValueError("values length must equal n_points")
+            raise ValidationError("values length must equal n_points")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise ValidationError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -82,11 +89,16 @@ class RadialField:
 
 
 def radial_laplacian(field: RadialField) -> np.ndarray:
-    """Discrete spherical Laplacian of phi on interior nodes (j = 1..N-2)."""
-    r = field.grid.r
+    """Discrete spherical Laplacian of phi on interior nodes (j = 1..N-2).
+
+    Uses r_j = j*h with the exact integer weights j: the rounding of the
+    stored radii would otherwise add noise of the same size as the ~1e-11
+    roundoff residuals being measured.
+    """
+    j = np.arange(field.grid.n_points)
     h = field.grid.spacing
-    u = r * field.values
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (r[1:-1] * h * h)
+    u = j * field.values
+    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (j[1:-1] * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +189,16 @@ def integrate_ivp(field, y0, span, tol=1e-8, max_steps=2_000_000) -> IvpResult:
 
 
 # ---------------------------------------------------------------------------
-# Radial eigenvalue shooting
+# Radial eigenvalue problem
 # ---------------------------------------------------------------------------
 
-def _count_nodes(u):
-    """Raw interior sign-change count used by the eigenvalue search.
-
-    Near an eigenvalue the count may flicker by one inside an exponentially
-    thin band while the far tail changes sign; the bisection only needs the
-    count to be a monotone step function away from that band.
-    """
-    x = u[1:]
-    s = np.sign(x)
-    if np.any(s == 0.0):  # carry the previous sign across exact zeros
-        for i in range(1, len(s)):
-            if s[i] == 0.0:
-                s[i] = s[i - 1]
-    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
+# Fixed-point passes allowed for the WKB outer boundary; the eigenvalue
+# depends only weakly on |kappa(R)|, so the iteration settles in 2-3.
+_ROBIN_PASSES = 8
+# LAPACK stebz reaches full relative accuracy in each eigenvalue when its
+# absolute tolerance is twice the underflow threshold (the default,
+# eps * ||T||, would leave ~1e-12 absolute error on fine grids)
+_STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _count_nodes_floor(u, rel=1e-8):
@@ -206,174 +211,73 @@ def _count_nodes_floor(u, rel=1e-8):
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
-def _decay_mismatch(u, kappa_sq_vals, grid):
-    h = grid.spacing
-    r_max = grid.r_max
-    kr = np.sqrt(max(-kappa_sq_vals[-1], 0.0))
-    du = (u[-1] - u[-2]) / h
-    return du - u[-1] * (1.0 / r_max - kr)
-
-
-def solve_radial_eigen(kappa_sq, node_count, bracket, tol=1e-12, grid=None):
+def solve_radial_eigen(V, node_count, bracket, grid):
     """Find the radial eigenfrequency with a prescribed interior node count.
 
-    kappa_sq(r_array, omega) must be monotone increasing in omega^2.  The
-    solver shoots the regular solution outward to just past the outer
-    turning point and the decaying solution (local WKB boundary condition
-    phi'/phi = -|kappa| at r_max) inward to the same node, both with the
-    same three-point recurrence; one-sided marches across a long forbidden
-    region would require omega resolution below double precision.  The
-    eigenvalue is bisected on the discrete Wronskian of the two pieces,
-    which is grid-node independent for solutions of the recurrence.
-    Returns (omega, RadialField), normalized to max|phi| = 1.
+    Solves [laplacian + kappa^2] phi = 0 with kappa^2 = omega^2 - V(r), V
+    sampled on the grid.  For u = r*phi the three-point operator is the
+    symmetric tridiagonal eigenproblem (-D2 + V) u = omega^2 u on nodes
+    1..N-2 with u_0 = 0, and mode m is its (m+1)-th eigenvalue, computed by
+    LAPACK bisection and inverse iteration.  The outer boundary is the local
+    WKB decay condition u'/u = 1/R - |kappa(R)|, i.e.
+    u_{N-2} = u_{N-1} (1 + h|kappa(R)| - h/R), a Robin term in the last
+    diagonal entry; |kappa(R)| depends on omega, so the solve is repeated
+    from a Dirichlet start until omega^2 is stationary.
+
+    An eigenfrequency at or below bracket[0] raises NoBracket (well too
+    deep); one at or above bracket[1] raises NotTrapped (mode not bound).
+    Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
-    if grid is None:
-        grid = RadialGrid(30.0, 2001)
     if node_count < 0:
         raise ValueError("node_count must be >= 0")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
+    V = np.asarray(V, dtype=float)
+    if V.shape != (grid.n_points,):
+        raise ValueError("potential length must equal n_points")
+    if np.all(hi * hi - V <= 0.0):
+        raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
     r = grid.r
     h = grid.spacing
-    n = grid.n_points
-    r_mid = r[1:]  # kappa^2 sampled from node 1 on; node 0 uses the r->0 limit
-
-    def ks(omega):
-        vals = np.empty(n)
-        vals[1:] = kappa_sq(r_mid, omega)
-        vals[0] = kappa_sq(np.array([h * 1e-6]), omega)[0]
-        return vals
-
-    def prep(omega):
-        kv = ks(omega)
-        allowed = np.where(kv[1:-1] > 0.0)[0]
-        jm = int(allowed[-1]) + 3 if allowed.size else n // 2
-        jm = min(max(jm, 2), n - 3)
-        c = (2.0 - h * h * kv).tolist()
-        return kv, jm, c
-
-    def march_out(kv, jm, c):
-        # plain-float recurrence: much faster than ndarray scalar indexing
-        u = [0.0] * (jm + 2)
-        u[1] = h * (1.0 - kv[0] * h * h / 6.0)
-        um, uj = u[0], u[1]
-        for j in range(1, jm + 1):
-            un = c[j] * uj - um
-            if un > 1e200 or un < -1e200:
-                inv = 1e-200
-                for i in range(j + 1):
-                    u[i] *= inv
-                um, uj, un = um * inv, uj * inv, un * inv
-            u[j + 1] = un
-            um, uj = uj, un
-        return u
-
-    def march_in(kv, jm, c):
-        v = [0.0] * n
-        kr = float(np.sqrt(max(-kv[-1], 0.0)))
-        v[n - 1] = 1.0
-        v[n - 2] = 1.0 + h * kr - h / grid.r_max  # u'/u = 1/R - |kappa| at R
-        vp, vj = v[n - 1], v[n - 2]
-        for j in range(n - 2, jm - 1, -1):
-            vm = c[j] * vj - vp
-            if vm > 1e200 or vm < -1e200:
-                inv = 1e-200
-                for i in range(j, n):
-                    v[i] *= inv
-                vp, vj, vm = vp * inv, vj * inv, vm * inv
-            v[j - 1] = vm
-            vp, vj = vj, vm
-        return v
-
-    def pieces(omega):
-        kv, jm, c = prep(omega)
-        u = march_out(kv, jm, c)
-        v = march_in(kv, jm, c)
-        return kv, jm, np.asarray(u), np.asarray(v)
-
-    def wronskian(omega):
-        # scale both pieces to O(1) at the match node: only the sign and
-        # zero of the cross product matter, and raw magnitudes can overflow
-        kv, jm, c = prep(omega)
-        u = march_out(kv, jm, c)
-        v = march_in(kv, jm, c)
-        mu = max(abs(u[jm]), abs(u[jm + 1])) or 1.0
-        mv = max(abs(v[jm]), abs(v[jm + 1])) or 1.0
-        return (u[jm] / mu) * (v[jm + 1] / mv) - (u[jm + 1] / mu) * (v[jm] / mv)
-
-    def count_out(omega):
-        kv, jm, c = prep(omega)
-        u = np.asarray(march_out(kv, jm, c))
-        s = np.sign(u[1 : jm + 1])
-        s = s[s != 0]
-        return int(np.count_nonzero(s[1:] * s[:-1] < 0))
-
-    if np.all(ks(hi) <= 0.0):
-        raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
-
-    c_lo, c_hi = count_out(lo), count_out(hi)
-    if c_lo > node_count or c_hi <= node_count:
-        exc = NoBracket(
-            f"bracket node counts ({c_lo}, {c_hi}) do not straddle mode {node_count}"
+    h2 = h * h
+    diag = 2.0 / h2 + V[1:-1]
+    off = np.full(grid.n_points - 3, -1.0 / h2)
+    d_last = diag[-1]
+    tail = 0.0  # u_{N-1} / u_{N-2}; 0 is the Dirichlet start
+    lam_prev = None
+    for _ in range(_ROBIN_PASSES):
+        diag[-1] = d_last - tail / h2
+        lam, vec = eigh_tridiagonal(
+            diag, off, select="i", select_range=(node_count, node_count),
+            tol=_STEBZ_ABSTOL,
         )
-        exc.counts = (c_lo, c_hi)
-        raise exc
-
-    def transition(target, a, b, ca, cb):
-        """Largest omega with count < target and smallest with count >= target."""
-        while b - a > max(tol, 1e-14) * max(1.0, abs(hi)):
-            mid = 0.5 * (a + b)
-            cm = count_out(mid)
-            if cm < target:
-                a, ca = mid, cm
-            else:
-                b, cb = mid, cm
-        return a, b
-
-    # plateau where the outward count equals node_count: the eigenvalue is
-    # its single interior Wronskian zero
-    if c_lo == node_count:
-        w_a = lo
+        lam = float(lam[0])
+        if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
+            break
+        lam_prev = lam
+        kr = np.sqrt(max(V[-1] - lam, 0.0))
+        tail = 1.0 / (1.0 + h * kr - h / grid.r_max)
     else:
-        _, w_a = transition(node_count, lo, hi, c_lo, c_hi)
-    _, w_b0 = transition(node_count + 1, w_a, hi, count_out(w_a), c_hi)
-    w_b = w_b0
-    fa, fb = wronskian(w_a), wronskian(w_b)
-    # step the upper end just below the count transition if needed
-    if fa * fb > 0:
-        shrink = 0.5 * (w_b - w_a)
-        for _ in range(60):
-            w_try = w_b - shrink
-            if w_try <= w_a:
-                break
-            ft = wronskian(w_try)
-            if fa * ft <= 0 and count_out(w_try) == node_count:
-                w_b, fb = w_try, ft
-                break
-            shrink *= 0.5
-        if fa * fb > 0:
-            raise NoBracket("matching Wronskian has equal signs on the plateau")
-    a, b = w_a, w_b
-    while b - a > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (a + b)
-        fm = wronskian(mid)
-        if fa * fm <= 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    omega = 0.5 * (a + b)
+        raise NoConvergence(
+            f"outer boundary fixed point not reached in {_ROBIN_PASSES} passes"
+        )
+    if not lam > max(lo, 0.0) ** 2:
+        raise NoBracket(f"mode {node_count} lies at or below the bracket (too deep)")
+    omega = float(np.sqrt(lam))
+    if omega >= hi:
+        raise NotTrapped(f"mode {node_count} lies at or above the bracket (not bound)")
 
-    kv, jm, u, v = pieces(omega)
-    full = np.empty(n)
-    full[: jm + 1] = u[: jm + 1]
-    scale = u[jm] / v[jm] if v[jm] != 0 else 0.0
-    full[jm + 1 :] = scale * v[jm + 1 :]
-    phi = np.empty(n)
-    phi[1:] = full[1:] / r[1:]
-    phi[0] = full[1] / h / (1.0 - kv[0] * h * h / 6.0)
-    peak = np.max(np.abs(phi))
-    phi /= peak
+    u = np.empty(grid.n_points)
+    u[0] = 0.0
+    u[1:-1] = vec[:, 0]
+    u[-1] = tail * u[-2]
+    if u[1] < 0.0:
+        u = -u
+    phi = np.empty(grid.n_points)
+    phi[1:] = u[1:] / r[1:]
+    phi[0] = u[1] / h / (1.0 - (lam - V[0]) * h2 / 6.0)
+    phi /= np.max(np.abs(phi))
     if _count_nodes_floor(r * phi) != node_count:
         raise NotTrapped("converged solution has the wrong node count")
     if abs(phi[-1]) > 1e-3:
@@ -409,10 +313,7 @@ def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     n = grid.n_points
     h = grid.spacing
     r = grid.r
-    rhs = -sign * h * h * (-r * s)  # u'' = -sign*r*s  ->  -u'' = sign*r*s
     # assemble tridiagonal for -u'' = sign*r*s on j=1..n-2, u0=0, u_{n-1}=u_{n-2}
-    from scipy.linalg import solve_banded
-
     m = n - 1  # unknowns u_1..u_{n-1}
     ab = np.zeros((3, m))
     ab[0, 1:] = -1.0  # superdiagonal

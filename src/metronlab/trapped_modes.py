@@ -66,6 +66,8 @@ class SingleModeParams:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega_hat, self.epsilon, self.r0, self.tol])):
+            raise ValidationError("omega_hat, epsilon, r0 and tol must be finite")
         if not self.omega_hat > 0:
             raise ValidationError("omega_hat must be positive")
         if not self.r0 > 0:
@@ -138,36 +140,15 @@ class TrappedModeSolution:
             )
 
 
-def _interp(grid: RadialGrid, values: np.ndarray):
-    def f(r):
-        return np.interp(r, grid.r, values)
+def _solve_mode(V, mode, omega_hat, grid):
+    """Eigen solve of mode `mode` in the potential V = omega_hat^2 - well.
 
-    return f
-
-
-def _eigen_with_warm_bracket(kappa_sq, mode, omega_hat, grid, warm=None, hi=None):
-    """Eigen solve trying a narrow bracket around the previous omega first.
-
-    hi caps the search at the effective continuum edge; the mean field's
-    Coulomb tail shifts the trapping threshold below omega_hat at finite
-    box size.
+    The bracket's upper end is the effective continuum edge sqrt(V(r_max)):
+    the mean field's Coulomb tail shifts the trapping threshold below
+    omega_hat at finite box size.
     """
-    if hi is None:
-        hi = omega_hat * (1.0 - 1e-12)
-    if warm is not None:
-        w, dw = warm
-        lo_w = max(1e-6 * omega_hat, w - dw)
-        hi_w = min(hi, w + dw)
-        if hi_w > lo_w:
-            try:
-                return solve_radial_eigen(
-                    kappa_sq, mode, (lo_w, hi_w), tol=1e-13, grid=grid
-                )
-            except NoBracket:
-                pass
-    return solve_radial_eigen(
-        kappa_sq, mode, (1e-6 * omega_hat, hi), tol=1e-13, grid=grid
-    )
+    hi = float(np.sqrt(max(V[-1], 1e-12 * omega_hat**2))) * (1 - 1e-9)
+    return solve_radial_eigen(V, mode, (1e-6 * omega_hat, hi), grid)
 
 
 class _PinnedDepthSweeper:
@@ -181,13 +162,11 @@ class _PinnedDepthSweeper:
         self.mode = mode
         self.relax = relaxation
         self.phi0 = None
-        self.warm = None
         self.sweeps = 0
 
     def seed(self, depth, width):
         r = self.grid.r
         self.phi0 = (depth / self.eps) * np.exp(-((r / width) ** 2))
-        self.warm = None
 
     def converge(self, depth, tol_inner, max_sweeps):
         """Iterate eigen + Poisson sweeps with pinned central depth.
@@ -199,16 +178,9 @@ class _PinnedDepthSweeper:
         grid, w2, eps = self.grid, self.w2, self.eps
         phi0_prev = None
         for _ in range(max_sweeps):
-            phi0_f = _interp(grid, self.phi0)
-
-            def kappa_sq(rr, om, phi0_f=phi0_f):
-                return om * om - w2 + eps * w2 * phi0_f(rr)
-
             try:
-                edge = 1.0 - eps * self.phi0[-1]
-                hi = self.omega_hat * float(np.sqrt(max(edge, 1e-12))) * (1 - 1e-9)
-                omega, phi1n = _eigen_with_warm_bracket(
-                    kappa_sq, self.mode, self.omega_hat, grid, self.warm, hi=hi
+                omega, phi1n = _solve_mode(
+                    w2 - eps * w2 * self.phi0, self.mode, self.omega_hat, grid
                 )
                 unit = solve_radial_poisson(
                     RadialField(grid, w2 * phi1n.values**2), sign=1
@@ -229,15 +201,6 @@ class _PinnedDepthSweeper:
                 / max(np.max(np.abs(phi0_new)), 1e-300)
             )
             self.sweeps += 1
-            d_om = (
-                abs(omega - self.warm[0]) / self.omega_hat
-                if self.warm is not None
-                else 1.0
-            )
-            self.warm = (
-                omega,
-                max(20.0 * d_om * self.omega_hat, 1e-5 * self.omega_hat),
-            )
             phi0_prev = self.phi0
             self.phi0 = (1.0 - self.relax) * self.phi0 + self.relax * phi0_new
             if d < tol_inner:
@@ -299,48 +262,35 @@ def iterate_single_mode(
     # too-deep -> gap < 0 (crossing inside r0).  A failed eigen solve maps
     # to +inf (mode not yet bound) or -inf (mode sank below omega = 0).
     tol_scan = max(1e-5, p.tol)
-    state = dict(phi0=sweeper.phi0.copy(), warm=None)
-
-    last_shallow_edge = [None]
+    saved_phi0 = sweeper.phi0.copy()
+    d_lo = d_hi = None  # evaluable endpoints with gap > 0 / gap < 0
+    lo_edge = hi_edge = None  # unevaluable sentinels
 
     def eval_gap(depth, tol_inner, cap=None):
+        nonlocal saved_phi0
         try:
             gap, _ = crossing_gap(depth, tol_inner, cap)
-        except NoBracket as exc:
-            sweeper.phi0 = state["phi0"].copy()
-            sweeper.warm = state["warm"]
-            counts = getattr(exc, "counts", None)
-            if counts is not None:
-                too_deep = counts[0] > p.mode_order
-            else:
-                edge = last_shallow_edge[0]
-                too_deep = edge is not None and depth > edge
-            return (-np.inf if too_deep else np.inf)
+        except NoBracket:
+            sweeper.phi0 = saved_phi0.copy()
+            return -np.inf
         except (NotTrapped, NonDecayingSource):
-            sweeper.phi0 = state["phi0"].copy()
-            sweeper.warm = state["warm"]
+            sweeper.phi0 = saved_phi0.copy()
             return np.inf  # not (or barely) bound: treat as too shallow
         except NoConvergence:
             if cap is None:
                 raise
-            # non-settling probe: classify by the known edges
-            sweeper.phi0 = state["phi0"].copy()
-            sweeper.warm = state["warm"]
-            edge = last_shallow_edge[0]
-            return -np.inf if (edge is not None and depth > edge) else np.inf
-        state["phi0"] = sweeper.phi0.copy()
-        state["warm"] = sweeper.warm
+            # non-settling probe: classify by the known shallow edge
+            sweeper.phi0 = saved_phi0.copy()
+            return -np.inf if (lo_edge is not None and depth > lo_edge) else np.inf
+        saved_phi0 = sweeper.phi0.copy()
         return gap
 
     depth = 0.5
-    d_lo = d_hi = None  # evaluable endpoints with gap > 0 / gap < 0
-    lo_edge = hi_edge = None  # unevaluable sentinels
     probe_cap = 60
     for _ in range(80):
         gap = eval_gap(depth, tol_scan, cap=probe_cap)
         if gap == np.inf:
             lo_edge = depth
-            last_shallow_edge[0] = depth
         elif gap == -np.inf:
             hi_edge = depth
         elif gap > 0:
@@ -581,7 +531,6 @@ def solve_multimode(
             )
             for a in range(n_a)
         ],
-        "warm": [None] * n_p,
         "omegas": np.full(n_p, np.nan),
         "units": [np.zeros(grid.n_points) for _ in range(n_p)],
         "norms": [None] * n_p,
@@ -591,42 +540,20 @@ def solve_multimode(
     def snapshot():
         return {
             "phi_a": [v.copy() for v in state["phi_a"]],
-            "warm": list(state["warm"]),
             "omegas": state["omegas"].copy(),
         }
 
     def restore(snap):
         state["phi_a"] = [v.copy() for v in snap["phi_a"]]
-        state["warm"] = list(snap["warm"])
         state["omegas"] = snap["omegas"].copy()
 
     def sweep_once():
         """One eigen + Poisson pass for every mode in the current fields."""
-        phi_fns = [_interp(grid, v) for v in state["phi_a"]]
         for pidx in range(n_p):
-
-            def kappa_sq(rr, om, pidx=pidx, phi_fns=phi_fns):
-                well = sum(
-                    eps[a, pidx] * w2[pidx] * phi_fns[a](rr) for a in range(n_a)
-                )
-                return om * om - w2[pidx] + well
-
-            edge = 1.0 - sum(
-                eps[a, pidx] * state["phi_a"][a][-1] for a in range(n_a)
+            well = sum(
+                eps[a, pidx] * w2[pidx] * state["phi_a"][a] for a in range(n_a)
             )
-            hi = w_hats[pidx] * float(np.sqrt(max(edge, 1e-12))) * (1 - 1e-9)
-            om, phin = _eigen_with_warm_bracket(
-                kappa_sq, orders[pidx], w_hats[pidx], grid, state["warm"][pidx], hi=hi
-            )
-            d_om = (
-                abs(om - state["omegas"][pidx]) / w_hats[pidx]
-                if np.isfinite(state["omegas"][pidx])
-                else 1.0
-            )
-            state["warm"][pidx] = (
-                om,
-                max(20.0 * d_om * w_hats[pidx], 1e-5 * w_hats[pidx]),
-            )
+            om, phin = _solve_mode(w2[pidx] - well, orders[pidx], w_hats[pidx], grid)
             state["omegas"][pidx] = om
             state["norms"][pidx] = phin
             state["units"][pidx] = solve_radial_poisson(
@@ -931,7 +858,6 @@ def solve_fifth_order(
         "phi2": _free_wave_reference(grid, phi2_amplitude)
         if eta2 == 0.0
         else np.full(grid.n_points, phi2_amplitude),
-        "warm": None,
         "omega1": np.nan,
         "unit1": np.zeros(grid.n_points),
         "p_eta": np.zeros(grid.n_points),
@@ -941,22 +867,9 @@ def solve_fifth_order(
     }
 
     def sweep_once():
-        phi0_f = _interp(grid, state["phi0"])
-
-        def kappa_sq(rr, om, phi0_f=phi0_f):
-            return om * om - w2_1 + eps1 * w2_1 * phi0_f(rr)
-
-        edge = 1.0 - eps1 * state["phi0"][-1]
-        hi = omega_hat_1 * float(np.sqrt(max(edge, 1e-12))) * (1 - 1e-9)
-        om, phi1n = _eigen_with_warm_bracket(
-            kappa_sq, 0, omega_hat_1, grid, state["warm"], hi=hi
+        om, phi1n = _solve_mode(
+            w2_1 - eps1 * w2_1 * state["phi0"], 0, omega_hat_1, grid
         )
-        d_om = (
-            abs(om - state["omega1"]) / omega_hat_1
-            if np.isfinite(state["omega1"])
-            else 1.0
-        )
-        state["warm"] = (om, max(20.0 * d_om * omega_hat_1, 1e-5 * omega_hat_1))
         state["omega1"] = om
         state["phi1n"] = phi1n
         state["unit1"] = solve_radial_poisson(

@@ -105,6 +105,20 @@ class TestExitCodes:
                   "--r0", "5", "--max-iters", "4", "--output-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("extra", [
+        ["--r-max", "30", "--n-points", "5"],
+        ["--eps", "nan"],
+    ])
+    def test_bad_solver_inputs_are_validation_errors(self, tmp_path, capsys, extra):
+        argv = ["metron-solve", "--omega-hat", "1", "--eps", "1", "--mode", "0",
+                "--r0", "5", "--output-dir", str(tmp_path)]
+        rc = run(argv + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
+
     def test_calibrate_degenerate_inputs(self, tmp_path):
         rc = run(["calibrate", "--a-sq", "0", "--beta", "1", "--m-core", "1",
                   "--k5", "1", "--gprime", "1", "--output-dir", str(tmp_path)])

@@ -75,7 +75,7 @@ class TestRadialEigen:
         grid = RadialGrid(40.0, 4001)
         well = lambda r: 3.0 * np.exp(-((r / 1.5) ** 2))
         omega, phi = solve_radial_eigen(
-            lambda r, om: om * om - 1.0 + well(r), 0, (0.05, 0.999), tol=1e-13, grid=grid
+            1.0 - well(grid.r), 0, (0.05, 0.999), grid=grid
         )
         oracle = _matrix_eigen_oracle(well, grid, 0)
         assert abs(omega - oracle) < 1e-9
@@ -91,7 +91,7 @@ class TestRadialEigen:
         grid = RadialGrid(40.0, 4001)
         well = lambda r: 4.0 * np.exp(-((r / 4.0) ** 2))
         omega, phi = solve_radial_eigen(
-            lambda r, om: om * om - 1.0 + well(r), 2, (0.05, 0.999), tol=1e-13, grid=grid
+            1.0 - well(grid.r), 2, (0.05, 0.999), grid=grid
         )
         oracle = _matrix_eigen_oracle(well, grid, 2)
         assert abs(omega - oracle) < 1e-9
@@ -103,7 +103,7 @@ class TestRadialEigen:
         grid = RadialGrid(30.0, 2001)
         with pytest.raises(NotTrapped):
             solve_radial_eigen(
-                lambda r, om: om * om - 1.0 + 0.0 * r, 0, (0.05, 0.999), grid=grid
+                1.0 + 0.0 * grid.r, 0, (0.05, 0.999), grid=grid
             )
 
     def test_wrong_bracket_raises(self):
@@ -112,7 +112,7 @@ class TestRadialEigen:
         with pytest.raises(NoBracket):
             # ground state sits near 0.737; bracket above it has no mode 0
             solve_radial_eigen(
-                lambda r, om: om * om - 1.0 + well(r), 0, (0.9, 0.999), grid=grid
+                1.0 - well(grid.r), 0, (0.9, 0.999), grid=grid
             )
 
     def test_long_forbidden_region(self):
@@ -121,13 +121,61 @@ class TestRadialEigen:
         r = grid.r
         phi0 = 0.9 * np.exp(-((r / 20.0) ** 2))
         omega, phi = solve_radial_eigen(
-            lambda rr, om: om * om - 1.0 + np.interp(rr, r, phi0),
+            1.0 - phi0,
             2,
             (1e-6, 0.999),
-            tol=1e-13,
             grid=grid,
         )
         assert abs(phi.values[-1]) < 1e-3
+
+
+def _dense_operator(V, grid, robin):
+    """Full matrix of -D2 + V on nodes 1..N-2 with u_0 = 0 and the last row
+    closed by u_{N-1} = robin * u_{N-2} (robin = 0 is a Dirichlet wall)."""
+    h = grid.spacing
+    n = grid.n_points - 2
+    A = np.diag(2.0 / h**2 + V[1:-1])
+    A -= np.diag(np.ones(n - 1), 1) / h**2 + np.diag(np.ones(n - 1), -1) / h**2
+    A[-1, -1] -= robin / h**2
+    return A
+
+
+class TestRadialEigenOracles:
+    """Checks against analytic levels and a dense eigensolver."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_harmonic_well_levels(self, n):
+        # -u'' + r^2 u = omega^2 u with u(0) = 0: the odd levels of the
+        # 1-D oscillator, omega^2 = 4n + 3
+        grid = RadialGrid(10.0, 2001)
+        omega, _ = solve_radial_eigen(grid.r**2, n, (0.1, 5.0), grid=grid)
+        assert abs(omega**2 - (4 * n + 3)) < 4.0 * grid.spacing**2
+
+    def test_richardson_order_two(self):
+        omegas = []
+        for n_points in (1001, 2001, 4001):
+            grid = RadialGrid(10.0, n_points)
+            omegas.append(solve_radial_eigen(grid.r**2, 1, (0.1, 5.0), grid=grid)[0])
+        order = np.log2((omegas[1] - omegas[0]) / (omegas[2] - omegas[1]))
+        assert 1.8 < order < 2.2
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_dense_eigh_with_robin_row(self, mode):
+        grid = RadialGrid(30.0, 301)
+        V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
+        omega, _ = solve_radial_eigen(V, mode, (0.01, 0.999), grid=grid)
+        h = grid.spacing
+        kr = np.sqrt(max(V[-1] - omega**2, 0.0))
+        robin = 1.0 / (1.0 + h * kr - h / grid.r_max)
+        dense = np.linalg.eigvalsh(_dense_operator(V, grid, robin))
+        assert abs(dense[mode] - omega**2) < 1e-10
+
+    def test_outer_boundary_term_matters(self):
+        grid = RadialGrid(30.0, 301)
+        V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
+        omega, _ = solve_radial_eigen(V, 1, (0.01, 0.999), grid=grid)
+        dirichlet = np.linalg.eigvalsh(_dense_operator(V, grid, 0.0))
+        assert abs(dirichlet[1] - omega**2) > 1e-7
 
 
 class TestRadialPoisson:
@@ -200,6 +248,15 @@ class TestGridTypes:
         g = RadialGrid(10.0, 101)
         assert g.spacing == pytest.approx(0.1)
         assert g.r[0] == 0.0
+
+    def test_grid_radii_cached_read_only(self):
+        g = RadialGrid(10.0, 101)
+        assert g.r is g.r
+        assert not g.r.flags.writeable
+        with pytest.raises(ValueError):
+            g.r[1] = 0.0
+        assert g == RadialGrid(10.0, 101)
+        assert hash(g) == hash(RadialGrid(10.0, 101))
 
     def test_field_invariants(self):
         g = RadialGrid(10.0, 101)
