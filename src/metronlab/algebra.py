@@ -46,7 +46,6 @@ __all__ = [
     "gauge_correspondence",
     "calibrate_constants",
     "scale_ratio",
-    "HarmonicWavenumber",
 ]
 
 SPACETIME_METRIC = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -56,30 +55,6 @@ _SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-@dataclass(frozen=True)
-class HarmonicWavenumber:
-    """Wavenumber in the extra dimensions with a diagonal signature."""
-
-    components: np.ndarray = field(repr=False)
-    signature: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        s = np.asarray(self.signature, dtype=float)
-        if c.shape != s.shape or c.ndim != 1:
-            raise ValidationError("components and signature must match")
-        if not np.all(np.abs(s) == 1.0):
-            raise ValidationError("signature entries must be +-1")
-        object.__setattr__(self, "components", c)
-        object.__setattr__(self, "signature", s)
-
-    def mass_sq(self):
-        return float(np.sum(self.signature * self.components**2))
-
-    def dot(self, other):
-        return float(np.sum(self.signature * self.components * other.components))
 
 
 @dataclass(frozen=True)
@@ -593,16 +568,6 @@ def quark_ew_wavenumbers(k_e, k_nu, k_c):
         "charges_in_e_M": charges,
         "w_coupling_ratio": quark_cc / lepton_cc,
         "z_couplings": z_couplings,
-    }
-
-
-def standard_model_z_couplings(g1, g2):
-    """Weinberg-Salam neutral-current coefficients for comparison runs."""
-    root = np.sqrt(g1 * g1 + g2 * g2)
-    return {
-        "neutrino": root / 2.0,
-        "electron_L": (g1 * g1 - g2 * g2) / (2.0 * root),
-        "electron_R": g1 * g1 / root,
     }
 
 

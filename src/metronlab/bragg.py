@@ -38,6 +38,7 @@ __all__ = [
     "integrate_trap",
     "classify_trapping",
     "equilibrium_phases",
+    "classify_sweep",
     "first_integral",
 ]
 
@@ -108,6 +109,8 @@ class BraggTrapState:
     omega0: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.E, self.deltaS, self.gamma, self.phi, self.omega0])):
+            raise ValidationError("E, deltaS, gamma, phi and omega0 must be finite")
         if self.E < 0:
             raise ValidationError("perturbation energy E must be nonnegative")
         if self.gamma < 0:
@@ -213,20 +216,20 @@ def classify_trapping(state: BraggTrapState):
 def equilibrium_phases(B, phi):
     """The two solutions of sin(deltaS + phi) = -B in [0, 2pi), labeled by
     linearized stability: the equilibrium with cos(deltaS + phi) > 0 damps
-    perturbations, the other amplifies them.
+    perturbations, the other amplifies them; at tangency (B = +-1) the
+    double root is reported twice.  Works elementwise on arrays (a NaN B
+    gives NaN phases).
 
     Returns (deltaS_stable, deltaS_unstable); NoEquilibrium for |B| > 1.
     """
-    if abs(B) > 1.0:
-        raise NoEquilibrium(f"|B| = {abs(B):.6g} > 1: no stationary phase")
+    if np.any(np.abs(B) > 1.0):
+        raise NoEquilibrium(f"|B| = {np.max(np.abs(B)):.6g} > 1: no stationary phase")
     base = np.arcsin(-B)  # in [-pi/2, pi/2]
-    roots = [(base - phi) % (2.0 * np.pi), (np.pi - base - phi) % (2.0 * np.pi)]
-    stable = [rt for rt in roots if np.cos(rt + phi) >= 0.0]
-    unstable = [rt for rt in roots if np.cos(rt + phi) < 0.0]
-    if not stable or not unstable:
-        # tangency B = +-1: double root, report it twice
-        return roots[0], roots[1]
-    return stable[0], unstable[0]
+    first = (base - phi) % (2.0 * np.pi)
+    second = (np.pi - base - phi) % (2.0 * np.pi)
+    swap = (np.cos(first + phi) < 0.0) & (np.cos(second + phi) >= 0.0)
+    # [()] turns 0-d results back into scalars
+    return np.where(swap, second, first)[()], np.where(swap, first, second)[()]
 
 
 def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
@@ -236,8 +239,6 @@ def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
     trajectory is integrated until the phase has wound through several
     cycles or the energy has collapsed onto an equilibrium.
     """
-    if state.gamma == 0:
-        raise DegenerateCoupling("gamma = 0 cannot be classified by this oracle")
     B = trapping_parameter(state)
     rate = state.gamma * max(abs(B - 1.0), 2e-3)
     s_max = min(max(200.0 / state.gamma, 6.0 * np.pi / rate), 1e6)
@@ -255,25 +256,33 @@ def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
     }
 
 
-def sweep_rows(ratio_values, phi_values, omega0=1.0, gamma=1.0):
-    """Classification sweep over (omega0*E0/gamma, phi); one dict per cell."""
-    rows = []
-    for ratio in ratio_values:
-        for phi in phi_values:
-            E0 = ratio * gamma / omega0
-            state = BraggTrapState(E=E0, deltaS=0.0, gamma=gamma, phi=phi, omega0=omega0)
-            res = classify_trapping(state)
-            if abs(res["B"]) <= 1.0:
-                st, un = equilibrium_phases(res["B"], phi)
-            else:
-                st = un = float("nan")
-            rows.append(
-                {
-                    "B": res["B"],
-                    "phi": phi,
-                    "verdict": res["verdict"],
-                    "deltaS_stable": st,
-                    "deltaS_unstable": un,
-                }
-            )
-    return rows
+def classify_sweep(ratios, phis, gamma=1.0, omega0=1.0):
+    """Classification over the grid of ratios omega0*E0/gamma times phases
+    phi, vectorised; cells run ratio-major.
+
+    Returns the columns B, phi, verdict, deltaS_stable and deltaS_unstable
+    as flat arrays, with NaN phases where |B| > 1.  A cell that
+    BraggTrapState refuses (E0 < 0 or a non-finite value) gets the verdict
+    "error:ValidationError" and NaN numbers.  gamma and omega0 must pass
+    the checks of a single cell (DegenerateCoupling for gamma = 0), and
+    omega0 = 0, which leaves E0 undefined, is a ValidationError.
+    """
+    trapping_parameter(BraggTrapState(E=0.0, deltaS=0.0, gamma=gamma, phi=0.0, omega0=omega0))
+    if omega0 == 0:
+        raise ValidationError("omega0 = 0: the ratio omega0*E0/gamma does not fix E0")
+    ratio = np.asarray(ratios, dtype=float)
+    phi = np.asarray(phis, dtype=float)
+    E = np.repeat(ratio * gamma / omega0, phi.size)
+    phi = np.tile(phi, ratio.size)
+    valid = np.isfinite(E) & np.isfinite(phi) & (E >= 0)
+    with np.errstate(invalid="ignore"):
+        B = np.where(valid, omega0 * E / gamma - np.sin(phi), np.nan)
+    stable, unstable = equilibrium_phases(np.where(np.abs(B) <= 1.0, B, np.nan), phi)
+    verdict = np.where(B <= 1.0, "Trapped", "Oscillatory")
+    return {
+        "B": B,
+        "phi": phi,
+        "verdict": np.where(valid, verdict, "error:ValidationError"),
+        "deltaS_stable": stable,
+        "deltaS_unstable": unstable,
+    }

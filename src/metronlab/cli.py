@@ -2,48 +2,41 @@
 CSV/JSON outputs and a manifest.json echoing every input.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  A one-line
-machine-parsable diagnostic goes to stderr on failure.  Parallelism for
-sweeps comes from --jobs or the METRON_LAB_JOBS environment variable.
+machine-parsable diagnostic goes to stderr on failure.  Sweeps run
+vectorised or as plain loops; --jobs is accepted and echoed in the manifest
+but does not change how a command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, algebra, bragg, greens, orbits, trapped_modes
-from .errors import MetronLabError, NumericalError, ValidationError
+from .errors import MetronLabError, ValidationError
 from .io import read_config, write_csv, write_gnuplot_stub, write_json
 from .numerics import RadialGrid
 
-COMMANDS = (
-    "metron-solve",
-    "metron-rescale",
-    "bragg-classify",
-    "bragg-sweep",
-    "bragg-lattice",
-    "orbit-drift",
-    "orbit-threemode",
-    "orbit-variance",
-    "greens-eval",
-    "greens-conserve",
-    "algebra-check",
-    "calibrate",
-)
-
 
 def parse_values(text):
-    """Comma list ("0,0.5,1") or range ("start:stop:count") of floats."""
+    """Comma list ("0,0.5,1") or range ("start:stop:count") of finite floats."""
     text = str(text)
-    if ":" in text:
-        a, b, n = text.split(":")
-        return list(np.linspace(float(a), float(b), int(n)))
-    return [float(v) for v in text.split(",") if v != ""]
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            with np.errstate(invalid="ignore"):  # inf ends are refused below
+                values = list(np.linspace(float(a), float(b), int(n)))
+        else:
+            values = [float(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise ValidationError(
+            f"expected a comma list or start:stop:count, got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"non-finite value in {text!r}")
+    return values
 
 
 def parse_vector(text, n):
@@ -57,9 +50,18 @@ def _add_common(parser):
     parser.add_argument("--output-dir", default="out")
     parser.add_argument("--formats", default="csv,json")
     parser.add_argument("--config", default=None)
-    parser.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("METRON_LAB_JOBS", "1"))
-    )
+    parser.add_argument("--jobs", type=int, default=1)
+
+
+def _add_single_mode(parser):
+    parser.add_argument("--omega-hat", type=float, default=1.0)
+    parser.add_argument("--eps", type=float, default=1.0)
+    parser.add_argument("--mode", type=int, default=0)
+    parser.add_argument("--r0", type=float, default=5.0)
+    parser.add_argument("--max-iters", type=int, default=200)
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--r-max", type=float, default=None)
+    parser.add_argument("--n-points", type=int, default=2001)
 
 
 def build_parser():
@@ -68,25 +70,11 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metron-solve")
-    p.add_argument("--omega-hat", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--mode", type=int, default=0)
-    p.add_argument("--r0", type=float, default=5.0)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--n-points", type=int, default=2001)
+    _add_single_mode(p)
     _add_common(p)
 
     p = sub.add_parser("metron-rescale")
-    p.add_argument("--omega-hat", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--mode", type=int, default=0)
-    p.add_argument("--r0", type=float, default=5.0)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--n-points", type=int, default=2001)
+    _add_single_mode(p)
     p.add_argument("--lam", type=str, required=True,
                    help="scale factor; a,b,c or start:stop:count sweeps the family")
     _add_common(p)
@@ -192,8 +180,9 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    cfg_path = argv[idx + 1]
-    cfg = read_config(cfg_path)
+    if idx + 1 == len(argv):
+        raise ValidationError("--config needs a file path")
+    cfg = read_config(argv[idx + 1])
     command = argv[0]
     sub = None
     for action in parser._actions:
@@ -238,10 +227,8 @@ def _solve_from_args(args):
         max_iters=args.max_iters,
         tol=args.tol,
     )
-    grid = None
-    if args.r_max is not None:
-        grid = RadialGrid(args.r_max, args.n_points)
-    return trapped_modes.iterate_single_mode(params, grid=grid)
+    r_max = args.r_max if args.r_max is not None else trapped_modes.default_r_max(params.r0)
+    return trapped_modes.iterate_single_mode(params, grid=RadialGrid(r_max, args.n_points))
 
 
 def cmd_metron_solve(args):
@@ -288,16 +275,14 @@ def cmd_metron_rescale(args):
         print(f"omega' = {scaled.omega:.12g} (base {sol.omega:.12g})")
         return 0
 
-    def run_point(lam):
+    rows = []
+    for lam in lams:
         try:
             sc = trapped_modes.rescale(sol, lam)
-            return (lam, sc.omega, sc.residual_eigen, sc.residual_poisson, "ok")
+            rows.append((lam, sc.omega, sc.residual_eigen, sc.residual_poisson, "ok"))
         except MetronLabError as exc:
-            return (lam, float("nan"), float("nan"), float("nan"),
-                    f"error:{type(exc).__name__}")
-
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        rows = list(pool.map(run_point, lams))
+            rows.append((lam, float("nan"), float("nan"), float("nan"),
+                         f"error:{type(exc).__name__}"))
     write_csv(out / "rescale_sweep.csv",
               ["lambda", "omega", "residual_eigen", "residual_poisson", "status"],
               rows)
@@ -339,32 +324,13 @@ def cmd_bragg_sweep(args):
     phis = parse_values(args.phi)
     if not ratios or not phis:
         raise ValidationError("empty sweep grid")
-    cells = [(ratio, phi) for ratio in ratios for phi in phis]
-
-    def run_cell(cell):
-        ratio, phi = cell
-        try:
-            state = bragg.BraggTrapState(
-                E=ratio * args.gamma / args.omega0, deltaS=0.0,
-                gamma=args.gamma, phi=phi, omega0=args.omega0,
-            )
-            res = bragg.classify_trapping(state)
-            if abs(res["B"]) <= 1.0:
-                st, un = bragg.equilibrium_phases(res["B"], phi)
-            else:
-                st = un = float("nan")
-            return (res["B"], phi, res["verdict"], st, un)
-        except MetronLabError as exc:
-            return (float("nan"), phi, f"error:{type(exc).__name__}",
-                    float("nan"), float("nan"))
-
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        rows = list(pool.map(run_cell, cells))
-    write_csv(_out(args) / "sweep.csv",
-              ["B", "phi", "verdict", "deltaS_stable", "deltaS_unstable"], rows)
+    cols = bragg.classify_sweep(ratios, phis, args.gamma, args.omega0)
+    cells = len(cols["B"])
+    write_csv(_out(args) / "sweep.csv", list(cols),
+              zip(*(col.tolist() for col in cols.values())))
     write_json(_out(args) / "manifest.json",
-               manifest_from(args, {"cells": len(rows)}))
-    print(f"{len(rows)} cells")
+               manifest_from(args, {"cells": cells}))
+    print(f"{cells} cells")
     return 0
 
 
@@ -411,6 +377,8 @@ def cmd_orbit_drift(args):
 
 
 def cmd_orbit_threemode(args):
+    if args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
     state = orbits.ThreeModeState(
         A1=args.a1, A2=args.a2, A12=args.a12, K=args.k,
         mu1=args.mu1, mu2=args.mu2, gamma_f=args.gamma_f, beta_dr=args.beta_dr,
@@ -432,6 +400,8 @@ def cmd_orbit_threemode(args):
 
 
 def cmd_orbit_variance(args):
+    if args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
     t = np.linspace(0.0, args.t_max, args.samples)
     N1, N2 = orbits.evolve_variances(args.n1, args.n2, args.kprime,
                                      args.mu1, args.mu2, t)
@@ -465,6 +435,8 @@ def cmd_greens_eval(args):
 
 
 def cmd_greens_conserve(args):
+    if args.samples < 2:
+        raise ValidationError("--samples must be at least 2 for the trapezoid rule")
     n = args.samples
     span = (-args.span, args.span)
     line_i = greens.WorldLine.static_point([0.0, 0.0, 0.0], span, n)
@@ -642,19 +614,13 @@ def run(argv):
     """Execute one command; returns the process exit code."""
     parser = build_parser()
     try:
-        if argv and argv[0] in COMMANDS:
+        if argv and argv[0] in _DISPATCH:
             argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except MetronLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 def main():

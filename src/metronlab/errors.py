@@ -8,7 +8,7 @@ ValueError, so callers catching the builtin still see bad inputs.
 
 
 class MetronLabError(Exception):
-    pass
+    exit_code = 3
 
 
 class ValidationError(MetronLabError, ValueError):

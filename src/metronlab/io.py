@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["format_number", "write_csv", "write_json", "read_config", "write_gnuplot_stub"]
 
 
@@ -68,14 +70,19 @@ def write_json(path, payload):
 
 
 def read_config(path):
-    """Flat key = value file; '#' starts a comment; values stay strings."""
+    """Flat key = value file; '#' starts a comment; values stay strings.
+    An unreadable file or a line without '=' is a ValidationError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {str(path)!r}: {exc}") from None
     out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
+            raise ValidationError(f"malformed config line: {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

@@ -1,5 +1,6 @@
-"""Shared numerical kernels: adaptive ODE integration, the radial eigenvalue
-problem on a uniform grid, and the spherically symmetric Poisson solve.
+"""Shared numerical kernels: adaptive ODE integration (a thin wrapper over
+SciPy's RK45), the radial eigenvalue problem on a uniform grid, and the
+spherically symmetric Poisson solve.
 
 All radial work uses the substitution u(r) = r * phi(r), which turns the
 spherical Laplacian into a plain second derivative and removes the 2/r
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
@@ -102,24 +104,8 @@ def radial_laplacian(field: RadialField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Dormand-Prince 4(5) initial-value integration
+# Adaptive initial-value integration
 # ---------------------------------------------------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
 
 @dataclass
 class IvpResult:
@@ -131,12 +117,15 @@ class IvpResult:
         return self.y[-1]
 
 
-def integrate_ivp(field, y0, span, tol=1e-8, max_steps=2_000_000) -> IvpResult:
-    """Integrate dy/ds = field(s, y) over span with an embedded 4(5) pair.
+def integrate_ivp(field, y0, span, tol=1e-8) -> IvpResult:
+    """Integrate dy/ds = field(s, y) over span with SciPy's RK45, the
+    Dormand-Prince 4(5) pair, at rtol = tol and
+    atol = tol * 1e-3 * max(1, max|y0|).
 
     Accepts real or complex state vectors; returns the accepted step points.
-    Raises StepUnderflow when the controller needs a step below
-    1e-14 * |span| and NonFiniteState if the state leaves floating range.
+    Raises NonFiniteState when field returns a non-finite derivative and
+    StepUnderflow when the solver stops short of the span end (its step
+    fell below the floating-point spacing of s).
     """
     s0, s1 = float(span[0]), float(span[1])
     y = np.atleast_1d(np.asarray(y0))
@@ -144,48 +133,21 @@ def integrate_ivp(field, y0, span, tol=1e-8, max_steps=2_000_000) -> IvpResult:
         y = y.astype(float)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    width = abs(s1 - s0)
-    if width == 0.0:
+    if s1 == s0:
         return IvpResult(np.array([s0]), y[None, :].copy())
-    direction = 1.0 if s1 >= s0 else -1.0
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y))))
-    h = direction * min(width / 100.0, 1.0)
-    h_floor = 1e-14 * width
 
-    ts = [s0]
-    ys = [y.copy()]
-    s = s0
-    k = np.empty((7,) + y.shape, dtype=y.dtype)
-    for _ in range(max_steps):
-        if direction * (s + h - s1) > 0:
-            h = s1 - s
-        if abs(h) < h_floor:
-            raise StepUnderflow(
-                f"step size {abs(h):.3e} below 1e-14*|span| at s={s:.6g}"
-            )
-        with np.errstate(invalid="ignore", over="ignore"):
-            k[0] = field(s, y)
-            for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = field(s + _DP_C[i] * h, yi)
-            y5 = y + h * np.tensordot(_DP_B5, k, axes=1)
-            y4 = y + h * np.tensordot(_DP_B4, k, axes=1)
-        if not np.all(np.isfinite(y5.view(float))):
-            raise NonFiniteState(f"non-finite state at s={s:.6g}")
-        scale = atol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            s = s + h
-            y = y5
-            ts.append(s)
-            ys.append(y.copy())
-            if direction * (s - s1) >= 0 or abs(s - s1) < h_floor:
-                return IvpResult(np.asarray(ts), np.asarray(ys))
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-        else:
-            factor = max(0.1, 0.9 * err ** -0.2)
-        h = h * factor
-    raise NonFiniteState("max_steps exhausted without reaching span end")
+    def checked(s, state):
+        dy = field(s, state)
+        if not np.all(np.isfinite(dy)):
+            raise NonFiniteState(f"non-finite derivative at s={s:.6g}")
+        return dy
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        sol = solve_ivp(checked, (s0, s1), y, method="RK45", rtol=tol, atol=atol)
+    if not sol.success:
+        raise StepUnderflow(f"{sol.message} (stopped at s={sol.t[-1]:.6g})")
+    return IvpResult(sol.t, sol.y.T)
 
 
 # ---------------------------------------------------------------------------

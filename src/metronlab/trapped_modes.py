@@ -211,6 +211,11 @@ class _PinnedDepthSweeper:
         )
 
 
+def default_r_max(r0):
+    """Default box radius for a single mode crossing at r0."""
+    return max(30.0, 6.0 * r0)
+
+
 def iterate_single_mode(
     params: SingleModeParams,
     grid: RadialGrid | None = None,
@@ -226,7 +231,7 @@ def iterate_single_mode(
     """
     p = params
     if grid is None:
-        grid = RadialGrid(max(30.0, 6.0 * p.r0), 2001)
+        grid = RadialGrid(default_r_max(p.r0), 2001)
     if relaxation is None:
         relaxation = 0.85 if p.mode_order == 0 else 0.6
     if not 0 < relaxation <= 1:

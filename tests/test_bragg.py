@@ -6,6 +6,7 @@ from metronlab.bragg import (
     FourVector,
     LatticeSpec,
     bragg_scatter_set,
+    classify_sweep,
     classify_trapping,
     equilibrium_phases,
     first_integral,
@@ -14,7 +15,7 @@ from metronlab.bragg import (
     resonance_direction,
     trap_verdict_by_integration,
 )
-from metronlab.errors import DegenerateCoupling, NoEquilibrium, OffShell
+from metronlab.errors import DegenerateCoupling, NoEquilibrium, OffShell, ValidationError
 
 
 def boost_vector(omega0, chi, axis=0):
@@ -171,6 +172,16 @@ class TestTrapDynamics:
         assert np.all(rate < 0.0)
 
 
+class TestTrapStateValidation:
+    @pytest.mark.parametrize("name", ["E", "deltaS", "gamma", "phi", "omega0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        values = {"E": 0.5, "deltaS": 0.0, "gamma": 1.0, "phi": 0.3, "omega0": 1.0}
+        values[name] = bad
+        with pytest.raises(ValidationError):
+            BraggTrapState(**values)
+
+
 class TestClassification:
     def test_zero_energy_always_trapped(self):
         for phi in np.linspace(0, 2 * np.pi, 17):
@@ -199,6 +210,60 @@ class TestClassification:
                 oracle = trap_verdict_by_integration(state)
                 assert oracle["verdict"] == rule
                 assert oracle["first_integral_drift"] < 1e-8 * max(ratio, 1.0)
+
+
+class TestClassifySweep:
+    @pytest.mark.parametrize("gamma,omega0", [(1.0, 1.0), (0.5, 2.0)])
+    def test_against_definition(self, gamma, omega0):
+        # sin(pi/2) = 1, sin(3pi/2) = -1 and sin(0) = 0 exactly, so the ratios
+        # 0, 1 and 2 put exact tangency cells (|B| = 1) on the grid
+        ratios = np.array([-1.5, -0.25, 0.0, 0.4, 1.0, 2.0, 3.5])
+        phis = np.array([0.0, np.pi / 2, 1.0, 3 * np.pi / 2, 4.0, -2.0])
+        cols = classify_sweep(ratios, phis, gamma, omega0)
+        n = ratios.size * phis.size
+        assert all(len(col) == n for col in cols.values())
+        ratio = np.repeat(ratios, phis.size)
+        phi = np.tile(phis, ratios.size)
+        assert np.array_equal(cols["phi"], phi)
+        bad = ratio < 0
+        assert np.all(cols["verdict"][bad] == "error:ValidationError")
+        for name in ("B", "deltaS_stable", "deltaS_unstable"):
+            assert np.all(np.isnan(cols[name][bad]))
+        ok = ~bad
+        B = cols["B"][ok]
+        assert np.allclose(B, ratio[ok] - np.sin(phi[ok]), rtol=0, atol=1e-14)
+        assert np.count_nonzero(np.abs(B) == 1.0) >= 4
+        want = np.where(B <= 1.0, "Trapped", "Oscillatory")
+        assert np.array_equal(cols["verdict"][ok], want)
+        bound = np.abs(B) <= 1.0
+        p = phi[ok][bound]
+        st = cols["deltaS_stable"][ok][bound]
+        un = cols["deltaS_unstable"][ok][bound]
+        for root in (st, un):
+            assert np.all((root >= 0.0) & (root < 2 * np.pi))
+            assert np.allclose(np.sin(root + p), -B[bound], rtol=0, atol=1e-12)
+        assert np.all(np.cos(st + p) >= -1e-12)
+        inner = np.abs(B[bound]) < 1.0 - 1e-9
+        assert np.all(np.cos(un + p)[inner] < 0.0)
+        assert np.all(np.isnan(cols["deltaS_stable"][ok][~bound]))
+        assert np.all(np.isnan(cols["deltaS_unstable"][ok][~bound]))
+        # each valid cell agrees exactly with the scalar classification
+        for k in np.flatnonzero(ok):
+            E0 = ratio[k] * gamma / omega0
+            state = BraggTrapState(E=E0, deltaS=0.0, gamma=gamma, phi=phi[k], omega0=omega0)
+            res = classify_trapping(state)
+            assert (res["B"], res["verdict"]) == (cols["B"][k], cols["verdict"][k])
+
+    @pytest.mark.parametrize("gamma,omega0,error", [
+        (0.0, 1.0, DegenerateCoupling),
+        (-1.0, 1.0, ValidationError),
+        (1.0, 0.0, ValidationError),
+        (np.nan, 1.0, ValidationError),
+        (1.0, np.inf, ValidationError),
+    ])
+    def test_sweep_wide_faults_raise(self, gamma, omega0, error):
+        with pytest.raises(error):
+            classify_sweep([0.5], [0.3], gamma, omega0)
 
 
 class TestEquilibriumPhases:

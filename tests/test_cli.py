@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from metronlab.cli import run
+from metronlab.cli import parse_values, run
+from metronlab.errors import ValidationError
 
 
 def read_json(path):
@@ -108,6 +109,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra", [
         ["--r-max", "30", "--n-points", "5"],
         ["--eps", "nan"],
+        ["--n-points", "5"],
     ])
     def test_bad_solver_inputs_are_validation_errors(self, tmp_path, capsys, extra):
         argv = ["metron-solve", "--omega-hat", "1", "--eps", "1", "--mode", "0",
@@ -118,6 +120,38 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bragg-sweep", "--ratio", "0:1", "--phi", "0"],
+        ["bragg-sweep", "--ratio", "0,1", "--phi", "abc"],
+        ["bragg-sweep", "--ratio", "0,nan", "--phi", "0"],
+        ["bragg-sweep", "--ratio", "0:3:4", "--phi", "0:6:5", "--gamma", "0"],
+        ["bragg-sweep", "--ratio", "0:3:4", "--phi", "0:6:5", "--gamma", "-1"],
+        ["bragg-sweep", "--ratio", "0:3:4", "--phi", "0:6:5", "--omega0", "0"],
+        ["bragg-classify", "--E0", "nan", "--gamma", "1", "--phi", "0", "--omega0", "1"],
+        ["metron-rescale", "--lam", "0.5:1"],
+        ["bragg-classify", "--config"],
+        ["bragg-classify", "--config", "{missing}"],
+        ["bragg-classify", "--config", "{malformed}"],
+        ["orbit-variance", "--n1", "1", "--n2", "0", "--kprime", "0.5", "--samples", "0"],
+        ["greens-conserve", "--samples", "1"],
+    ])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        malformed = tmp_path / "malformed.cfg"
+        malformed.write_text("E0 0.3\n")
+        argv = [a.format(missing=tmp_path / "nope.cfg", malformed=malformed)
+                for a in argv]
+        rc = run(argv + ["--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["nan", "1,inf", "-inf,0", "0:inf:3"])
+    def test_parse_values_rejects_non_finite(self, text):
+        with pytest.raises(ValidationError):
+            parse_values(text)
 
     def test_calibrate_degenerate_inputs(self, tmp_path):
         rc = run(["calibrate", "--a-sq", "0", "--beta", "1", "--m-core", "1",
