@@ -46,6 +46,8 @@ __all__ = [
     "gauge_correspondence",
     "calibrate_constants",
     "scale_ratio",
+    "SUITES",
+    "run_suite",
 ]
 
 SPACETIME_METRIC = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -663,3 +665,93 @@ def scale_ratio(epsilon):
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     return float(epsilon ** (1.0 / 6.0))
+
+
+# ---------------------------------------------------------------------------
+# The check suite behind `metronlab algebra-check` and acceptance criterion 10
+# ---------------------------------------------------------------------------
+
+SUITES = ("gamma", "polarization", "factorization", "star", "electroweak",
+          "gauge", "calibration")
+
+
+def _check(check_id, dev, limit=1e-12):
+    return {"check_id": check_id, "max_deviation": dev,
+            "status": "pass" if dev < limit else "fail"}
+
+
+def run_suite(names):
+    """Run the named parts of the check suite (see SUITES); one record
+    {check_id, max_deviation, status} per check."""
+    checks = []
+    if "gamma" in names:
+        for rep_name, gs in (
+            ("dirac", dirac_representation()),
+            ("chiral", chiral_representation()),
+        ):
+            for c in verify_gamma(gs)["checks"]:
+                checks.append({**c, "check_id": f"{rep_name}_{c['check_id']}"})
+    if "polarization" in names:
+        for model in (
+            minimal_noneuclidean(1.0),
+            minimal_euclidean(1.0),
+            extended_euclidean(1.0, k9=0.4),
+            color_noneuclidean(1.0, k7=0.6, k8=0.5),
+            color_euclidean(1.0, k7=0.6, k8=0.5),
+        ):
+            for c in check_gauge_conditions(model)["checks"]:
+                checks.append({**c, "check_id": f"{model.name}_{c['check_id']}"})
+            M = spinor_metric(model, check=False)
+            kind, scale = model.target
+            want = np.diag([1.0, 1.0, -1.0, -1.0]) if kind == "dirac" else np.eye(4)
+            checks.append(_check(f"{model.name}_spinor_metric",
+                                 float(np.max(np.abs(M - want / scale)))))
+    if "factorization" in names:
+        gs = dirac_representation()
+        rng = np.random.default_rng(7)
+        dev = 0.0
+        for _ in range(16):
+            k = rng.normal(size=4)
+            dev = max(dev, kg_factorization(k, rng.uniform(0.2, 2.0), gs))
+        checks.append(_check("kg_factorization", dev))
+    if "star" in names:
+        st = quark_star(1.0, orientation_angle=0.3)
+        checks += [
+            _check("star_sum", float(np.max(np.abs(st["sum"])))),
+            _check("star_boson_mass", abs(st["boson_mass"] - np.sqrt(3.0))),
+            _check("star_A1", abs(st["A1"] - 4.0)),
+            _check("star_A2", abs(st["A2"] + 2.0)),
+            _check("star_diagonal_sum", abs(st["diagonal_sum_coefficient"])),
+            _check("star_coupling_ratio", abs(st["g3_prime"] / st["g3"] - np.sqrt(6.0))),
+        ]
+    if "electroweak" in names:
+        sym = electroweak_config(1.0, 0.0)
+        checks.append(_check("electroweak_symmetric_ratio",
+                             abs(sym.ratio - 1.0 / np.sqrt(2.0))))
+        cfg = find_mass_ratio_config(0.87)
+        checks.append(_check("electroweak_ratio_rootfind", abs(cfg.ratio - 0.87), 1e-6))
+        k_e = np.array([cfg.k5_e, 0, 0, 0, cfg.k9])
+        k_nu = np.array([0, cfg.k6_nu, 0, 0, -cfg.k9])
+        k_c = np.array([0, 0, 0.5, 0.1, 0])
+        qe = quark_ew_wavenumbers(k_e, k_nu, k_c)
+        checks += [
+            _check("quark_sum_identity", qe["sum_identity_residual"]),
+            _check("quark_up_charge", abs(qe["charges_in_e_M"]["up"] - 2.0 / 3.0)),
+            _check("quark_down_charge", abs(qe["charges_in_e_M"]["down"] + 1.0 / 3.0)),
+            _check("quark_w_coupling", abs(qe["w_coupling_ratio"] + 1.0 / 3.0)),
+        ]
+    if "gauge" in names:
+        gc = gauge_correspondence(quark_star(1.0), 0.4, -0.7)
+        checks += [
+            _check("gauge_calibration_constant", gc["C_equals_minus_mass_sq"]),
+            _check("gauge_rank_deficiency", gc["residual"]),
+            _check("gauge_row_sum", gc["row_sum"]),
+        ]
+    if "calibration" in names:
+        cal = calibrate_constants(2.0, 0.7, 0.3, 1.4, 2.2)
+        checks.append(_check("calibration_loop",
+                             abs(cal["G"] * (cal["m"] / cal["q"]) ** 2 - cal["epsilon_ratio"])))
+        val = scale_ratio(2.4e-43)  # outside the window dev >= 1.7e-8 fails
+        checks.append(_check("scale_ratio_window",
+                             0.0 if 6e-8 <= val <= 1e-7 else abs(val - 7.7e-8)))
+    return checks

@@ -40,7 +40,10 @@ def parse_values(text):
 
 
 def parse_vector(text, n):
-    vals = [float(v) for v in str(text).split(",")]
+    try:
+        vals = [float(v) for v in str(text).split(",")]
+    except ValueError:
+        raise ValidationError(f"expected {n} comma-separated numbers, got {text!r}") from None
     if len(vals) != n:
         raise ValidationError(f"expected {n} comma-separated components, got {text!r}")
     return np.array(vals)
@@ -64,22 +67,38 @@ def _add_single_mode(parser):
     parser.add_argument("--n-points", type=int, default=2001)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that records the dest of every argument added."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests = getattr(self, "dests", set()) | {action.dest}
+        return action
+
+
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(prog="metronlab")
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_CommandParser)
+    commands = {}
 
-    p = sub.add_parser("metron-solve")
+    def command(name):
+        commands[name] = sub.add_parser(name)
+        return commands[name]
+
+    p = command("metron-solve")
     _add_single_mode(p)
     _add_common(p)
 
-    p = sub.add_parser("metron-rescale")
+    p = command("metron-rescale")
     _add_single_mode(p)
     p.add_argument("--lam", type=str, required=True,
                    help="scale factor; a,b,c or start:stop:count sweeps the family")
     _add_common(p)
 
-    p = sub.add_parser("bragg-classify")
+    p = command("bragg-classify")
     p.add_argument("--E0", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
@@ -88,14 +107,14 @@ def build_parser():
                    help="when positive, also integrate and write the trajectory")
     _add_common(p)
 
-    p = sub.add_parser("bragg-sweep")
+    p = command("bragg-sweep")
     p.add_argument("--ratio", type=str, required=True, help="omega0*E0/gamma values")
     p.add_argument("--phi", type=str, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--omega0", type=float, default=1.0)
     _add_common(p)
 
-    p = sub.add_parser("bragg-lattice")
+    p = command("bragg-lattice")
     p.add_argument("--ki", type=str, required=True, help="k1,k2,k3,k4 of the incident wave")
     p.add_argument("--fundamental", action="append", required=True,
                    help="spatial fundamental g1,g2,g3 (repeatable)")
@@ -105,7 +124,7 @@ def build_parser():
     p.add_argument("--omega0", type=float, required=True)
     _add_common(p)
 
-    p = sub.add_parser("orbit-drift")
+    p = command("orbit-drift")
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--c3", type=float, required=True)
@@ -114,7 +133,7 @@ def build_parser():
     p.add_argument("--t-max", type=float, default=200.0)
     _add_common(p)
 
-    p = sub.add_parser("orbit-threemode")
+    p = command("orbit-threemode")
     p.add_argument("--a1", type=complex, default=1.0 + 0j)
     p.add_argument("--a2", type=complex, default=0.0 + 0j)
     p.add_argument("--a12", type=complex, default=0.0 + 0j)
@@ -129,7 +148,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=400)
     _add_common(p)
 
-    p = sub.add_parser("orbit-variance")
+    p = command("orbit-variance")
     p.add_argument("--n1", type=float, required=True)
     p.add_argument("--n2", type=float, required=True)
     p.add_argument("--kprime", type=float, required=True)
@@ -139,7 +158,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=200)
     _add_common(p)
 
-    p = sub.add_parser("greens-eval")
+    p = command("greens-eval")
     p.add_argument("--r", type=str, required=True)
     p.add_argument("--t", type=str, required=True)
     p.add_argument("--omega-hat", type=float, default=1.0)
@@ -149,7 +168,7 @@ def build_parser():
                    default="quadrature")
     _add_common(p)
 
-    p = sub.add_parser("greens-conserve")
+    p = command("greens-conserve")
     p.add_argument("--kind", choices=list(greens.KERNEL_KINDS), default="symmetric")
     p.add_argument("--sigma", type=float, default=0.4)
     p.add_argument("--separation", type=float, default=4.0)
@@ -158,12 +177,11 @@ def build_parser():
     p.add_argument("--samples", type=int, default=121)
     _add_common(p)
 
-    p = sub.add_parser("algebra-check")
-    p.add_argument("--suite", default="gamma,polarization,factorization,star,"
-                                      "electroweak,gauge,calibration")
+    p = command("algebra-check")
+    p.add_argument("--suite", default=",".join(algebra.SUITES))
     _add_common(p)
 
-    p = sub.add_parser("calibrate")
+    p = command("calibrate")
     p.add_argument("--a-sq", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--m-core", type=float, required=True)
@@ -171,28 +189,27 @@ def build_parser():
     p.add_argument("--gprime", type=float, required=True)
     _add_common(p)
 
-    return top
+    return top, commands
 
 
-def _apply_config(parser, argv):
-    """Merge a flat config file under explicit CLI flags; unknown keys are
-    rejected with exit code 2."""
-    if "--config" not in argv:
+def _apply_config(command, argv):
+    """Merge a flat config file (--config PATH or --config=PATH) under
+    explicit CLI flags; unknown keys are rejected with exit code 2."""
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise ValidationError("--config needs a file path")
+            path = argv[idx + 1]
+            break
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise ValidationError("--config needs a file path")
-    cfg = read_config(argv[idx + 1])
-    command = argv[0]
-    sub = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[command]
-    known = {a.dest for a in sub._actions}
     extra = []
-    for key, value in cfg.items():
+    for key, value in read_config(path).items():
         dest = key.strip().replace("-", "_")
-        if dest not in known:
+        if dest not in command.dests:
             raise ValidationError(f"unknown config key {key!r}")
         flag = "--" + dest.replace("_", "-")
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
@@ -459,117 +476,9 @@ def cmd_greens_conserve(args):
     return 0
 
 
-def _algebra_suite(names):
-    checks = []
-    if "gamma" in names:
-        for rep_name, gs in (
-            ("dirac", algebra.dirac_representation()),
-            ("chiral", algebra.chiral_representation()),
-        ):
-            rep = algebra.verify_gamma(gs)
-            for c in rep["checks"]:
-                checks.append({**c, "check_id": f"{rep_name}_{c['check_id']}"})
-    if "polarization" in names:
-        for model in (
-            algebra.minimal_noneuclidean(1.0),
-            algebra.minimal_euclidean(1.0),
-            algebra.extended_euclidean(1.0, k9=0.4),
-            algebra.color_noneuclidean(1.0, k7=0.6, k8=0.5),
-            algebra.color_euclidean(1.0, k7=0.6, k8=0.5),
-        ):
-            rep = algebra.check_gauge_conditions(model)
-            for c in rep["checks"]:
-                checks.append({**c, "check_id": f"{model.name}_{c['check_id']}"})
-            M = algebra.spinor_metric(model, check=False)
-            kind, scale = model.target
-            want = (
-                np.diag([1.0, 1.0, -1.0, -1.0]) / scale
-                if kind == "dirac"
-                else np.eye(4) / scale
-            )
-            dev = float(np.max(np.abs(M - want)))
-            checks.append({
-                "check_id": f"{model.name}_spinor_metric",
-                "max_deviation": dev,
-                "status": "pass" if dev < 1e-12 else "fail",
-            })
-    if "factorization" in names:
-        gs = algebra.dirac_representation()
-        rng = np.random.default_rng(7)
-        dev = 0.0
-        for _ in range(16):
-            k = rng.normal(size=4)
-            dev = max(dev, algebra.kg_factorization(k, rng.uniform(0.2, 2.0), gs))
-        checks.append({
-            "check_id": "kg_factorization",
-            "max_deviation": dev,
-            "status": "pass" if dev < 1e-12 else "fail",
-        })
-    if "star" in names:
-        st = algebra.quark_star(1.0, orientation_angle=0.3)
-        items = {
-            "star_sum": float(np.max(np.abs(st["sum"]))),
-            "star_boson_mass": abs(st["boson_mass"] - np.sqrt(3.0)),
-            "star_A1": abs(st["A1"] - 4.0),
-            "star_A2": abs(st["A2"] + 2.0),
-            "star_diagonal_sum": abs(st["diagonal_sum_coefficient"]),
-            "star_coupling_ratio": abs(st["g3_prime"] / st["g3"] - np.sqrt(6.0)),
-        }
-        for cid, dev in items.items():
-            checks.append({"check_id": cid, "max_deviation": dev,
-                           "status": "pass" if dev < 1e-12 else "fail"})
-    if "electroweak" in names:
-        sym = algebra.electroweak_config(1.0, 0.0)
-        dev = abs(sym.ratio - 1.0 / np.sqrt(2.0))
-        checks.append({"check_id": "electroweak_symmetric_ratio",
-                       "max_deviation": dev,
-                       "status": "pass" if dev < 1e-12 else "fail"})
-        cfg = algebra.find_mass_ratio_config(0.87)
-        dev = abs(cfg.ratio - 0.87)
-        checks.append({"check_id": "electroweak_ratio_rootfind",
-                       "max_deviation": dev,
-                       "status": "pass" if dev < 1e-6 else "fail"})
-        k_e = np.array([cfg.k5_e, 0, 0, 0, cfg.k9])
-        k_nu = np.array([0, cfg.k6_nu, 0, 0, -cfg.k9])
-        k_c = np.array([0, 0, 0.5, 0.1, 0])
-        qe = algebra.quark_ew_wavenumbers(k_e, k_nu, k_c)
-        items = {
-            "quark_sum_identity": qe["sum_identity_residual"],
-            "quark_up_charge": abs(qe["charges_in_e_M"]["up"] - 2.0 / 3.0),
-            "quark_down_charge": abs(qe["charges_in_e_M"]["down"] + 1.0 / 3.0),
-            "quark_w_coupling": abs(qe["w_coupling_ratio"] + 1.0 / 3.0),
-        }
-        for cid, dev in items.items():
-            checks.append({"check_id": cid, "max_deviation": dev,
-                           "status": "pass" if dev < 1e-12 else "fail"})
-    if "gauge" in names:
-        st = algebra.quark_star(1.0)
-        gc = algebra.gauge_correspondence(st, 0.4, -0.7)
-        items = {
-            "gauge_calibration_constant": gc["C_equals_minus_mass_sq"],
-            "gauge_rank_deficiency": gc["residual"],
-            "gauge_row_sum": gc["row_sum"],
-        }
-        for cid, dev in items.items():
-            checks.append({"check_id": cid, "max_deviation": dev,
-                           "status": "pass" if dev < 1e-12 else "fail"})
-    if "calibration" in names:
-        cal = algebra.calibrate_constants(2.0, 0.7, 0.3, 1.4, 2.2)
-        dev = abs(cal["G"] * (cal["m"] / cal["q"]) ** 2 - cal["epsilon_ratio"])
-        checks.append({"check_id": "calibration_loop",
-                       "max_deviation": dev,
-                       "status": "pass" if dev < 1e-12 else "fail"})
-        val = algebra.scale_ratio(2.4e-43)
-        ok = 6e-8 <= val <= 1e-7
-        checks.append({"check_id": "scale_ratio_window",
-                       "max_deviation": 0.0 if ok else abs(val - 7.7e-8),
-                       "status": "pass" if ok else "fail"})
-    return checks
-
-
 def cmd_algebra_check(args):
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    checks = _algebra_suite(names)
+    checks = algebra.run_suite(names)
     payload = {
         "suite": names,
         "checks": checks,
@@ -612,10 +521,10 @@ _DISPATCH = {
 
 def run(argv):
     """Execute one command; returns the process exit code."""
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        if argv and argv[0] in _DISPATCH:
-            argv = _apply_config(parser, list(argv))
+        if argv and argv[0] in commands:
+            argv = _apply_config(commands[argv[0]], list(argv))
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except MetronLabError as exc:

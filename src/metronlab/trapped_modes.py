@@ -742,14 +742,11 @@ class FifthOrderSolution:
     iterations_used: int
 
 
-def _march_phi2(grid, phi0_vals, eta2, w2_2, amplitude):
+def _march_phi2(r, h, p0, coef, amplitude):
     """Outward march of u2'' = -kappa2^2 u2 with the cubic self-interaction
-    kappa2^2 = 2 eta2 w2_2 phi0 |phi2|^2 evaluated pointwise."""
-    r = grid.r.tolist()
-    h = grid.spacing
-    n = grid.n_points
-    p0 = np.asarray(phi0_vals).tolist()
-    coef = 2.0 * eta2 * w2_2
+    kappa2^2 = coef * phi0 * |phi2|^2 evaluated pointwise (coef = 2 eta2
+    omega_hat_2^2); r and p0 are lists, the result is the list u2 = r*phi2."""
+    n = len(r)
     u = [0.0] * n
     u[1] = amplitude * h
     um, uj = 0.0, u[1]
@@ -759,48 +756,47 @@ def _march_phi2(grid, phi0_vals, eta2, w2_2, amplitude):
         un = (2.0 - h2 * coef * p0[j] * phi2_j * phi2_j) * uj - um
         u[j + 1] = un
         um, uj = uj, un
-    u = np.asarray(u)
-    phi2 = np.empty(n)
-    phi2[1:] = u[1:] / grid.r[1:]
-    phi2[0] = amplitude
-    return phi2
+    return u
 
 
 def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
     """Amplitude of the regular phi2 solution whose far tail is flat in
-    r*phi2: too weak keeps growing, too strong bends over toward a node,
-    so the critical amplitude is bracketed and bisected on u'(r_max)."""
+    r*phi2: too weak keeps growing (u'(r_max) > 0), too strong bends over
+    toward a node.  Bracketed outward from amp_guess (the previous sweep's
+    amplitude) by relative steps of 1e-3 growing 4x up to a factor of 2, then
+    Brent's method to a purely relative 1e-14.  An overflowing march is
+    neither weak nor strong, never a bracket end and never the root."""
+    r = grid.r.tolist()
+    p0 = np.asarray(phi0_vals).tolist()
+    coef = 2.0 * eta2 * w2_2
+    marches = {}  # amp -> (tail slope, u2 as an array, so its floats are freed)
 
-    def slope(amp):
-        phi2 = _march_phi2(grid, phi0_vals, eta2, w2_2, amp)
-        u = grid.r * phi2
-        return float(u[-1] - u[-2]), phi2
+    def slope(amp, inside=False):
+        if amp not in marches:
+            u = _march_phi2(r, grid.spacing, p0, coef, amp)
+            marches[amp] = (u[-1] - u[-2], np.array(u))
+        if inside and not np.isfinite(marches[amp][0]):
+            raise TailNotFree("phi2 march overflows inside the flat-tail bracket")
+        return marches[amp][0]
 
-    lo = hi = None
-    amp = amp_guess
-    s_amp, phi2 = slope(amp)
-    for _ in range(60):
-        if s_amp > 0:
-            lo, amp_next = amp, amp * 2.0
-        else:
-            hi, amp_next = amp, amp * 0.5
-        if lo is not None and hi is not None:
-            break
-        amp = amp_next
-        if amp < 1e-12 or amp > 1e12:
+    a, s_a, rel = amp_guess, slope(amp_guess), 1e-3
+    while True:
+        up = s_a > 0  # a NaN compares False: overflow steps down
+        b = a * (1.0 + rel) if up else a / (1.0 + rel)
+        if b < 1e-12 or b > 1e12:
             raise TailNotFree("flat-tail amplitude cannot be bracketed")
-        s_amp, phi2 = slope(amp)
-    a, b = min(lo, hi), max(lo, hi)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        s_mid, phi2 = slope(mid)
-        if s_mid > 0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-14 * b:
+        s_b = slope(b)
+        if np.isfinite(s_a) and np.isfinite(s_b) and (s_b > 0) != up:
             break
-    return 0.5 * (a + b), phi2
+        if np.isfinite(s_b) or not np.isfinite(s_a):
+            a, s_a, rel = b, s_b, min(4.0 * rel, 1.0)
+        else:
+            rel /= 4.0  # overflow ahead of a finite amplitude
+            if rel < 1e-14:
+                raise TailNotFree("phi2 slope changes sign only at an overflow")
+    amp = brentq(slope, min(a, b), max(a, b), args=(True,), xtol=1e-300, rtol=1e-14)
+    u = marches[amp][1]
+    return amp, np.concatenate(([amp], u[1:] / grid.r[1:]))
 
 
 def _decayed_tail(src, grid):
@@ -843,12 +839,14 @@ def solve_fifth_order(
     frequency omega_2 = omega_hat_2, takes the particular solution whose
     far field is asymptotically free (r*phi2 flat); its amplitude is the
     critical value separating unbounded growth of r*phi2 from bending
-    toward a node, found by shooting.  The mean field collects both
+    toward a node.  Each sweep marches phi2 outward and finds that value
+    by Brent's method on the tail slope, bracketed outward from the
+    previous sweep's amplitude.  The mean field collects both
     intensities.  Inner loop: shape relaxation at a pinned phi1 amplitude;
     outer loop: scalar secant on that amplitude so kappa_1^2 crosses zero
     at r0.  eps1 and eta2 must not have opposite signs; eta2 = 0 reduces
-    phi2 to the free radial wave.  phi2_amplitude is only the initial
-    shooting guess.
+    phi2 to the free radial wave.  phi2_amplitude is only the first
+    sweep's guess.
     """
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")

@@ -80,6 +80,14 @@ class TestManifestAndDeterminism:
         assert man["parameters"]["phi"] == 0.5  # CLI flag wins
         assert man["parameters"]["E0"] == 0.0
 
+    def test_config_equals_form_is_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("E0 = 0.3\n")
+        rc = run(["bragg-classify", f"--config={cfg}", "--gamma", "1", "--phi", "0",
+                  "--omega0", "1", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        assert read_json(tmp_path / "manifest.json")["parameters"]["E0"] == 0.3
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("E0 = 0.0\nnot_a_parameter = 3\n")
@@ -135,11 +143,17 @@ class TestExitCodes:
         ["bragg-classify", "--config", "{malformed}"],
         ["orbit-variance", "--n1", "1", "--n2", "0", "--kprime", "0.5", "--samples", "0"],
         ["greens-conserve", "--samples", "1"],
+        ["bragg-lattice", "--ki", "abc", "--fundamental", "1,0,0", "--omega0", "1"],
+        ["bragg-classify", "--config={malformed}"],
+        ["bragg-classify", "--config={unknown_key}"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"
         malformed.write_text("E0 0.3\n")
-        argv = [a.format(missing=tmp_path / "nope.cfg", malformed=malformed)
+        unknown_key = tmp_path / "unknown.cfg"
+        unknown_key.write_text("E0 = 0.3\nnot_a_parameter = 3\n")
+        argv = [a.format(missing=tmp_path / "nope.cfg", malformed=malformed,
+                         unknown_key=unknown_key)
                 for a in argv]
         rc = run(argv + ["--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from metronlab import trapped_modes
 from metronlab.errors import (
     LambdaOutOfRange,
+    TailNotFree,
     ValidationError,
     WindowEmpty,
 )
@@ -266,3 +268,87 @@ class TestFifthOrder:
         assert abs(slope) * (r[-1] - r[3 * n // 4]) < 0.05 * abs(intercept)
         # phi1 remains exponentially trapped
         assert abs(sol.phi1.values[-1]) < 1e-3 * sol.phi1.max_abs()
+
+    def test_omega_converges_at_second_order(self):
+        omegas = [
+            solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9,
+                              grid=RadialGrid(40.0, n)).omegas[0]
+            for n in (401, 801, 1601)
+        ]
+        d1, d2 = omegas[1] - omegas[0], omegas[2] - omegas[1]
+        assert 1.5 < np.log2(d1 / d2) < 2.5
+
+    def test_phi2_marches_per_sweep(self, monkeypatch):
+        calls = []
+        march = trapped_modes._march_phi2
+
+        def counted(*args):
+            calls.append(1)
+            return march(*args)
+
+        monkeypatch.setattr(trapped_modes, "_march_phi2", counted)
+        sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
+        assert sol.iterations_used == 161
+        assert len(calls) <= 15 * sol.iterations_used
+
+
+@pytest.fixture(scope="module")
+def phi2_problem():
+    """The converged phi0 of a 401-point fifth-order solve."""
+    grid = RadialGrid(40.0, 401)
+    sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9,
+                            grid=grid)
+    return grid, sol.phi0.values
+
+
+def _flat_tail_slope(grid, phi0_vals, amp):
+    u = trapped_modes._march_phi2(grid.r.tolist(), grid.spacing,
+                                  phi0_vals.tolist(), 2.0, amp)
+    return u[-1] - u[-2]
+
+
+class TestPhi2FlatTail:
+    def test_guesses_find_the_same_root(self, phi2_problem):
+        grid, phi0 = phi2_problem
+        amps = [trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, g)[0]
+                for g in (1e-3, 0.05, 0.3, 0.5)]
+        assert abs(amps[0] - 0.168729) < 1e-6
+        assert np.max(np.abs(np.array(amps) / amps[0] - 1.0)) < 1e-12
+        below = _flat_tail_slope(grid, phi0, amps[0] * (1.0 - 1e-9))
+        above = _flat_tail_slope(grid, phi0, amps[0] * (1.0 + 1e-9))
+        assert below > 0 > above
+
+    def test_returned_phi2_is_the_march_at_the_root(self, phi2_problem):
+        grid, phi0 = phi2_problem
+        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 0.3)
+        u = trapped_modes._march_phi2(grid.r.tolist(), grid.spacing,
+                                      phi0.tolist(), 2.0, amp)
+        assert phi2[0] == amp
+        np.testing.assert_array_equal(phi2[1:], np.asarray(u[1:]) / grid.r[1:])
+
+    def test_large_guess_is_a_true_root_not_an_overflow_edge(self, phi2_problem):
+        grid, phi0 = phi2_problem
+        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 1e4)
+        assert np.all(np.isfinite(phi2))
+        below = _flat_tail_slope(grid, phi0, amp * (1.0 - 1e-9))
+        above = _flat_tail_slope(grid, phi0, amp * (1.0 + 1e-9))
+        assert np.isfinite(below) and np.isfinite(above)
+        assert below * above < 0
+
+    @pytest.mark.parametrize("sign", [0.0, -1.0])
+    def test_non_positive_phi0_has_no_free_tail(self, phi2_problem, sign):
+        # kappa2^2 <= 0 everywhere, so every finite march grows
+        grid, phi0 = phi2_problem
+        with pytest.raises(TailNotFree):
+            trapped_modes._solve_phi2_flat(grid, sign * np.abs(phi0), 1.0, 1.0, 0.3)
+
+    def test_overflow_inside_the_bracket_is_not_a_root(self, monkeypatch):
+        # tail slope +1 below amp = 1, overflow on [1, 1.0001), -1 above: the
+        # bracket ends are finite, so only Brent's interior steps overflow
+        def fake_march(r, h, p0, coef, amp):
+            return [0.0, 1.0 if amp < 1.0 else np.inf if amp < 1.0001 else -1.0]
+
+        monkeypatch.setattr(trapped_modes, "_march_phi2", fake_march)
+        grid = RadialGrid(10.0, 21)
+        with pytest.raises(TailNotFree, match="inside"):
+            trapped_modes._solve_phi2_flat(grid, np.ones(21), 1.0, 1.0, 0.99)
