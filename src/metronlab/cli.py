@@ -67,7 +67,18 @@ def _add_single_mode(parser):
     parser.add_argument("--n-points", type=int, default=2001)
 
 
-class _CommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated long flags and reports a usage
+    error as a ValidationError, so it exits 2 with one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+class _CommandParser(_Parser):
     """A subcommand parser that records the dest of every argument added."""
 
     def add_argument(self, *args, **kwargs):
@@ -78,7 +89,7 @@ class _CommandParser(argparse.ArgumentParser):
 
 def build_parser():
     """The top-level parser and its subcommand parsers by name."""
-    top = argparse.ArgumentParser(prog="metronlab")
+    top = _Parser(prog="metronlab")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_CommandParser)
@@ -145,7 +156,8 @@ def build_parser():
     p.add_argument("--evolution", choices=["Emission", "PrescribedField"],
                    default="Emission")
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--samples", type=int, default=400,
+                   help="rows of threemode.csv, at uniform t from 0 to --t-max")
     _add_common(p)
 
     p = command("orbit-variance")
@@ -394,21 +406,19 @@ def cmd_orbit_drift(args):
 
 
 def cmd_orbit_threemode(args):
-    if args.samples < 1:
-        raise ValidationError("--samples must be at least 1")
+    if args.samples < 2:
+        raise ValidationError("--samples must be at least 2 to span 0 to --t-max")
     state = orbits.ThreeModeState(
         A1=args.a1, A2=args.a2, A12=args.a12, K=args.k,
         mu1=args.mu1, mu2=args.mu2, gamma_f=args.gamma_f, beta_dr=args.beta_dr,
     )
     t, A1, A2, A12 = orbits.integrate_three_mode(
-        state, mode=args.evolution, t_max=args.t_max
+        state, mode=args.evolution, t_max=args.t_max, samples=args.samples
     )
-    sel = np.linspace(0, len(t) - 1, min(args.samples, len(t))).astype(int)
     inv1, inv2 = orbits.manley_rowe(A1, A2, A12)
-    rows = zip(t[sel], np.abs(A1[sel]), np.abs(A2[sel]), np.abs(A12[sel]),
-               inv1[sel], inv2[sel])
     write_csv(_out(args) / "threemode.csv",
-              ["t", "abs_A1", "abs_A2", "abs_A12", "inv_sum", "inv_diff"], rows)
+              ["t", "abs_A1", "abs_A2", "abs_A12", "inv_sum", "inv_diff"],
+              zip(t, np.abs(A1), np.abs(A2), np.abs(A12), inv1, inv2))
     write_json(_out(args) / "manifest.json", manifest_from(args, {
         "invariant_drift": float(np.max(np.abs(inv1 - inv1[0]))),
     }))

@@ -1,5 +1,5 @@
 """Shared numerical kernels: adaptive ODE integration (a thin wrapper over
-SciPy's RK45), the radial eigenvalue problem on a uniform grid, and the
+SciPy's DOP853), the radial eigenvalue problem on a uniform grid, and the
 spherically symmetric Poisson solve.
 
 All radial work uses the substitution u(r) = r * phi(r), which turns the
@@ -117,12 +117,16 @@ class IvpResult:
         return self.y[-1]
 
 
-def integrate_ivp(field, y0, span, tol=1e-8) -> IvpResult:
-    """Integrate dy/ds = field(s, y) over span with SciPy's RK45, the
-    Dormand-Prince 4(5) pair, at rtol = tol and
-    atol = tol * 1e-3 * max(1, max|y0|).
+def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
+    """Integrate dy/ds = field(s, y) over span with SciPy's DOP853, the
+    Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
+    Differential Equations I, 2nd ed., 1993, II.10), at rtol = tol and
+    atol = tol * 1e-3 * max(1, max|y0|).  At the tight tolerances used here
+    an 8th-order pair takes several times fewer steps than a 4(5) pair.
 
-    Accepts real or complex state vectors; returns the accepted step points.
+    Accepts real or complex state vectors.  Returns the accepted step
+    points, or, when t_eval is given, the states at those times from the
+    solver's 7th-order dense output.
     Raises NonFiniteState when field returns a non-finite derivative and
     StepUnderflow when the solver stops short of the span end (its step
     fell below the floating-point spacing of s).
@@ -134,7 +138,8 @@ def integrate_ivp(field, y0, span, tol=1e-8) -> IvpResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if s1 == s0:
-        return IvpResult(np.array([s0]), y[None, :].copy())
+        t = np.array([s0]) if t_eval is None else np.asarray(t_eval, dtype=float)
+        return IvpResult(t, np.repeat(y[None, :], len(t), axis=0))
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y))))
 
     def checked(s, state):
@@ -144,9 +149,11 @@ def integrate_ivp(field, y0, span, tol=1e-8) -> IvpResult:
         return dy
 
     with np.errstate(invalid="ignore", over="ignore"):
-        sol = solve_ivp(checked, (s0, s1), y, method="RK45", rtol=tol, atol=atol)
+        sol = solve_ivp(checked, (s0, s1), y, method="DOP853", t_eval=t_eval,
+                        rtol=tol, atol=atol)
     if not sol.success:
-        raise StepUnderflow(f"{sol.message} (stopped at s={sol.t[-1]:.6g})")
+        reached = sol.t[-1] if sol.t.size else s0
+        raise StepUnderflow(f"{sol.message} (last output at s={reached:.6g})")
     return IvpResult(sol.t, sol.y.T)
 
 

@@ -153,8 +153,7 @@ def test_criterion_5_orbit_trapping():
     agree = 0
     ics = [x for x in np.linspace(unstable - 1.5, stable + 2.0, 52)
            if abs(x - unstable) > 0.05][:50]
-    for x0 in ics:
-        res = orbits.integrate_drift(canyon, x0, 600.0)
+    for x0, res in zip(ics, orbits.integrate_drift(canyon, np.array(ics), 600.0)):
         expected = "TrappedAt" if x0 > unstable else "Escaped"
         agree += res["verdict"] == expected
         if res["verdict"] == "TrappedAt":
@@ -198,8 +197,9 @@ def test_criterion_6_three_mode_dynamics():
     tp, P1, P2, _ = orbits.integrate_three_mode(
         pres, mode="PrescribedField", t_max=3.0 * np.pi / w_c
     )
+    # first minimum of |P1| = |cos(w_c t)|, the only one before pi/w_c
     mags = np.abs(P1)
-    t_quarter = tp[np.argmin(mags[: int(0.75 * len(mags))])]
+    t_quarter = tp[np.argmin(mags[tp < np.pi / w_c])]
     freq_ok = abs(t_quarter - np.pi / (2 * w_c)) < 0.01 * np.pi / (2 * w_c)
     ok = mr_ok and growth_ok and freq_ok
     report(

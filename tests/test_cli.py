@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metronlab.cli import parse_values, run
@@ -146,14 +147,19 @@ class TestExitCodes:
         ["bragg-lattice", "--ki", "abc", "--fundamental", "1,0,0", "--omega0", "1"],
         ["bragg-classify", "--config={malformed}"],
         ["bragg-classify", "--config={unknown_key}"],
+        ["bragg-classify", "--conf", "{config}", "--gamma", "1", "--phi", "0",
+         "--omega0", "1"],
+        ["orbit-threemode", "--samples", "1"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"
         malformed.write_text("E0 0.3\n")
         unknown_key = tmp_path / "unknown.cfg"
         unknown_key.write_text("E0 = 0.3\nnot_a_parameter = 3\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("E0 = 0.3\n")
         argv = [a.format(missing=tmp_path / "nope.cfg", malformed=malformed,
-                         unknown_key=unknown_key)
+                         unknown_key=unknown_key, config=config)
                 for a in argv]
         rc = run(argv + ["--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -213,3 +219,13 @@ class TestTrajectoryOutputs:
         assert "gnuplot" not in (tmp_path / "trajectory.gp").read_text()
         out = read_json(tmp_path / "classification.json")
         assert out["first_integral_drift"] < 1e-8
+
+    def test_threemode_rows_at_uniform_t(self, tmp_path):
+        rc = run(["orbit-threemode", "--k", "0.5", "--a1", "1", "--a2", "0.4",
+                  "--a12", "0.3", "--t-max", "50", "--samples", "123",
+                  "--output-dir", str(tmp_path)])
+        assert rc == 0
+        rows = np.loadtxt(tmp_path / "threemode.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (123, 6)
+        assert np.max(np.abs(rows[:, 0] - np.linspace(0.0, 50.0, 123))) <= 1e-12 * 50.0
+        assert read_json(tmp_path / "manifest.json")["invariant_drift"] < 1e-8

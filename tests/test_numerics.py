@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
+from metronlab.bragg import BraggTrapState, first_integral, integrate_trap
 from metronlab.errors import (
     NoBracket,
     NonDecayingSource,
@@ -54,6 +55,15 @@ class TestIntegrateIvp:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             integrate_ivp(lambda s, y: y, [1.0], (0.0, 1.0), tol=0.0)
+
+    def test_trap_cell_steps(self):
+        # machine-independent cost of one Bragg trapping cell at the default
+        # tol: the accepted steps of the trajectory and its first integral
+        state = BraggTrapState(E=0.3, deltaS=0.0, gamma=1.0, phi=0.0, omega0=1.0)
+        s, E, dS = integrate_trap(state, 200.0)
+        assert len(s) - 1 <= 150
+        const = first_integral(E, dS, state)
+        assert np.max(np.abs(const - const[0])) < 1e-10
 
 
 def _matrix_eigen_oracle(well, grid, index):
