@@ -8,17 +8,20 @@ its own intensity generates:
     laplacian phi0 = -eps * omega_hat^2 * |phi1|^2.
 
 The amplitude left free by the linear mode equation is fixed by requiring
-kappa^2 to cross zero at a prescribed radius r0.  Enforcing the crossing
-radius directly inside the alternating eigen/Poisson sweep is repulsive
-(a deeper well lowers omega, which demands a larger amplitude, which deepens
-the well), so the solver splits the problem: an inner iteration with the
-central well depth pinned, which is contractive, and an outer scalar
-root-find on the depth that places the zero crossing at r0.
+kappa^2 to cross zero at a prescribed radius r0.  The single mode, several
+modes sharing mean fields, and the fifth order (whose mean field has the
+extra source eta2 phi2^4) are one eigen pair of P modes and A fields, solved
+by one core.  Enforcing the crossing inside the alternating eigen/Poisson
+sweep is repulsive (a deeper well lowers omega, which demands a larger
+amplitude, which deepens the well), so the core relaxes with each mode's own
+central well depth pinned, which is contractive, and searches the depths
+that put every crossing at its radius: Brent's method for one mode, damped
+Newton for several, at a scan and then a tight tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -109,16 +112,8 @@ class TrappedModeSolution:
         return float(r[j] + t * (r[j + 1] - r[j]))
 
     def to_json_dict(self) -> dict:
-        p = self.params
         return {
-            "params": {
-                "omega_hat": p.omega_hat,
-                "epsilon": p.epsilon,
-                "mode_order": p.mode_order,
-                "r0": p.r0,
-                "max_iters": p.max_iters,
-                "tol": p.tol,
-            },
+            "params": asdict(self.params),
             "grid": {"r_max": self.grid.r_max, "n_points": self.grid.n_points},
             "omega": self.omega,
             "residual_eigen": self.residual_eigen,
@@ -130,85 +125,229 @@ class TrappedModeSolution:
         }
 
     def to_csv_rows(self):
-        r = self.grid.r
-        for j in range(self.grid.n_points):
-            yield (
-                r[j],
-                self.phi0.values[j],
-                self.phi1.values[j],
-                self.kappa_sq.values[j],
-            )
+        return zip(self.grid.r, self.phi0.values, self.phi1.values, self.kappa_sq.values)
+
+
+_RELAX_FAILURES = (NoBracket, NotTrapped, NonDecayingSource)
+_GAP_TOL = 1e-10  # a one-mode crossing gap below this is a root
 
 
 def _solve_mode(V, mode, omega_hat, grid):
     """Eigen solve of mode `mode` in the potential V = omega_hat^2 - well.
 
-    The bracket's upper end is the effective continuum edge sqrt(V(r_max)):
-    the mean field's Coulomb tail shifts the trapping threshold below
-    omega_hat at finite box size.
+    The bracket's upper end is the effective continuum edge sqrt(V(r_max)),
+    which the mean field's Coulomb tail lowers below omega_hat at finite box
+    size; a well that reaches the box edge leaves no bracket and no bound mode.
     """
+    lo = 1e-6 * omega_hat
     hi = float(np.sqrt(max(V[-1], 1e-12 * omega_hat**2))) * (1 - 1e-9)
-    return solve_radial_eigen(V, mode, (1e-6 * omega_hat, hi), grid)
+    if not hi > lo:
+        raise NotTrapped("the well reaches the box edge: no bound mode")
+    return solve_radial_eigen(V, mode, (lo, hi), grid)
 
 
-class _PinnedDepthSweeper:
-    """Contractive inner iteration with eps*phi0(0) pinned to a given depth."""
+class _PinnedDepthCore:
+    """P trapped modes sharing A mean fields, relaxed at pinned own depths.
 
-    def __init__(self, grid, omega_hat, epsilon, mode, relaxation):
-        self.grid = grid
-        self.w2 = omega_hat**2
-        self.omega_hat = omega_hat
-        self.eps = epsilon
-        self.mode = mode
-        self.relax = relaxation
-        self.phi0 = None
+    Mode p (scale w_p, node order m_p, crossing radius r_p) sits in the
+    potential w_p^2 (1 - sum_a eps[a, p] phi_a).  A sweep solves every mode in
+    the current fields and the Poisson response U_p of its unit-amplitude
+    intensity w_p^2 u_p^2; the response fields are
+    phi_a = sum_q eps[a, q] A_q U_q + S_a, with S an optional extra source
+    recomputed each sweep from the current fields.  Pinning each mode's own
+    central depth d_q = (eps^T eps)_qq U_q(0) A_q fixes A_q in every sweep,
+    which makes the relaxation contractive; the depths are then moved until
+    every crossing gap sum_a eps[a, p] phi_a(r_p) - (w_p^2 - omega_p^2)/w_p^2
+    vanishes.  max_iters bounds the sweeps of the whole solve.
+    """
+
+    def __init__(self, grid, modes, couplings, radii, max_iters, extra=None):
+        self.grid, self.radii, self.max_iters, self.extra = grid, radii, max_iters, extra
+        self.eps = np.atleast_2d(np.asarray(couplings, dtype=float))
+        self.w_hats = np.array([w for w, _ in modes], dtype=float)
+        self.w2 = self.w_hats**2
+        self.orders = [m for _, m in modes]
+        self.gram = self.eps.T @ self.eps
+        self.damping = 0.85 if max(self.orders) == 0 else 0.6
+        # each field starts as a Gaussian of depth 0.5 in its strongest coupling
+        # (zero if it has none); higher modes need a wider well to be bound
+        width = max(r0 * (1.0 + 0.75 * m) for r0, m in zip(radii, self.orders))
+        strongest = self.eps[np.arange(len(self.eps)), np.argmax(np.abs(self.eps), axis=1)]
+        seed = np.divide(0.5, strongest, out=np.zeros(len(strongest)), where=strongest != 0)
+        self.fields = seed[:, None] * np.exp(-((grid.r / width) ** 2))
+        self.saved = self.fields.copy()
         self.sweeps = 0
 
-    def seed(self, depth, width):
-        r = self.grid.r
-        self.phi0 = (depth / self.eps) * np.exp(-((r / width) ** 2))
+    def sweep(self):
+        """Eigen and Poisson solves of every mode in the current fields."""
+        omegas = np.empty(len(self.orders))
+        shapes, units = [], []
+        for p, order in enumerate(self.orders):
+            w2 = self.w2[p]
+            V = w2 - (self.eps[:, p] * w2) @ self.fields
+            omegas[p], shape = _solve_mode(V, order, self.w_hats[p], self.grid)
+            shapes.append(shape.values)
+            units.append(solve_radial_poisson(
+                RadialField(self.grid, w2 * shape.values**2), sign=1).values)
+        source = np.zeros_like(self.fields) if self.extra is None else self.extra(self.fields)
+        return omegas, np.array(shapes), np.array(units), source
 
-    def converge(self, depth, tol_inner, max_sweeps):
-        """Iterate eigen + Poisson sweeps with pinned central depth.
-
-        If a field update pushes the mode out of the frequency bracket the
-        step toward phi0_new is halved (trust region); the failure is only
-        propagated when it happens on an unevolved state.
-        """
-        grid, w2, eps = self.grid, self.w2, self.eps
-        phi0_prev = None
+    def relax(self, depths, tol, max_sweeps):
+        """Sweep at pinned depths until the response fields change by less
+        than tol (relative).  A sweep that fails after the first halves the
+        step toward the last response instead, until nothing is left of it."""
+        prev = None
         for _ in range(max_sweeps):
             try:
-                omega, phi1n = _solve_mode(
-                    w2 - eps * w2 * self.phi0, self.mode, self.omega_hat, grid
-                )
-                unit = solve_radial_poisson(
-                    RadialField(grid, w2 * phi1n.values**2), sign=1
-                ).values
-            except (NoBracket, NotTrapped, NonDecayingSource):
-                if phi0_prev is None:
+                omegas, shapes, units, source = self.sweep()
+            except _RELAX_FAILURES:
+                if prev is None:
                     raise
-                self.phi0 = 0.5 * (self.phi0 + phi0_prev)
-                if float(np.max(np.abs(self.phi0 - phi0_prev))) < 1e-14 * float(
-                    np.max(np.abs(self.phi0))
-                ):
+                self.fields = 0.5 * (self.fields + prev)
+                if np.max(np.abs(self.fields - prev)) < 1e-14 * np.max(np.abs(self.fields)):
                     raise
                 continue
-            amp_sq = depth / (eps * eps * unit[0])
-            phi0_new = eps * amp_sq * unit
-            d = float(
-                np.max(np.abs(phi0_new - self.phi0))
-                / max(np.max(np.abs(phi0_new)), 1e-300)
-            )
+            amps = depths / (np.diag(self.gram) * units[:, 0])
+            new = (self.eps * amps) @ units + source
+            change = max(float(np.max(np.abs(n - f)) / max(np.max(np.abs(n)), 1e-300))
+                         for n, f in zip(new, self.fields))
             self.sweeps += 1
-            phi0_prev = self.phi0
-            self.phi0 = (1.0 - self.relax) * self.phi0 + self.relax * phi0_new
-            if d < tol_inner:
-                return omega, phi1n, unit, amp_sq
-        raise NoConvergence(
-            f"pinned-depth sweep not converged (last change {d:.3e})",
-            residuals={"d_phi0": d},
-        )
+            prev = self.fields
+            self.fields = (1.0 - self.damping) * self.fields + self.damping * new
+            if change < tol:
+                return omegas, shapes, units, source, new
+        raise NoConvergence(f"pinned-depth sweep not converged (last change {change:.3e})",
+                            residuals={"d_phi0": change})
+
+    def gaps(self, depths, tol, cap=None):
+        """Crossing gaps of the state relaxed at `depths` (positive: too
+        shallow, the crossing lies beyond r_p).  A failed relaxation puts
+        back the fields of the last one that succeeded."""
+        budget = self.max_iters - self.sweeps
+        if budget <= 0:
+            raise NoConvergence(f"iteration budget {self.max_iters} exhausted")
+        try:
+            self.state = self.relax(depths, tol, budget if cap is None else min(budget, cap))
+        except (*_RELAX_FAILURES, NoConvergence):
+            self.fields = self.saved.copy()
+            raise
+        self.saved = self.fields.copy()
+        omegas, new, r = self.state[0], self.state[-1], self.grid.r
+        return np.array([self.eps[:, p] @ [np.interp(r0, r, f) for f in new] - (w2 - om * om) / w2
+                         for p, (r0, w2, om) in enumerate(zip(self.radii, self.w2, omegas))])
+
+    def brent(self, depth, tol, cap, xtol, factor):
+        """Depth root of the one-mode gap, bracketed outward from `depth` by
+        `factor` (geometric means once both sides are known), then Brent's
+        method to xtol.  A failed relaxation is an edge: NoBracket too deep,
+        NotTrapped too shallow; a capped probe that does not settle is too
+        deep beyond the deepest depth known to be shallow, else too shallow."""
+        lo = hi = shallow = deep = None  # finite-gap ends; ends with edges
+        # Brent reuses an uncapped gap as a bracket end; a capped one may have
+        # been classified against the edges known then, so it is evaluated again
+        settled = {}
+
+        def gap(d):
+            if d in settled:
+                return settled.pop(d)
+            try:
+                g = float(self.gaps([d], tol, cap)[0])
+            except NoBracket:
+                return -np.inf
+            except (NotTrapped, NonDecayingSource):
+                return np.inf
+            except NoConvergence:
+                if cap is None or self.sweeps >= self.max_iters:
+                    raise
+                return -np.inf if shallow is not None and d > shallow else np.inf
+            g = 0.0 if abs(g) < _GAP_TOL else g
+            if cap is None:
+                settled[d] = g
+            return g
+
+        # every probe lies beyond the known ends, so the latest is the innermost
+        for _ in range(80):
+            g = gap(depth)
+            if g == 0.0:
+                return depth
+            if g > 0:
+                shallow, lo = depth, depth if g < np.inf else lo
+            else:
+                deep, hi = depth, depth if g > -np.inf else hi
+            if lo is not None and hi is not None:
+                return brentq(gap, lo, hi, xtol=xtol, rtol=xtol)
+            if shallow is None:
+                depth = deep * factor
+            elif deep is None:
+                depth = shallow / factor
+            elif deep - shallow < 1e-14 * deep:
+                break
+            else:
+                depth = float(np.sqrt(shallow * deep))
+            if not 1e-10 < depth < 1e10:
+                break
+        raise NotTrapped("crossing condition cannot be bracketed in depth")
+
+    def newton(self, depths, tol, cap, gtol, step):
+        """Damped Newton on the depth vector, forward-difference Jacobian of
+        relative step `step`: the step is halved while the trial fails or does
+        not lower the largest gap, until every gap is below gtol."""
+        g = self.gaps(depths, tol, cap)
+        for _ in range(60):
+            worst = float(np.max(np.abs(g)))
+            if worst < gtol:
+                return depths
+            jac = np.column_stack([(self.gaps(depths + dq, tol, cap) - g) / dq[q]
+                                   for q, dq in enumerate(np.diag(step * depths))])
+            move = np.linalg.lstsq(jac, -g, rcond=None)[0]
+            lam = 1.0
+            while lam > 1e-4:
+                trial = depths + lam * move
+                if np.all(trial > 0):
+                    try:
+                        g_try = self.gaps(trial, tol, cap)
+                    except (*_RELAX_FAILURES, NoConvergence):
+                        if self.sweeps >= self.max_iters:
+                            raise
+                    else:
+                        if float(np.max(np.abs(g_try))) < worst:
+                            depths, g = trial, g_try
+                            break
+                lam *= 0.5
+            else:
+                raise NoConvergence("outer Newton stalled", residuals={"gap": worst})
+        raise NoConvergence("crossing conditions not met", residuals={"gap": worst})
+
+    def solve(self, tol):
+        """Frequencies, mode fields and mean fields: the depths are searched at
+        a scan and then a tight inner tolerance, and the squared amplitudes
+        follow from the P x P crossing system of the final relaxed state."""
+        tight = min(tol, 1e-10)
+        depths = np.full(len(self.orders), 0.5)
+        # inner tolerance, probe cap, outer tolerance (Brent's on the depth,
+        # Newton's on the largest gap), bracket factor, Jacobian step
+        for inner, cap, outer, factor, step in ((max(1e-5, tol), 60, 1e-7, 0.5, 0.02),
+                                                (tight, None, _GAP_TOL, 1.0 - 1e-4, 1e-3)):
+            if len(depths) == 1:
+                depths = np.array([self.brent(depths[0], inner, cap, outer, factor)])
+            else:
+                depths = self.newton(depths, inner, cap, outer, step)
+        self.gaps(depths, tight)
+        omegas, shapes, units, source, _ = self.state
+
+        def at_radii(rows):
+            return np.array([[np.interp(r0, self.grid.r, f) for f in rows] for r0 in self.radii])
+
+        crossing = self.gram * self.w2[:, None] * at_radii(units)
+        rhs = self.w2 - omegas * omegas - self.w2 * np.sum(at_radii(source) * self.eps.T, axis=1)
+        try:
+            amps = np.linalg.solve(crossing, rhs)
+        except np.linalg.LinAlgError:  # modes in identical potentials share a crossing
+            amps = np.linalg.lstsq(crossing, rhs, rcond=None)[0]
+        if np.any(amps <= 0):
+            raise NotTrapped(f"mode {int(np.argmin(amps))} lost binding: "
+                             "non-positive squared amplitude")
+        return omegas, np.sqrt(amps)[:, None] * shapes, (self.eps * amps) @ units + source
 
 
 def default_r_max(r0):
@@ -216,178 +355,55 @@ def default_r_max(r0):
     return max(30.0, 6.0 * r0)
 
 
-def iterate_single_mode(
-    params: SingleModeParams,
-    grid: RadialGrid | None = None,
-    relaxation: float | None = None,
-) -> TrappedModeSolution:
+def iterate_single_mode(params: SingleModeParams,
+                        grid: RadialGrid | None = None) -> TrappedModeSolution:
     """Construct the self-consistent trapped mode with kappa^2(r0) = 0.
 
-    Inner loop: alternate eigen and Poisson solves with the central well
-    depth pinned (stable).  Outer loop: scalar root-find on the depth so
-    that the converged kappa^2 crosses zero at r0.  iterations_used counts
-    the total number of inner sweeps; NoConvergence is raised when it would
-    exceed max_iters, NotTrapped when no admissible depth binds the mode.
+    The pinned-depth core with one mode and one field: Brent's method on the
+    pinned depth eps*phi0(0) places the crossing at r0.  iterations_used
+    counts the sweeps; NoConvergence is raised when they would exceed
+    max_iters, NotTrapped when no admissible depth binds the mode.
     """
     p = params
     if grid is None:
         grid = RadialGrid(default_r_max(p.r0), 2001)
-    if relaxation is None:
-        relaxation = 0.85 if p.mode_order == 0 else 0.6
-    if not 0 < relaxation <= 1:
-        raise ValidationError("relaxation must be in (0, 1]")
-    r = grid.r
-    w2 = p.omega_hat**2
-    sweeper = _PinnedDepthSweeper(grid, p.omega_hat, p.epsilon, p.mode_order, relaxation)
-    # higher modes need a wider seed well to be bound at moderate depth
-    sweeper.seed(0.5, p.r0 * (1.0 + 0.75 * p.mode_order))
-    budget = p.max_iters
-
-    def crossing_gap(depth, tol_inner, cap=None):
-        """eps*phi0(r0) - (w2 - omega^2)/w2 for the converged pinned state.
-
-        Positive gap: the well at r0 is still above the crossing level, so
-        the zero crossing lies beyond r0 (depth too shallow).
-        """
-        remaining = budget - sweeper.sweeps
-        if remaining <= 0:
-            raise NoConvergence(
-                f"iteration budget {p.max_iters} exhausted during depth search"
-            )
-        if cap is not None:
-            remaining = min(remaining, cap)
-        omega, phi1n, unit, amp_sq = sweeper.converge(depth, tol_inner, remaining)
-        phi0_resp = p.epsilon * amp_sq * unit
-        gap = p.epsilon * float(np.interp(p.r0, r, phi0_resp)) - (
-            w2 - omega * omega
-        ) / w2
-        return gap, (omega, phi1n, unit, amp_sq)
-
-    # bracket the depth: too-shallow -> gap > 0 (crossing beyond r0),
-    # too-deep -> gap < 0 (crossing inside r0).  A failed eigen solve maps
-    # to +inf (mode not yet bound) or -inf (mode sank below omega = 0).
-    tol_scan = max(1e-5, p.tol)
-    saved_phi0 = sweeper.phi0.copy()
-    d_lo = d_hi = None  # evaluable endpoints with gap > 0 / gap < 0
-    lo_edge = hi_edge = None  # unevaluable sentinels
-
-    def eval_gap(depth, tol_inner, cap=None):
-        nonlocal saved_phi0
-        try:
-            gap, _ = crossing_gap(depth, tol_inner, cap)
-        except NoBracket:
-            sweeper.phi0 = saved_phi0.copy()
-            return -np.inf
-        except (NotTrapped, NonDecayingSource):
-            sweeper.phi0 = saved_phi0.copy()
-            return np.inf  # not (or barely) bound: treat as too shallow
-        except NoConvergence:
-            if cap is None:
-                raise
-            # non-settling probe: classify by the known shallow edge
-            sweeper.phi0 = saved_phi0.copy()
-            return -np.inf if (lo_edge is not None and depth > lo_edge) else np.inf
-        saved_phi0 = sweeper.phi0.copy()
-        return gap
-
-    depth = 0.5
-    probe_cap = 60
-    for _ in range(80):
-        gap = eval_gap(depth, tol_scan, cap=probe_cap)
-        if gap == np.inf:
-            lo_edge = depth
-        elif gap == -np.inf:
-            hi_edge = depth
-        elif gap > 0:
-            d_lo = depth
-        else:
-            d_hi = depth
-        if d_lo is not None and d_hi is not None:
-            break
-        # choose the next depth to probe
-        lo_known = max(x for x in (d_lo, lo_edge) if x is not None) if (
-            d_lo is not None or lo_edge is not None
-        ) else None
-        hi_known = min(x for x in (d_hi, hi_edge) if x is not None) if (
-            d_hi is not None or hi_edge is not None
-        ) else None
-        if lo_known is not None and hi_known is not None:
-            depth = float(np.sqrt(lo_known * hi_known))
-        elif lo_known is not None:
-            depth = lo_known * 2.0
-        elif hi_known is not None:
-            depth = hi_known * 0.5
-        if depth < 1e-10 or depth > 1e10 or (
-            hi_known is not None
-            and lo_known is not None
-            and hi_known - lo_known < 1e-14 * hi_known
-        ):
-            raise NotTrapped("crossing condition cannot be bracketed in depth")
-    if d_lo is None or d_hi is None:
-        raise NotTrapped("crossing condition cannot be bracketed in depth")
-
-    depth_root = brentq(
-        lambda dd: eval_gap(dd, tol_scan, cap=probe_cap),
-        d_lo,
-        d_hi,
-        xtol=1e-7,
-        rtol=1e-7,
-    )
-
-    # tight secant polish so the converged shape matches the exact-crossing
-    # amplitude to the requested tolerance
-    tol_tight = min(p.tol, 1e-10)
-    d0 = depth_root
-    g0 = eval_gap(d0, tol_tight)
-    d1 = d0 * (1.0 - 1e-4)
-    g1 = eval_gap(d1, tol_tight)
-    for _ in range(12):
-        if abs(g1) < 1e-10 or g1 == g0:
-            break
-        d0, g0, d1 = d1, g1, d1 - g1 * (d1 - d0) / (g1 - g0)
-        g1 = eval_gap(d1, tol_tight)
-    omega, phi1n, unit, amp_sq = sweeper.converge(
-        d1, tol_tight, max(budget - sweeper.sweeps, 8)
-    )
-
-    u_r0 = float(np.interp(p.r0, r, unit))
-    amp_sq_final = (w2 - omega * omega) / (p.epsilon**2 * w2 * u_r0)
-    phi1 = RadialField(grid, np.sqrt(amp_sq_final) * phi1n.values)
-    phi0_field = RadialField(grid, p.epsilon * amp_sq_final * unit)
-    kappa = RadialField(grid, omega * omega - w2 + p.epsilon * w2 * phi0_field.values)
-
-    sol = TrappedModeSolution(
-        params=p,
-        omega=float(omega),
-        phi0=phi0_field,
-        phi1=phi1,
-        kappa_sq=kappa,
-        residual_eigen=_eigen_residual(phi1, kappa),
-        residual_poisson=_poisson_residual(phi0_field, phi1, p.epsilon, w2),
-        iterations_used=sweeper.sweeps,
-    )
+    core = _PinnedDepthCore(grid, [(p.omega_hat, p.mode_order)], [[p.epsilon]],
+                            (p.r0,), p.max_iters)
+    omegas, modes, fields = core.solve(p.tol)
+    omega = float(omegas[0])
+    sol = _single_solution(p, grid, omega, omega * omega, fields[0], modes[0], core.sweeps)
     well = sol.well_parameter()
     if 0.0 < well < 1.0:
         lo = p.omega_hat * float(np.sqrt(1.0 - well))
         if not (lo < sol.omega < p.omega_hat):
-            raise NotTrapped(
-                f"omega {sol.omega:.6g} outside the trapping window "
-                f"({lo:.6g}, {p.omega_hat:.6g})"
-            )
+            raise NotTrapped(f"omega {sol.omega:.6g} outside the trapping window "
+                             f"({lo:.6g}, {p.omega_hat:.6g})")
     return sol
 
 
-def _eigen_residual(phi1: RadialField, kappa_sq: RadialField) -> float:
-    lap = radial_laplacian(phi1)
-    res = lap + kappa_sq.values[1:-1] * phi1.values[1:-1]
-    return float(np.max(np.abs(res)) / phi1.max_abs())
+def _single_solution(p, grid, omega, omega_sq, phi0, phi1, iterations):
+    """The TrappedModeSolution of given fields, with kappa^2 and residuals."""
+    w2 = p.omega_hat**2
+    kappa = omega_sq - w2 + p.epsilon * w2 * phi0
+    src = p.epsilon * w2 * phi1**2
+    return TrappedModeSolution(
+        params=p,
+        omega=omega,
+        phi0=RadialField(grid, phi0),
+        phi1=RadialField(grid, phi1),
+        kappa_sq=RadialField(grid, kappa),
+        residual_eigen=_residual(grid, phi1, kappa * phi1, np.max(np.abs(phi1))),
+        residual_poisson=_residual(grid, phi0, src, np.max(np.abs(src))),
+        iterations_used=iterations,
+    )
 
 
-def _poisson_residual(phi0, phi1, epsilon, w2) -> float:
-    lap = radial_laplacian(phi0)
-    src = epsilon * w2 * phi1.values**2
-    res = lap + src[1:-1]
-    return float(np.max(np.abs(res)) / max(np.max(np.abs(src)), 1e-300))
+def _residual(grid, phi, term, scale):
+    """max |laplacian phi + term| over the interior nodes, divided by scale:
+    the eigen residual with term = kappa^2 phi1 and scale max |phi1|, the
+    Poisson residual with term = the source and scale its maximum."""
+    res = radial_laplacian(RadialField(grid, phi)) + term[1:-1]
+    return float(np.max(np.abs(res)) / max(scale, 1e-300))
 
 
 def trapping_window(sol: TrappedModeSolution):
@@ -418,28 +434,14 @@ def rescale(sol: TrappedModeSolution, lam: float) -> TrappedModeSolution:
         raise LambdaOutOfRange(f"lambda {lam:.6g} outside (0, {lam_max:.6g}]")
     p = sol.params
     w2 = p.omega_hat**2
-    grid = RadialGrid(sol.grid.r_max / lam, sol.grid.n_points)
     omega_sq = w2 - lam * lam * (w2 - sol.omega**2)
-    omega = float(np.sqrt(max(omega_sq, 0.0)))
-    phi0 = RadialField(grid, lam * lam * sol.phi0.values)
-    phi1 = RadialField(grid, lam * lam * sol.phi1.values)
-    kappa = RadialField(grid, omega_sq - w2 + p.epsilon * w2 * phi0.values)
-    params = replace(p, r0=p.r0 / lam)
-    return TrappedModeSolution(
-        params=params,
-        omega=omega,
-        phi0=phi0,
-        phi1=phi1,
-        kappa_sq=kappa,
-        residual_eigen=_eigen_residual(phi1, kappa),
-        residual_poisson=_poisson_residual(phi0, phi1, p.epsilon, w2),
-        iterations_used=sol.iterations_used,
-    )
+    return _single_solution(
+        replace(p, r0=p.r0 / lam), RadialGrid(sol.grid.r_max / lam, sol.grid.n_points),
+        float(np.sqrt(max(omega_sq, 0.0))), omega_sq, lam * lam * sol.phi0.values,
+        lam * lam * sol.phi1.values, sol.iterations_used)
 
 
-# ---------------------------------------------------------------------------
-# Multi-mode generalization
-# ---------------------------------------------------------------------------
+# --- Multi-mode generalization ----------------------------------------------
 
 @dataclass(frozen=True)
 class MultiModeSpec:
@@ -469,15 +471,6 @@ class MultiModeSpec:
             if s not in (1, -1):
                 raise ValidationError("sigma must be +1 or -1")
 
-    @property
-    def n_modes(self):
-        return len(self.modes)
-
-    @property
-    def n_fields(self):
-        return self.couplings.shape[0]
-
-
 @dataclass(frozen=True)
 class MultiModeSolution:
     spec: MultiModeSpec
@@ -489,247 +482,38 @@ class MultiModeSolution:
     iterations_used: int
 
 
-def solve_multimode(
-    spec: MultiModeSpec,
-    max_iters: int = 600,
-    tol: float = 1e-9,
-    grid: RadialGrid | None = None,
-    relaxation: float = 0.6,
-) -> MultiModeSolution:
+def solve_multimode(spec: MultiModeSpec, max_iters: int = 600, tol: float = 1e-9,
+                    grid: RadialGrid | None = None) -> MultiModeSolution:
     """Joint fixed point of the coupled normal-mode and mean-field system.
 
-    Same two-level strategy as the single mode: an inner sweep with every
-    mode's central well contribution pinned (contractive), and an outer
-    damped Newton iteration on the pinned-depth vector that places each
-    kappa_p^2 zero crossing at its prescribed radius.
+    The pinned-depth core with every mode and field of the spec: damped
+    Newton on the vector of pinned own depths places each kappa_p^2 zero
+    crossing at its radius (one mode takes Brent's method, exactly as
+    iterate_single_mode).
     """
     if grid is None:
-        width = max(
-            spec.scale_radii[p] * (1.0 + 0.75 * spec.modes[p][2])
-            for p in range(spec.n_modes)
-        )
+        width = max(r0 * (1.0 + 0.75 * m) for r0, (_, _, m) in zip(spec.scale_radii, spec.modes))
         grid = RadialGrid(max(30.0, 4.0 * width), 2001)
-    r = grid.r
-    eps = spec.couplings
-    n_p = spec.n_modes
-    n_a = spec.n_fields
-    w_hats = np.array([m[0] for m in spec.modes])
-    w2 = w_hats**2
-    orders = [m[2] for m in spec.modes]
-    eps_gram = eps.T @ eps  # [p, q] = sum_a eps[a,p] eps[a,q]
-
-    state = {
-        "phi_a": [
-            0.5
-            * float(np.sign(np.sum(eps[a]) or 1.0))
-            * np.exp(
-                -(
-                    (
-                        r
-                        / max(
-                            spec.scale_radii[p] * (1.0 + 0.75 * orders[p])
-                            for p in range(n_p)
-                        )
-                    )
-                    ** 2
-                )
-            )
-            for a in range(n_a)
-        ],
-        "omegas": np.full(n_p, np.nan),
-        "units": [np.zeros(grid.n_points) for _ in range(n_p)],
-        "norms": [None] * n_p,
-        "sweeps": 0,
-    }
-
-    def snapshot():
-        return {
-            "phi_a": [v.copy() for v in state["phi_a"]],
-            "omegas": state["omegas"].copy(),
-        }
-
-    def restore(snap):
-        state["phi_a"] = [v.copy() for v in snap["phi_a"]]
-        state["omegas"] = snap["omegas"].copy()
-
-    def sweep_once():
-        """One eigen + Poisson pass for every mode in the current fields."""
-        for pidx in range(n_p):
-            well = sum(
-                eps[a, pidx] * w2[pidx] * state["phi_a"][a] for a in range(n_a)
-            )
-            om, phin = _solve_mode(w2[pidx] - well, orders[pidx], w_hats[pidx], grid)
-            state["omegas"][pidx] = om
-            state["norms"][pidx] = phin
-            state["units"][pidx] = solve_radial_poisson(
-                RadialField(grid, w2[pidx] * phin.values**2), sign=1
-            ).values
-        state["sweeps"] += 1
-
-    def converge_inner(amps, tol_inner):
-        """Relax the mean-field shapes at fixed squared amplitudes."""
-        for _ in range(max_iters):
-            if state["sweeps"] >= max_iters:
-                raise NoConvergence(f"multimode budget {max_iters} sweeps exhausted")
-            sweep_once()
-            new_fields = [
-                sum(eps[a, q] * amps[q] * state["units"][q] for q in range(n_p))
-                for a in range(n_a)
-            ]
-            d = max(
-                float(
-                    np.max(np.abs(nv - ov)) / max(np.max(np.abs(nv)), 1e-300)
-                )
-                for nv, ov in zip(new_fields, state["phi_a"])
-            )
-            state["phi_a"] = [
-                (1.0 - relaxation) * ov + relaxation * nv
-                for nv, ov in zip(new_fields, state["phi_a"])
-            ]
-            if d < tol_inner:
-                return new_fields
-        raise NoConvergence("multimode inner sweep not converged")
-
-    def gaps_at(amps, tol_inner):
-        fields = converge_inner(amps, tol_inner)
-        g = np.empty(n_p)
-        for pidx in range(n_p):
-            well_r0 = sum(
-                eps[a, pidx] * float(np.interp(spec.scale_radii[pidx], r, fields[a]))
-                for a in range(n_a)
-            )
-            g[pidx] = well_r0 - (w2[pidx] - state["omegas"][pidx] ** 2) / w2[pidx]
-        return g
-
-    # initialize the amplitudes from one seed sweep
-    sweep_once()
-    depths = np.array(
-        [0.5 / max(eps_gram[q, q] * state["units"][q][0], 1e-12) for q in range(n_p)]
-    )
-    tol_scan = max(1e-6, tol)
-    snap = snapshot()
-    try:
-        g = gaps_at(depths, tol_scan)
-    except (NoBracket, NotTrapped) as exc:
-        raise NotTrapped(f"multimode seed state unbound: {exc}") from exc
-    snap = snapshot()
-
-    for outer in range(60):
-        if float(np.max(np.abs(g))) < 10.0 * tol:
-            break
-        # finite-difference Jacobian of the gap vector in the amplitudes
-        J = np.empty((n_p, n_p))
-        for q in range(n_p):
-            dq = np.zeros(n_p)
-            dq[q] = max(1e-6, 0.02 * depths[q])
-            try:
-                gq = gaps_at(depths + dq, tol_scan)
-            except (NoBracket, NotTrapped):
-                restore(snap)
-                gq = g + 0.5 * np.abs(g)  # crude fallback slope
-            J[:, q] = (gq - g) / dq[q]
-        step = np.linalg.lstsq(J, -g, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            step = -g * depths / np.maximum(np.abs(g), 1e-6)
-        lam = 1.0
-        for _ in range(14):
-            trial = depths + lam * step
-            if np.all(trial > 0):
-                try:
-                    g_try = gaps_at(trial, tol_scan)
-                except (NoBracket, NotTrapped):
-                    restore(snap)
-                    lam *= 0.5
-                    continue
-                if float(np.max(np.abs(g_try))) < float(np.max(np.abs(g))) or lam < 0.1:
-                    depths, g = trial, g_try
-                    snap = snapshot()
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence(
-                "multimode outer Newton stalled",
-                residuals={"gap": float(np.max(np.abs(g)))},
-            )
-    else:
-        raise NoConvergence(
-            "multimode crossing conditions not met",
-            residuals={"gap": float(np.max(np.abs(g)))},
-        )
-
-    # tight polish: drive the gaps to zero at full inner tolerance with a
-    # few damped Newton steps (the scan-tolerance root is only ~1e-6 deep)
-    tol_tight = min(tol, 1e-10)
-    g = gaps_at(depths, tol_tight)
-    for _ in range(8):
-        if float(np.max(np.abs(g))) < 1e-9:
-            break
-        J = np.empty((n_p, n_p))
-        for q in range(n_p):
-            dq = np.zeros(n_p)
-            dq[q] = max(1e-8, 1e-3 * depths[q])
-            gq = gaps_at(depths + dq, tol_tight)
-            J[:, q] = (gq - g) / dq[q]
-        step = np.linalg.lstsq(J, -g, rcond=None)[0]
-        trial = depths + step
-        if not np.all(trial > 0):
-            trial = np.maximum(depths + 0.25 * step, 0.1 * depths)
-        depths = trial
-        g = gaps_at(depths, tol_tight)
-
-    # final tight inner pass and exact amplitude fixing from the crossings
-    converge_inner(depths, tol_tight)
-    sweep_once()
-    G = np.empty((n_p, n_p))
-    dvec = np.empty(n_p)
-    for pidx in range(n_p):
-        dvec[pidx] = (w2[pidx] - state["omegas"][pidx] ** 2) / w2[pidx]
-        for q in range(n_p):
-            uq = float(np.interp(spec.scale_radii[pidx], r, state["units"][q]))
-            G[pidx, q] = eps_gram[pidx, q] * uq
-    amp_exact = np.linalg.lstsq(G, dvec, rcond=None)[0]
-    if np.any(amp_exact <= 0):
-        bad = int(np.where(amp_exact <= 0)[0][0])
-        raise NotTrapped(f"mode {bad} lost binding: negative squared amplitude")
-    mean_out = tuple(
-        RadialField(
-            grid,
-            sum(eps[a, q] * amp_exact[q] * state["units"][q] for q in range(n_p)),
-        )
-        for a in range(n_a)
-    )
-    mode_out = tuple(
-        RadialField(grid, np.sqrt(amp_exact[q]) * state["norms"][q].values)
-        for q in range(n_p)
-    )
-    omegas = state["omegas"]
-    res_e = []
-    for pidx in range(n_p):
-        kv = omegas[pidx] ** 2 - w2[pidx] + sum(
-            eps[a, pidx] * w2[pidx] * mean_out[a].values for a in range(n_a)
-        )
-        res_e.append(_eigen_residual(mode_out[pidx], RadialField(grid, kv)))
-    res_p = []
-    for a in range(n_a):
-        lap = radial_laplacian(mean_out[a])
-        src = sum(eps[a, q] * w2[q] * mode_out[q].values ** 2 for q in range(n_p))
-        res_p.append(
-            float(np.max(np.abs(lap + src[1:-1])) / max(np.max(np.abs(src)), 1e-300))
-        )
+    core = _PinnedDepthCore(grid, [(w, m) for w, _, m in spec.modes], spec.couplings,
+                            spec.scale_radii, max_iters)
+    omegas, modes, fields = core.solve(tol)
+    eps, w2 = spec.couplings, core.w2
+    res_e = tuple(_residual(grid, u, (om * om - w2[p] + (eps[:, p] * w2[p]) @ fields) * u,
+                            np.max(np.abs(u))) for p, (om, u) in enumerate(zip(omegas, modes)))
+    res_p = tuple(_residual(grid, f, src, np.max(np.abs(src)))
+                  for f, src in zip(fields, (eps * w2) @ modes**2))
     return MultiModeSolution(
         spec=spec,
         omegas=tuple(float(o) for o in omegas),
-        mode_fields=mode_out,
-        mean_fields=mean_out,
-        residual_eigen=tuple(res_e),
-        residual_poisson=tuple(res_p),
-        iterations_used=state["sweeps"],
+        mode_fields=tuple(RadialField(grid, u) for u in modes),
+        mean_fields=tuple(RadialField(grid, f) for f in fields),
+        residual_eigen=res_e,
+        residual_poisson=res_p,
+        iterations_used=core.sweeps,
     )
 
 
-# ---------------------------------------------------------------------------
-# Fifth-order (asymptotically free) variant
-# ---------------------------------------------------------------------------
+# --- Fifth-order (asymptotically free) variant -------------------------------
 
 @dataclass(frozen=True)
 class FifthOrderSolution:
@@ -760,12 +544,14 @@ def _march_phi2(r, h, p0, coef, amplitude):
 
 
 def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
-    """Amplitude of the regular phi2 solution whose far tail is flat in
-    r*phi2: too weak keeps growing (u'(r_max) > 0), too strong bends over
-    toward a node.  Bracketed outward from amp_guess (the previous sweep's
-    amplitude) by relative steps of 1e-3 growing 4x up to a factor of 2, then
-    Brent's method to a purely relative 1e-14.  An overflowing march is
-    neither weak nor strong, never a bracket end and never the root."""
+    """Amplitude of the regular, nodeless phi2 solution whose far tail is
+    flat in r*phi2: too weak keeps growing (u'(r_max) > 0), too strong bends
+    over toward a node.  Stronger flat-tail roots carry 2, 4, ... nodes, so a
+    march that crossed zero counts as too strong whatever its end slope, and
+    only a nodeless root is accepted.  Bracketed outward from amp_guess (the
+    previous sweep's amplitude) by relative steps of 1e-3 growing 4x up to a
+    factor of 2, then Brent's method to a purely relative 1e-14.  An
+    overflowing march is neither weak nor strong, never a bracket end or root."""
     r = grid.r.tolist()
     p0 = np.asarray(phi0_vals).tolist()
     coef = 2.0 * eta2 * w2_2
@@ -774,7 +560,8 @@ def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
     def slope(amp, inside=False):
         if amp not in marches:
             u = _march_phi2(r, grid.spacing, p0, coef, amp)
-            marches[amp] = (u[-1] - u[-2], np.array(u))
+            s, u = u[-1] - u[-2], np.array(u)
+            marches[amp] = (s if u.min() >= 0 else -abs(s), u)
         if inside and not np.isfinite(marches[amp][0]):
             raise TailNotFree("phi2 march overflows inside the flat-tail bracket")
         return marches[amp][0]
@@ -796,6 +583,8 @@ def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
                 raise TailNotFree("phi2 slope changes sign only at an overflow")
     amp = brentq(slope, min(a, b), max(a, b), args=(True,), xtol=1e-300, rtol=1e-14)
     u = marches[amp][1]
+    if u.min() < 0:
+        raise TailNotFree("the flat-tail phi2 has a node")
     return amp, np.concatenate(([amp], u[1:] / grid.r[1:]))
 
 
@@ -812,168 +601,50 @@ def _decayed_tail(src, grid):
     return out
 
 
-def _free_wave_reference(grid, amplitude):
-    """Degenerate eta2 = 0 limit: the free radial wave c/r away from r = 0."""
-    phi2 = np.empty(grid.n_points)
-    c = amplitude * grid.r_max / 4.0
-    phi2[1:] = c / grid.r[1:]
-    phi2[0] = phi2[1]
-    return phi2
-
-
-def solve_fifth_order(
-    omega_hat_1: float,
-    omega_hat_2: float,
-    eps1: float,
-    eta2: float,
-    r0: float,
-    max_iters: int = 400,
-    tol: float = 1e-9,
-    grid: RadialGrid | None = None,
-    relaxation: float = 0.6,
-    phi2_amplitude: float = 0.3,
-) -> FifthOrderSolution:
+def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2: float,
+                      r0: float, max_iters: int = 400, tol: float = 1e-9,
+                      grid: RadialGrid | None = None,
+                      phi2_amplitude: float = 0.3) -> FifthOrderSolution:
     """Two-mode variant with a fifth-order coupling for the second field.
 
     phi1 stays exponentially trapped while phi2, run at its limiting
-    frequency omega_2 = omega_hat_2, takes the particular solution whose
-    far field is asymptotically free (r*phi2 flat); its amplitude is the
-    critical value separating unbounded growth of r*phi2 from bending
-    toward a node.  Each sweep marches phi2 outward and finds that value
-    by Brent's method on the tail slope, bracketed outward from the
-    previous sweep's amplitude.  The mean field collects both
-    intensities.  Inner loop: shape relaxation at a pinned phi1 amplitude;
-    outer loop: scalar secant on that amplitude so kappa_1^2 crosses zero
-    at r0.  eps1 and eta2 must not have opposite signs; eta2 = 0 reduces
-    phi2 to the free radial wave.  phi2_amplitude is only the first
-    sweep's guess.
+    frequency omega_2 = omega_hat_2, takes the nodeless solution whose far
+    field is asymptotically free (r*phi2 flat).  The mean field collects
+    both intensities: the pinned-depth core with one mode, one field and the
+    extra source eta2 phi2^4, whose phi2 each sweep finds in the current
+    phi0 (`_solve_phi2_flat`), and Brent's method on the phi1 depth.  eps1
+    and eta2 must not have opposite signs; eta2 = 0 reduces phi2 to the free
+    radial wave.  phi2_amplitude is only the first sweep's guess.
     """
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")
     if grid is None:
         grid = RadialGrid(max(40.0, 8.0 * r0), 2001)
-    r = grid.r
-    w2_1 = omega_hat_1**2
     w2_2 = omega_hat_2**2
+    # the eta2 = 0 limit: the free radial wave c/r, flat at the origin
+    phi2 = phi2_amplitude * grid.r_max / 4.0 / np.maximum(grid.r, grid.r[1])
+    amp2 = phi2_amplitude
 
-    state = {
-        "phi0": (0.5 / eps1) * np.exp(-((r / r0) ** 2)),
-        "phi2": _free_wave_reference(grid, phi2_amplitude)
-        if eta2 == 0.0
-        else np.full(grid.n_points, phi2_amplitude),
-        "omega1": np.nan,
-        "unit1": np.zeros(grid.n_points),
-        "p_eta": np.zeros(grid.n_points),
-        "phi1n": None,
-        "amp2": phi2_amplitude,
-        "sweeps": 0,
-    }
+    def phi2_source(fields):
+        nonlocal amp2, phi2
+        amp2, phi2 = _solve_phi2_flat(grid, fields[0], eta2, w2_2, amp2)
+        src = _decayed_tail(w2_2 * phi2**4, grid)
+        return eta2 * solve_radial_poisson(RadialField(grid, src), sign=1).values[None, :]
 
-    def sweep_once():
-        om, phi1n = _solve_mode(
-            w2_1 - eps1 * w2_1 * state["phi0"], 0, omega_hat_1, grid
-        )
-        state["omega1"] = om
-        state["phi1n"] = phi1n
-        state["unit1"] = solve_radial_poisson(
-            RadialField(grid, w2_1 * phi1n.values**2), sign=1
-        ).values
-        if eta2 != 0.0:
-            state["amp2"], state["phi2"] = _solve_phi2_flat(
-                grid, state["phi0"], eta2, w2_2, state["amp2"]
-            )
-            state["p_eta"] = eta2 * solve_radial_poisson(
-                RadialField(grid, _decayed_tail(w2_2 * state["phi2"] ** 4, grid)),
-                sign=1,
-            ).values
-        state["sweeps"] += 1
-
-    def converge_inner(amp1_sq, tol_inner):
-        for _ in range(max_iters):
-            if state["sweeps"] >= max_iters:
-                raise NoConvergence("fifth-order sweep budget exhausted")
-            sweep_once()
-            phi0_new = eps1 * amp1_sq * state["unit1"] + state["p_eta"]
-            d = float(
-                np.max(np.abs(phi0_new - state["phi0"]))
-                / max(np.max(np.abs(phi0_new)), 1e-300)
-            )
-            state["phi0"] = (1.0 - relaxation) * state["phi0"] + relaxation * phi0_new
-            if d < tol_inner:
-                return phi0_new
-        raise NoConvergence("fifth-order inner sweep not converged")
-
-    def gap_at(amp1_sq, tol_inner):
-        phi0_resp = converge_inner(amp1_sq, tol_inner)
-        return eps1 * float(np.interp(r0, r, phi0_resp)) - (
-            w2_1 - state["omega1"] ** 2
-        ) / w2_1
-
-    tol_scan = max(1e-6, tol)
-    sweep_once()
-    amp = 0.5 / (eps1 * eps1 * max(state["unit1"][0], 1e-12))
-    # bracket the phi1 amplitude
-    a_lo = a_hi = None
-    g_val = gap_at(amp, tol_scan)
-    for _ in range(60):
-        if g_val > 0:
-            a_lo, amp_next = amp, amp * 2.0
-        else:
-            a_hi, amp_next = amp, amp * 0.5
-        if a_lo is not None and a_hi is not None:
-            break
-        amp = amp_next
-        if amp < 1e-12 or amp > 1e12:
-            raise NotTrapped("fifth-order crossing cannot be bracketed")
-        g_val = gap_at(amp, tol_scan)
-    if a_lo is None or a_hi is None:
-        raise NotTrapped("fifth-order crossing cannot be bracketed")
-    amp = brentq(
-        lambda aa: gap_at(aa, tol_scan), min(a_lo, a_hi), max(a_lo, a_hi),
-        xtol=1e-10, rtol=1e-10,
-    )
-    # tight secant polish
-    tol_tight = min(tol, 1e-10)
-    g0 = gap_at(amp, tol_tight)
-    a1 = amp * (1.0 - 1e-4)
-    g1 = gap_at(a1, tol_tight)
-    a0 = amp
-    for _ in range(10):
-        if abs(g1) < 1e-10 or g1 == g0:
-            break
-        a0, g0, a1 = a1, g1, a1 - g1 * (a1 - a0) / (g1 - g0)
-        g1 = gap_at(a1, tol_tight)
-    amp = a1
-    converge_inner(amp, tol_tight)
-
-    omega1 = state["omega1"]
-    u_r0 = float(np.interp(r0, r, state["unit1"]))
-    amp_final = (
-        (w2_1 - omega1 * omega1) / w2_1
-        - eps1 * float(np.interp(r0, r, state["p_eta"]))
-    ) / (eps1 * eps1 * u_r0)
-    if amp_final <= 0:
-        raise NotTrapped("phi2 mean field overwhelmed the phi1 well at r0")
-    phi1 = RadialField(grid, np.sqrt(amp_final) * state["phi1n"].values)
-    phi0_field = RadialField(
-        grid, eps1 * amp_final * state["unit1"] + state["p_eta"]
-    )
-    phi2 = state["phi2"]
-
-    tail = grid.r * phi2
-    quarter = tail[3 * grid.n_points // 4 :]
+    core = _PinnedDepthCore(grid, [(omega_hat_1, 0)], [[eps1]], (r0,), max_iters,
+                            extra=phi2_source if eta2 != 0.0 else None)
+    omegas, modes, fields = core.solve(tol)
+    quarter = (grid.r * phi2)[3 * grid.n_points // 4 :]
     c = float(np.mean(quarter))
     variation = float(np.max(np.abs(quarter - c)) / abs(c)) if c != 0 else np.inf
     if variation > 0.05:
-        raise TailNotFree(
-            f"r*phi2 varies by {variation:.1%} over the outer quarter grid"
-        )
+        raise TailNotFree(f"r*phi2 varies by {variation:.1%} over the outer quarter grid")
     return FifthOrderSolution(
-        phi0=phi0_field,
-        phi1=phi1,
+        phi0=RadialField(grid, fields[0]),
+        phi1=RadialField(grid, modes[0]),
         phi2=RadialField(grid, phi2),
-        omegas=(float(omega1), float(omega_hat_2)),
+        omegas=(float(omegas[0]), float(omega_hat_2)),
         tail_coefficient=c,
         tail_variation=variation,
-        iterations_used=state["sweeps"],
+        iterations_used=core.sweeps,
     )

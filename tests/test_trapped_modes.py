@@ -6,6 +6,7 @@ import pytest
 from metronlab import trapped_modes
 from metronlab.errors import (
     LambdaOutOfRange,
+    NotTrapped,
     TailNotFree,
     ValidationError,
     WindowEmpty,
@@ -91,6 +92,31 @@ class TestSingleMode:
         sol = iterate_single_mode(params)
         assert count_nodes(sol.phi1.values) == 2
         assert sol.residual_eigen < 1e-6
+
+    @pytest.mark.parametrize("omega_hat,eps", [(2.0, 0.5), (0.7, 3.0)])
+    def test_scale_out_reproduces_the_unit_problem(self, base_solution, omega_hat, eps):
+        # with psi = eps*phi and x = omega_hat*r only omega_hat*r0 is left, so
+        # the scaled problem retraces the unit one sweep for sweep
+        params = SingleModeParams(omega_hat=omega_hat, epsilon=eps, r0=5.0 / omega_hat)
+        sol = iterate_single_mode(params, RadialGrid(30.0 / omega_hat, 2001))
+        assert sol.iterations_used == base_solution.iterations_used
+        assert abs(sol.omega / omega_hat - base_solution.omega) <= 5e-13
+        assert np.max(np.abs(eps * sol.phi0.values - base_solution.phi0.values)) <= 5e-13
+
+    @pytest.mark.parametrize("r0", [4.5, 4.0, 3.6])
+    def test_near_end_of_the_family_solves(self, base_solution, r0):
+        # the direct solve lands on the scale-family member of the r0 = 5 one
+        params = SingleModeParams(omega_hat=1.0, epsilon=1.0, r0=r0, max_iters=400)
+        sol = iterate_single_mode(params, RadialGrid(30.0 * r0 / 5.0, 2001))
+        assert abs(sol.omega - rescale(base_solution, 5.0 / r0).omega) <= 1e-9
+        assert count_nodes(sol.phi1.values) == 0
+
+    def test_well_reaching_the_box_edge_is_not_trapped(self):
+        grid = RadialGrid(10.0, 101)
+        for edge in (0.0, 1e-13, -1.0):
+            V = np.full(grid.n_points, edge)
+            with pytest.raises(NotTrapped, match="box edge"):
+                trapped_modes._solve_mode(V, 0, 1.0, grid)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -193,12 +219,15 @@ class TestRescale:
 
 class TestMultiMode:
     def test_single_mode_reduction(self, base_solution):
+        # one mode in one field is the single-mode problem on the same core
         spec = MultiModeSpec(modes=[(1.0, 1, 0)], couplings=[[1.0]], scale_radii=(5.0,))
         mm = solve_multimode(spec, max_iters=800, tol=1e-9)
-        assert abs(mm.omegas[0] - base_solution.omega) < 1e-8
-        assert max(mm.residual_eigen) < 1e-6
-        assert max(mm.residual_poisson) < 1e-6
-        assert np.max(np.abs(mm.mean_fields[0].values - base_solution.phi0.values)) < 1e-6
+        assert mm.omegas[0] == base_solution.omega
+        assert mm.iterations_used == base_solution.iterations_used
+        np.testing.assert_array_equal(mm.mode_fields[0].values, base_solution.phi1.values)
+        np.testing.assert_array_equal(mm.mean_fields[0].values, base_solution.phi0.values)
+        assert mm.residual_eigen == (base_solution.residual_eigen,)
+        assert mm.residual_poisson == (base_solution.residual_poisson,)
 
     def test_symmetric_pair(self, base_solution):
         spec = MultiModeSpec(
@@ -288,8 +317,19 @@ class TestFifthOrder:
 
         monkeypatch.setattr(trapped_modes, "_march_phi2", counted)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
-        assert sol.iterations_used == 161
+        assert sol.iterations_used == 130
         assert len(calls) <= 15 * sol.iterations_used
+
+    def test_phi2_branch_is_nodeless_for_any_first_guess(self):
+        # stronger flat-tail roots carry nodes; any first guess must end on
+        # the nodeless one
+        omegas = []
+        for amp in (0.01, 0.3, 1.0, 3.0, 10.0, 30.0):
+            sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9,
+                                    grid=RadialGrid(40.0, 401), phi2_amplitude=amp)
+            assert np.all(sol.phi2.values > 0)
+            omegas.append(sol.omegas[0])
+        assert max(omegas) - min(omegas) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +350,9 @@ def _flat_tail_slope(grid, phi0_vals, amp):
 class TestPhi2FlatTail:
     def test_guesses_find_the_same_root(self, phi2_problem):
         grid, phi0 = phi2_problem
+        # 1 and above start beyond the roots with 2 and 4 nodes
         amps = [trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, g)[0]
-                for g in (1e-3, 0.05, 0.3, 0.5)]
+                for g in (1e-3, 0.05, 0.3, 0.5, 1.0, 3.0, 30.0, 1e4)]
         assert abs(amps[0] - 0.168729) < 1e-6
         assert np.max(np.abs(np.array(amps) / amps[0] - 1.0)) < 1e-12
         below = _flat_tail_slope(grid, phi0, amps[0] * (1.0 - 1e-9))
@@ -324,6 +365,7 @@ class TestPhi2FlatTail:
         u = trapped_modes._march_phi2(grid.r.tolist(), grid.spacing,
                                       phi0.tolist(), 2.0, amp)
         assert phi2[0] == amp
+        assert np.all(phi2 > 0)
         np.testing.assert_array_equal(phi2[1:], np.asarray(u[1:]) / grid.r[1:])
 
     def test_large_guess_is_a_true_root_not_an_overflow_edge(self, phi2_problem):
