@@ -10,6 +10,12 @@ solvers and residual checks is the three-point form
     L[phi]_j = (r_{j+1} phi_{j+1} - 2 r_j phi_j + r_{j-1} phi_{j-1}) / (r_j h^2),
 
 i.e. the central second difference applied to u = r*phi, divided by r_j.
+
+The two radial kernels call LAPACK directly, with the arguments SciPy's
+`eigh_tridiagonal` and `solve_banded` wrappers would pass, so their results
+are the same bits without the wrappers' checks: the eigen solve runs one
+`dstebz` bisection per outer-boundary pass and one `dstein` inverse
+iteration per solve, and the Poisson solve is one `dgtsv` call.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import (
     NoBracket,
@@ -144,7 +151,7 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
 
     def checked(s, state):
         dy = field(s, state)
-        if not np.all(np.isfinite(dy)):
+        if not np.isfinite(dy).all():
             raise NonFiniteState(f"non-finite derivative at s={s:.6g}")
         return dy
 
@@ -186,25 +193,30 @@ def solve_radial_eigen(V, node_count, bracket, grid):
     Solves [laplacian + kappa^2] phi = 0 with kappa^2 = omega^2 - V(r), V
     sampled on the grid.  For u = r*phi the three-point operator is the
     symmetric tridiagonal eigenproblem (-D2 + V) u = omega^2 u on nodes
-    1..N-2 with u_0 = 0, and mode m is its (m+1)-th eigenvalue, computed by
-    LAPACK bisection and inverse iteration.  The outer boundary is the local
-    WKB decay condition u'/u = 1/R - |kappa(R)|, i.e.
+    1..N-2 with u_0 = 0, and mode m is its (m+1)-th eigenvalue.  The outer
+    boundary is the local WKB decay condition u'/u = 1/R - |kappa(R)|, i.e.
     u_{N-2} = u_{N-1} (1 + h|kappa(R)| - h/R), a Robin term in the last
-    diagonal entry; |kappa(R)| depends on omega, so the solve is repeated
-    from a Dirichlet start until omega^2 is stationary.
+    diagonal entry; |kappa(R)| depends on omega, so the eigenvalue is
+    recomputed from a Dirichlet start until omega^2 is stationary.  Each
+    pass is one LAPACK `dstebz` bisection for that eigenvalue alone; the
+    eigenvector is one `dstein` inverse iteration on the converged pass,
+    computed only once the eigenvalue has passed the bracket checks.
 
     An eigenfrequency at or below bracket[0] raises NoBracket (well too
     deep); one at or above bracket[1] raises NotTrapped (mode not bound).
+    A non-finite V raises ValueError, a LAPACK failure LinAlgError.
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
-    if node_count < 0:
-        raise ValueError("node_count must be >= 0")
+    if not 0 <= node_count < grid.n_points - 2:
+        raise ValueError("node_count must lie in [0, n_points - 3]")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n_points,):
         raise ValueError("potential length must equal n_points")
+    if not np.isfinite(V).all():
+        raise ValueError("potential must be finite")
     if np.all(hi * hi - V <= 0.0):
         raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
     r = grid.r
@@ -213,15 +225,18 @@ def solve_radial_eigen(V, node_count, bracket, grid):
     diag = 2.0 / h2 + V[1:-1]
     off = np.full(grid.n_points - 3, -1.0 / h2)
     d_last = diag[-1]
+    index = node_count + 1  # LAPACK counts eigenvalues from 1
     tail = 0.0  # u_{N-1} / u_{N-2}; 0 is the Dirichlet start
     lam_prev = None
     for _ in range(_ROBIN_PASSES):
         diag[-1] = d_last - tail / h2
-        lam, vec = eigh_tridiagonal(
-            diag, off, select="i", select_range=(node_count, node_count),
-            tol=_STEBZ_ABSTOL,
-        )
-        lam = float(lam[0])
+        # range 'I' (2) picks eigenvalue `index` alone; vl, vu are unused;
+        # block order 'B' is what dstein expects
+        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,
+                                            _STEBZ_ABSTOL, "B")
+        if info:
+            raise LinAlgError(f"dstebz failed (info={info})")
+        lam = float(w[0])
         if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
             break
         lam_prev = lam
@@ -236,6 +251,9 @@ def solve_radial_eigen(V, node_count, bracket, grid):
     omega = float(np.sqrt(lam))
     if omega >= hi:
         raise NotTrapped(f"mode {node_count} lies at or above the bracket (not bound)")
+    vec, info = dstein(diag, off, w[:m], iblock, isplit)
+    if info:
+        raise LinAlgError(f"dstein failed (info={info})")
 
     u = np.empty(grid.n_points)
     u[0] = 0.0
@@ -263,10 +281,10 @@ def solve_radial_eigen(V, node_count, bracket, grid):
 def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     """Solve laplacian(phi0) = -sign*source with phi0 -> 0 as r -> infinity.
 
-    Tridiagonal solve for u = r*phi0 with u(0)=0 and u'(r_max)=0 (the
-    exterior solution is u = const, i.e. the Coulomb tail).  The returned
-    field satisfies the discrete operator identity exactly on interior
-    nodes.
+    One LAPACK `dgtsv` tridiagonal solve for u = r*phi0 with u(0)=0 and
+    u'(r_max)=0 (the exterior solution is u = const, i.e. the Coulomb
+    tail).  The returned field satisfies the discrete operator identity
+    exactly on interior nodes.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -282,19 +300,17 @@ def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     n = grid.n_points
     h = grid.spacing
     r = grid.r
-    # assemble tridiagonal for -u'' = sign*r*s on j=1..n-2, u0=0, u_{n-1}=u_{n-2}
-    m = n - 1  # unknowns u_1..u_{n-1}
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -1.0  # superdiagonal
-    ab[1, :] = 2.0  # diagonal
-    ab[2, :-1] = -1.0  # subdiagonal
+    # tridiagonal -u'' = sign*r*s on j=1..n-2 for the unknowns u_1..u_{n-1},
+    # u_0 = 0, closed by the last row u_{n-1} - u_{n-2} = 0
+    diag = np.full(n - 1, 2.0)
+    diag[-1] = 1.0
     b = sign * h * h * r[1:] * s[1:]
-    # last row: u_{n-1} - u_{n-2} = 0
-    ab[1, -1] = 1.0
-    ab[2, -2] = -1.0
     b[-1] = 0.0
-    u = solve_banded((1, 1), ab, b)
-    u = np.concatenate(([0.0], u))
+    # every array is a temporary, so LAPACK may overwrite them all
+    *_, x, info = dgtsv(np.full(n - 2, -1.0), diag, np.full(n - 2, -1.0), b, 1, 1, 1, 1)
+    if info:
+        raise LinAlgError(f"dgtsv failed (info={info})")
+    u = np.concatenate(([0.0], x))
     phi = np.empty(n)
     phi[1:] = u[1:] / r[1:]
     phi[0] = phi[1] + sign * s[0] * h * h / 6.0

@@ -291,7 +291,11 @@ class _PinnedDepthCore:
     def newton(self, depths, tol, cap, gtol, step):
         """Damped Newton on the depth vector, forward-difference Jacobian of
         relative step `step`: the step is halved while the trial fails or does
-        not lower the largest gap, until every gap is below gtol."""
+        not lower the largest gap, until every gap is below gtol.  When the
+        halving stalls, a mode whose gap is negative (its well still too
+        deep) and whose full Newton step ends at a non-positive depth has
+        lost its binding, since no positive squared amplitude places its
+        crossing: NotTrapped names it.  Any other stall is NoConvergence."""
         g = self.gaps(depths, tol, cap)
         for _ in range(60):
             worst = float(np.max(np.abs(g)))
@@ -315,6 +319,11 @@ class _PinnedDepthCore:
                             break
                 lam *= 0.5
             else:
+                lost = np.flatnonzero((g < 0) & (depths + move <= 0))
+                if lost.size:
+                    q = int(lost[0])
+                    raise NotTrapped(f"mode {q} lost binding: its crossing gap {g[q]:.3g} "
+                                     "needs a non-positive depth")
                 raise NoConvergence("outer Newton stalled", residuals={"gap": worst})
         raise NoConvergence("crossing conditions not met", residuals={"gap": worst})
 
@@ -526,18 +535,18 @@ class FifthOrderSolution:
     iterations_used: int
 
 
-def _march_phi2(r, h, p0, coef, amplitude):
+def _march_phi2(r, h, q, amplitude):
     """Outward march of u2'' = -kappa2^2 u2 with the cubic self-interaction
     kappa2^2 = coef * phi0 * |phi2|^2 evaluated pointwise (coef = 2 eta2
-    omega_hat_2^2); r and p0 are lists, the result is the list u2 = r*phi2."""
+    omega_hat_2^2); r and q = (h*h*coef) * phi0 are lists, the result is the
+    list u2 = r*phi2."""
     n = len(r)
     u = [0.0] * n
     u[1] = amplitude * h
     um, uj = 0.0, u[1]
-    h2 = h * h
     for j in range(1, n - 1):
         phi2_j = uj / r[j]
-        un = (2.0 - h2 * coef * p0[j] * phi2_j * phi2_j) * uj - um
+        un = (2.0 - q[j] * phi2_j * phi2_j) * uj - um
         u[j + 1] = un
         um, uj = uj, un
     return u
@@ -552,14 +561,14 @@ def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
     previous sweep's amplitude) by relative steps of 1e-3 growing 4x up to a
     factor of 2, then Brent's method to a purely relative 1e-14.  An
     overflowing march is neither weak nor strong, never a bracket end or root."""
-    r = grid.r.tolist()
-    p0 = np.asarray(phi0_vals).tolist()
-    coef = 2.0 * eta2 * w2_2
+    r, h = grid.r.tolist(), grid.spacing
+    # the march's h*h*coef*phi0_j, multiplied in the same order once per search
+    q = ((h * h * (2.0 * eta2 * w2_2)) * np.asarray(phi0_vals)).tolist()
     marches = {}  # amp -> (tail slope, u2 as an array, so its floats are freed)
 
     def slope(amp, inside=False):
         if amp not in marches:
-            u = _march_phi2(r, grid.spacing, p0, coef, amp)
+            u = _march_phi2(r, h, q, amp)
             s, u = u[-1] - u[-2], np.array(u)
             marches[amp] = (s if u.min() >= 0 else -abs(s), u)
         if inside and not np.isfinite(marches[amp][0]):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
+from metronlab import numerics, trapped_modes
 from metronlab.bragg import BraggTrapState, first_integral, integrate_trap
 from metronlab.errors import (
     NoBracket,
@@ -11,6 +12,7 @@ from metronlab.errors import (
     NotTrapped,
     StepUnderflow,
 )
+from metronlab.trapped_modes import SingleModeParams, iterate_single_mode
 from metronlab.numerics import (
     RadialField,
     RadialGrid,
@@ -186,6 +188,123 @@ class TestRadialEigenOracles:
         omega, _ = solve_radial_eigen(V, 1, (0.01, 0.999), grid=grid)
         dirichlet = np.linalg.eigvalsh(_dense_operator(V, grid, 0.0))
         assert abs(dirichlet[1] - omega**2) > 1e-7
+
+
+def _wrapper_eigen(V, node_count, grid):
+    """The radial eigen solve through SciPy's eigh_tridiagonal wrapper, as
+    solve_radial_eigen computed it before calling LAPACK directly: same
+    Robin passes, same normalization.  Returns (omega, phi, passes)."""
+    h = grid.spacing
+    h2 = h * h
+    diag = 2.0 / h2 + V[1:-1]
+    off = np.full(grid.n_points - 3, -1.0 / h2)
+    d_last = diag[-1]
+    tail, lam_prev = 0.0, None
+    for passes in range(1, 9):
+        diag[-1] = d_last - tail / h2
+        lam, vec = eigh_tridiagonal(diag, off, select="i",
+                                    select_range=(node_count, node_count),
+                                    tol=2.0 * np.finfo(float).tiny)
+        lam = float(lam[0])
+        if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
+            break
+        lam_prev = lam
+        kr = np.sqrt(max(V[-1] - lam, 0.0))
+        tail = 1.0 / (1.0 + h * kr - h / grid.r_max)
+    u = np.empty(grid.n_points)
+    u[0] = 0.0
+    u[1:-1] = vec[:, 0]
+    u[-1] = tail * u[-2]
+    if u[1] < 0.0:
+        u = -u
+    phi = np.empty(grid.n_points)
+    phi[1:] = u[1:] / grid.r[1:]
+    phi[0] = u[1] / h / (1.0 - (lam - V[0]) * h2 / 6.0)
+    phi /= np.max(np.abs(phi))
+    return float(np.sqrt(lam)), phi, passes
+
+
+def _wrapper_poisson(source, sign):
+    """The Poisson solve through solve_banded's (1, 1) banded matrix."""
+    grid = source.grid
+    n, h, r, s = grid.n_points, grid.spacing, grid.r, source.values
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = -1.0
+    ab[1, :] = 2.0
+    ab[2, :-1] = -1.0
+    ab[1, -1] = 1.0
+    b = sign * h * h * r[1:] * s[1:]
+    b[-1] = 0.0
+    u = np.concatenate(([0.0], solve_banded((1, 1), ab, b)))
+    phi = np.empty(n)
+    phi[1:] = u[1:] / r[1:]
+    phi[0] = phi[1] + sign * s[0] * h * h / 6.0
+    return phi
+
+
+class TestLapackKernels:
+    """The direct LAPACK calls give the wrappers' bits with fewer calls."""
+
+    @pytest.mark.parametrize("n_points", [201, 801, 2001, 4001])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_eigen_equals_the_wrapper_bit_for_bit(self, n_points, mode):
+        grid = RadialGrid(40.0, n_points)
+        V = 1.0 - np.exp(-((grid.r / 10.0) ** 2))  # binds modes 0-2
+        omega, phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid)
+        ref_omega, ref_phi, _ = _wrapper_eigen(V, mode, grid)
+        assert omega == ref_omega
+        np.testing.assert_array_equal(phi.values, ref_phi)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_poisson_equals_solve_banded_bit_for_bit(self, sign):
+        grid = RadialGrid(30.0, 2001)
+        source = RadialField(grid, np.exp(-(grid.r**2) / 4.0) * (1.0 + 0.3 * np.sin(grid.r)))
+        out = solve_radial_poisson(source, sign=sign)
+        np.testing.assert_array_equal(out.values, _wrapper_poisson(source, sign))
+
+    def test_one_eigenvector_per_returned_solve(self, monkeypatch):
+        # the reference single-mode solve: dstebz runs once per Robin pass of
+        # the wrapper loop, dstein once per solve that returns
+        calls = {"dstebz": 0, "dstein": 0}
+        inputs, returned = [], []
+
+        def counted(name):
+            lapack = getattr(numerics, name)
+
+            def call(*args):
+                calls[name] += 1
+                return lapack(*args)
+            return call
+
+        def recorded(V, node_count, bracket, grid):
+            inputs.append((np.array(V), node_count, grid))
+            out = eigen(V, node_count, bracket, grid)
+            returned.append(1)
+            return out
+
+        eigen = trapped_modes.solve_radial_eigen
+        for name in calls:
+            monkeypatch.setattr(numerics, name, counted(name))
+        monkeypatch.setattr(trapped_modes, "solve_radial_eigen", recorded)
+        sol = iterate_single_mode(SingleModeParams(omega_hat=1.0, epsilon=1.0))
+        assert sol.iterations_used == 139
+        assert calls["dstein"] == len(returned)
+        passes = sum(_wrapper_eigen(V, m, g)[2] for V, m, g in inputs)
+        assert calls["dstebz"] == passes > calls["dstein"]
+
+    def test_non_finite_potential_raises(self):
+        grid = RadialGrid(30.0, 301)
+        V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
+        for j in (0, 150, 300):
+            bad = V.copy()
+            bad[j] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                solve_radial_eigen(bad, 0, (0.01, 0.999), grid=grid)
+
+    def test_node_count_beyond_the_grid_raises(self):
+        grid = RadialGrid(30.0, 301)
+        with pytest.raises(ValueError, match="node_count"):
+            solve_radial_eigen(grid.r**2, 299, (0.1, 5.0), grid=grid)
 
 
 class TestRadialPoisson:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,35 @@ class TestSingleMode:
         assert rows[0][0] == 0.0
 
 
+def _richardson_order(omegas):
+    return np.log2((omegas[1] - omegas[0]) / (omegas[2] - omegas[1]))
+
+
+class TestConvergence:
+    """The discrete solutions converge to the continuum model at O(h^2) and
+    do not depend on the box size beyond the WKB tail error."""
+
+    def test_mode0_omega_second_order(self, base_solution):
+        # base_solution is the 2001-point member of the sequence
+        omegas = [iterate_single_mode(base_solution.params, grid=RadialGrid(30.0, n)).omega
+                  for n in (501, 1001)] + [base_solution.omega]
+        assert 1.8 < _richardson_order(omegas) < 2.2
+
+    def test_mode1_omega_second_order(self):
+        params = SingleModeParams(omega_hat=1.0, epsilon=1.0, mode_order=1, r0=10.0,
+                                  max_iters=400)
+        omegas = [iterate_single_mode(params, grid=RadialGrid(60.0, n)).omega
+                  for n in (801, 1601, 3201)]
+        assert 1.8 < _richardson_order(omegas) < 2.2
+
+    def test_mode0_omega_independent_of_the_box(self, base_solution):
+        # h = 0.015 in a box of 30 (base_solution) and of 40; 40 / 0.015 is
+        # not an integer, and the 2668-point grid's spacing (0.0149981) moves
+        # omega by about 4e-8 on its own
+        wide = iterate_single_mode(base_solution.params, grid=RadialGrid(40.0, 2668))
+        assert abs(wide.omega - base_solution.omega) < 1e-6
+
+
 class TestTrappingWindow:
     def _fake_solution(self, well):
         grid = RadialGrid(10.0, 101)
@@ -264,6 +294,16 @@ class TestMultiMode:
             crossing = r[idx[0]]
             assert abs(crossing - spec.scale_radii[p]) <= 2 * (r[1] - r[0])
 
+    def test_mode_that_loses_binding_is_not_trapped(self):
+        # the (0.8, 1, 0) mode in the field of the (1, 1, 0) mode: Newton
+        # drives its depth toward zero with its gap still negative
+        spec = MultiModeSpec(modes=[(1.0, 1, 0), (0.8, 1, 0)], couplings=[[1.0, 1.0]],
+                             scale_radii=(5.0, 6.5))
+        start = time.perf_counter()
+        with pytest.raises(NotTrapped, match="mode 1 lost binding"):
+            solve_multimode(spec, max_iters=1500, tol=1e-9, grid=RadialGrid(30.0, 201))
+        assert time.perf_counter() - start < 1.0
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             MultiModeSpec(modes=[(1.0, 1, 0)], couplings=[[1.0, 2.0]], scale_radii=(5.0,))
@@ -341,9 +381,15 @@ def phi2_problem():
     return grid, sol.phi0.values
 
 
+def _march(grid, phi0_vals, amp):
+    # eta2 = omega_hat_2 = 1: coef = 2
+    h = grid.spacing
+    return trapped_modes._march_phi2(grid.r.tolist(), h,
+                                     ((h * h * 2.0) * phi0_vals).tolist(), amp)
+
+
 def _flat_tail_slope(grid, phi0_vals, amp):
-    u = trapped_modes._march_phi2(grid.r.tolist(), grid.spacing,
-                                  phi0_vals.tolist(), 2.0, amp)
+    u = _march(grid, phi0_vals, amp)
     return u[-1] - u[-2]
 
 
@@ -362,8 +408,7 @@ class TestPhi2FlatTail:
     def test_returned_phi2_is_the_march_at_the_root(self, phi2_problem):
         grid, phi0 = phi2_problem
         amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 0.3)
-        u = trapped_modes._march_phi2(grid.r.tolist(), grid.spacing,
-                                      phi0.tolist(), 2.0, amp)
+        u = _march(grid, phi0, amp)
         assert phi2[0] == amp
         assert np.all(phi2 > 0)
         np.testing.assert_array_equal(phi2[1:], np.asarray(u[1:]) / grid.r[1:])
@@ -387,7 +432,7 @@ class TestPhi2FlatTail:
     def test_overflow_inside_the_bracket_is_not_a_root(self, monkeypatch):
         # tail slope +1 below amp = 1, overflow on [1, 1.0001), -1 above: the
         # bracket ends are finite, so only Brent's interior steps overflow
-        def fake_march(r, h, p0, coef, amp):
+        def fake_march(r, h, q, amp):
             return [0.0, 1.0 if amp < 1.0 else np.inf if amp < 1.0001 else -1.0]
 
         monkeypatch.setattr(trapped_modes, "_march_phi2", fake_march)
