@@ -77,62 +77,53 @@ class GammaSet:
         return sum(g * kc for g, kc in zip(self.gammas, k_cov))
 
 
-def dirac_representation() -> GammaSet:
-    """Block-diagonal gamma^4; spatial matrices are Hermitian off-diagonal."""
+def _gamma_set(g4) -> GammaSet:
+    """The shared Hermitian off-diagonal spatial matrices with the given
+    gamma^4; gamma5 is the product i g1 g2 g3 g4."""
     gs = [
         np.block([[np.zeros((2, 2)), -1j * s], [1j * s, np.zeros((2, 2))]])
         for s in _SIGMA
     ]
-    g4 = -1j * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     gs.append(g4)
     g5 = 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]
     return GammaSet(gammas=tuple(gs), gamma5=g5)
+
+
+def dirac_representation() -> GammaSet:
+    """Block-diagonal gamma^4; spatial matrices are Hermitian off-diagonal."""
+    return _gamma_set(-1j * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
 
 
 def chiral_representation() -> GammaSet:
     """Off-diagonal gamma^4; gamma5 is diagonal with -1, +1 blocks."""
-    gs = [
-        np.block([[np.zeros((2, 2)), -1j * s], [1j * s, np.zeros((2, 2))]])
-        for s in _SIGMA
-    ]
     eye2 = np.eye(2, dtype=complex)
-    g4 = np.block([[np.zeros((2, 2)), 1j * eye2], [1j * eye2, np.zeros((2, 2))]])
-    gs.append(g4)
-    g5 = 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]
-    return GammaSet(gammas=tuple(gs), gamma5=g5)
+    return _gamma_set(np.block([[np.zeros((2, 2)), 1j * eye2], [1j * eye2, np.zeros((2, 2))]]))
+
+
+def _check(check_id, dev, limit=1e-12):
+    return {"check_id": check_id, "max_deviation": dev,
+            "status": "pass" if dev < limit else "fail"}
 
 
 def verify_gamma(gs: GammaSet):
     """Check the anticommutators, the Hermiticity pattern and the gamma5
     product identity; returns a report with the worst deviation per check."""
     eye = np.eye(4, dtype=complex)
-    checks = []
     worst_anti = 0.0
     for lam in range(4):
         for mu in range(lam, 4):
             anti = gs.gammas[lam] @ gs.gammas[mu] + gs.gammas[mu] @ gs.gammas[lam]
             target = 2.0 * SPACETIME_METRIC[lam, mu] * eye
             worst_anti = max(worst_anti, float(np.max(np.abs(anti - target))))
-    checks.append({"check_id": "gamma_anticommutation", "max_deviation": worst_anti})
-    worst_herm = 0.0
-    for i in range(3):
-        worst_herm = max(
-            worst_herm,
-            float(np.max(np.abs(gs.gammas[i].conj().T - gs.gammas[i]))),
-        )
-    worst_herm = max(
-        worst_herm, float(np.max(np.abs(gs.gammas[3].conj().T + gs.gammas[3])))
-    )
-    checks.append({"check_id": "gamma_hermiticity", "max_deviation": worst_herm})
+    # the spatial gammas are Hermitian, gamma4 anti-Hermitian
+    worst_herm = max(float(np.max(np.abs(g.conj().T - sign * g)))
+                     for g, sign in zip(gs.gammas, (1, 1, 1, -1)))
     g5 = 1j * gs.gammas[0] @ gs.gammas[1] @ gs.gammas[2] @ gs.gammas[3]
-    checks.append(
-        {
-            "check_id": "gamma5_product",
-            "max_deviation": float(np.max(np.abs(g5 - gs.gamma5))),
-        }
-    )
-    for c in checks:
-        c["status"] = "pass" if c["max_deviation"] < 1e-12 else "fail"
+    checks = [
+        _check("gamma_anticommutation", worst_anti),
+        _check("gamma_hermiticity", worst_herm),
+        _check("gamma5_product", float(np.max(np.abs(g5 - gs.gamma5)))),
+    ]
     return {
         "checks": checks,
         "max_deviation": max(c["max_deviation"] for c in checks),
@@ -182,113 +173,72 @@ def _sym(m, i, j, val=1.0):
     return out
 
 
+def _polarization_model(name, family, scale, eta, k, axes) -> PolarizationModel:
+    """The model whose spinor components map to unit symmetric tensors on
+    the harmonic axes (a, b, c), each scaled by n = 1/sqrt(2 scale).
+
+    The "dirac" family (target i*gamma4/omega_hat) takes (a,a)-(b,b), (a,b),
+    (a,c), (b,c); the "euclidean" family (target I/E) takes phi1^R = (a,b),
+    phi2^R = (a,c), phi1^L = (b,b)-(c,c), phi2^L = (b,c).
+    """
+    if not scale > 0:
+        raise ValidationError(f"{'omega_hat' if family == 'dirac' else 'E'} must be positive")
+    m = len(eta)
+    a, b, c = axes
+    n = 1.0 / np.sqrt(2.0 * scale)
+    ab, ac, bc = (n * _sym(m, i, j) for i, j in ((a, b), (a, c), (b, c)))
+    if family == "dirac":
+        tensors = (n * (_sym(m, a, a) - _sym(m, b, b)), ab, ac, bc)
+    else:
+        tensors = (ab, ac, n * (_sym(m, b, b) - _sym(m, c, c)), bc)
+    return PolarizationModel(name=name, eta=np.diag(np.asarray(eta, dtype=float)),
+                             tensors=tensors, k=np.array(k), target=(family, scale))
+
+
 def minimal_noneuclidean(omega_hat, k5=None) -> PolarizationModel:
     """Four-dimensional model with signature (+3, -1), mass omega_hat > 0
     and wavenumber along the first harmonic axis."""
-    if not omega_hat > 0:
-        raise ValidationError("omega_hat must be positive")
-    if k5 is None:
-        k5 = omega_hat
-    n = 1.0 / np.sqrt(2.0 * omega_hat)
-    tensors = (
-        n * (_sym(4, 1, 1) - _sym(4, 2, 2)),
-        n * _sym(4, 1, 2),
-        n * _sym(4, 1, 3),
-        n * _sym(4, 2, 3),
-    )
-    return PolarizationModel(
-        name="noneuclidean(+3,-1)",
-        eta=np.diag([1.0, 1.0, 1.0, -1.0]),
-        tensors=tensors,
-        k=np.array([k5, 0.0, 0.0, 0.0]),
-        target=("dirac", omega_hat),
-    )
+    k5 = omega_hat if k5 is None else k5
+    return _polarization_model("noneuclidean(+3,-1)", "dirac", omega_hat, [1, 1, 1, -1],
+                               [k5, 0.0, 0.0, 0.0], (1, 2, 3))
 
 
 def minimal_euclidean(E, k5=1.0) -> PolarizationModel:
     """Four-dimensional Euclidean model (+4) with energy E > 0."""
-    if not E > 0:
-        raise ValidationError("E must be positive")
-    n = 1.0 / np.sqrt(2.0 * E)
-    tensors = (
-        n * _sym(4, 1, 2),  # phi1^R
-        n * _sym(4, 1, 3),  # phi2^R
-        n * (_sym(4, 2, 2) - _sym(4, 3, 3)),  # phi1^L
-        n * _sym(4, 2, 3),  # phi2^L
-    )
-    return PolarizationModel(
-        name="euclidean(+4)",
-        eta=np.diag([1.0, 1.0, 1.0, 1.0]),
-        tensors=tensors,
-        k=np.array([k5, 0.0, 0.0, 0.0]),
-        target=("euclidean", E),
-    )
+    return _polarization_model("euclidean(+4)", "euclidean", E, [1, 1, 1, 1],
+                               [k5, 0.0, 0.0, 0.0], (1, 2, 3))
 
 
 def extended_euclidean(E, k5=1.0, k9=0.5, eta9=-1.0) -> PolarizationModel:
     """Five-dimensional extension (+4,-1) or (+5) of the Euclidean model:
     zero first and last tensor rows admit wavenumber components along both
     the first and fifth harmonic axes."""
-    if not E > 0:
-        raise ValidationError("E must be positive")
-    n = 1.0 / np.sqrt(2.0 * E)
-    tensors = (
-        n * _sym(5, 1, 2),
-        n * _sym(5, 1, 3),
-        n * (_sym(5, 2, 2) - _sym(5, 3, 3)),
-        n * _sym(5, 2, 3),
-    )
-    return PolarizationModel(
-        name="extended(+4,-1)" if eta9 < 0 else "extended(+5)",
-        eta=np.diag([1.0, 1.0, 1.0, 1.0, float(eta9)]),
-        tensors=tensors,
-        k=np.array([k5, 0.0, 0.0, 0.0, k9]),
-        target=("euclidean", E),
-    )
+    return _polarization_model("extended(+4,-1)" if eta9 < 0 else "extended(+5)", "euclidean",
+                               E, [1, 1, 1, 1, eta9], [k5, 0.0, 0.0, 0.0, k9], (1, 2, 3))
 
 
 def color_noneuclidean(omega_hat, k7=None, k8=0.0) -> PolarizationModel:
     """Five-dimensional (+4,-1) model with the wavenumber confined to the
     color plane (third and fourth harmonic axes); the polarization tensor
     is color independent."""
-    if not omega_hat > 0:
-        raise ValidationError("omega_hat must be positive")
-    if k7 is None:
-        k7 = omega_hat
-    n = 1.0 / np.sqrt(2.0 * omega_hat)
-    tensors = (
-        n * (_sym(5, 0, 0) - _sym(5, 1, 1)),
-        n * _sym(5, 0, 1),
-        n * _sym(5, 0, 4),
-        n * _sym(5, 1, 4),
-    )
-    return PolarizationModel(
-        name="color(+4,-1)",
-        eta=np.diag([1.0, 1.0, 1.0, 1.0, -1.0]),
-        tensors=tensors,
-        k=np.array([0.0, 0.0, k7, k8, 0.0]),
-        target=("dirac", omega_hat),
-    )
+    k7 = omega_hat if k7 is None else k7
+    return _polarization_model("color(+4,-1)", "dirac", omega_hat, [1, 1, 1, 1, -1],
+                               [0.0, 0.0, k7, k8, 0.0], (0, 1, 4))
 
 
 def color_euclidean(E, k7=1.0, k8=0.0) -> PolarizationModel:
     """Five-dimensional (+5) model with a color-plane wavenumber."""
-    if not E > 0:
-        raise ValidationError("E must be positive")
-    n = 1.0 / np.sqrt(2.0 * E)
-    tensors = (
-        n * _sym(5, 0, 1),
-        n * _sym(5, 0, 4),
-        n * (_sym(5, 1, 1) - _sym(5, 4, 4)),
-        n * _sym(5, 1, 4),
-    )
-    return PolarizationModel(
-        name="color(+5)",
-        eta=np.eye(5),
-        tensors=tensors,
-        k=np.array([0.0, 0.0, k7, k8, 0.0]),
-        target=("euclidean", E),
-    )
+    return _polarization_model("color(+5)", "euclidean", E, [1, 1, 1, 1, 1],
+                               [0.0, 0.0, k7, k8, 0.0], (0, 1, 4))
+
+
+def _spinor_target(model: PolarizationModel):
+    """The declared spinor metric: i*gamma4/omega_hat = diag(1,1,-1,-1)/omega_hat
+    for the dirac family, I/E for the euclidean one."""
+    kind, scale = model.target
+    if kind == "dirac":
+        return np.diag([1.0, 1.0, -1.0, -1.0]) / scale
+    return np.eye(len(model.tensors)) / scale
 
 
 def spinor_metric(model: PolarizationModel, check=True):
@@ -299,8 +249,7 @@ def spinor_metric(model: PolarizationModel, check=True):
     family it must equal I/E.  MetricMismatch carries the deviating
     entries when the target fails by more than 1e-12.
     """
-    eta = np.diag(model.eta) if model.eta.ndim == 1 else model.eta
-    eta_d = np.diag(eta)
+    eta_d = np.diag(model.eta) if model.eta.ndim == 2 else model.eta
     m = len(model.tensors)
     M = np.empty((m, m))
     for a in range(m):
@@ -308,12 +257,7 @@ def spinor_metric(model: PolarizationModel, check=True):
             raised = eta_d[:, None] * model.tensors[b] * eta_d[None, :]
             M[a, b] = float(np.sum(model.tensors[a] * raised))
     if check and model.target:
-        kind, scale = model.target
-        if kind == "dirac":
-            want = np.diag([1.0, 1.0, -1.0, -1.0]) / scale
-        else:
-            want = np.eye(m) / scale
-        dev = np.abs(M - want)
+        dev = np.abs(M - _spinor_target(model))
         if np.max(dev) > 1e-12:
             raise MetricMismatch(
                 f"spinor metric deviates from its target by {np.max(dev):.3e}",
@@ -334,11 +278,9 @@ def check_gauge_conditions(model: PolarizationModel):
         raised = eta_d[:, None] * t * eta_d[None, :]
         worst_div = max(worst_div, float(np.max(np.abs(k @ raised))))
     checks = [
-        {"check_id": "trace_condition", "max_deviation": worst_trace},
-        {"check_id": "divergence_condition", "max_deviation": worst_div},
+        _check("trace_condition", worst_trace),
+        _check("divergence_condition", worst_div),
     ]
-    for c in checks:
-        c["status"] = "pass" if c["max_deviation"] < 1e-12 else "fail"
     return {
         "model": model.name,
         "checks": checks,
@@ -548,21 +490,12 @@ def quark_ew_wavenumbers(k_e, k_nu, k_c):
         np.sqrt(omega_nu_sq) / Lambda
     ) * k_e
     e_M = Lambda / np.sqrt(omega_nu_sq)
-    charges = {
-        "electron": dot(k_e, k_A) / e_M,
-        "neutrino": dot(k_nu, k_A) / e_M,
-        "up": dot(k_u, k_A) / e_M,
-        "down": dot(k_d, k_A) / e_M,
-    }
+    fermions = {"electron": k_e, "neutrino": k_nu, "up": k_u, "down": k_d}
+    charges = {name: dot(k, k_A) / e_M for name, k in fermions.items()}
     lepton_cc = dot(k_nu + k_e, k_nu + k_e)
     quark_cc = dot(k_u + k_d, k_nu + k_e)
     z_dir = k_nu / np.sqrt(omega_nu_sq)
-    z_couplings = {
-        "neutrino": dot(k_nu, z_dir),
-        "electron": dot(k_e, z_dir),
-        "up": dot(k_u, z_dir),
-        "down": dot(k_d, z_dir),
-    }
+    z_couplings = {name: dot(k, z_dir) for name, k in fermions.items()}
     return {
         "k_u": k_u,
         "k_d": k_d,
@@ -639,16 +572,22 @@ def calibrate_constants(a_sq, beta, M, k5, G_prime):
         G = |a|^2 / 2,  e' = k5 |a|,  q = e' beta / (2G),  m = M / (2G),
         hbar = G'/G,  epsilon = (1/2) (M / (beta k5))^2.
 
-    The loop identity G (m/q)^2 = epsilon closes algebraically.
+    The loop identity G (m/q)^2 = epsilon closes algebraically.  A
+    vanishing denominator, or an epsilon beyond the float range, is a
+    DivisionDegenerate.
     """
-    if a_sq <= 0 or beta <= 0:
-        raise DivisionDegenerate("a_sq and beta must be positive")
+    if a_sq <= 0 or beta <= 0 or beta * k5 == 0:
+        raise DivisionDegenerate("a_sq and beta must be positive and beta * k5 nonzero")
     G = a_sq / 2.0
     e_prime = k5 * np.sqrt(a_sq)
     q = e_prime * beta / (2.0 * G)
     m = M / (2.0 * G)
     hbar = G_prime / G
-    epsilon = 0.5 * (M / (beta * k5)) ** 2
+    try:
+        epsilon = 0.5 * (M / (beta * k5)) ** 2
+    except OverflowError:
+        raise DivisionDegenerate(f"M / (beta * k5) = {M / (beta * k5):.3g} overflows "
+                                 "epsilon") from None
     return {
         "G": G,
         "e_prime": e_prime,
@@ -675,14 +614,12 @@ SUITES = ("gamma", "polarization", "factorization", "star", "electroweak",
           "gauge", "calibration")
 
 
-def _check(check_id, dev, limit=1e-12):
-    return {"check_id": check_id, "max_deviation": dev,
-            "status": "pass" if dev < limit else "fail"}
-
-
 def run_suite(names):
     """Run the named parts of the check suite (see SUITES); one record
-    {check_id, max_deviation, status} per check."""
+    {check_id, max_deviation, status} per check.  An empty list or a name
+    outside SUITES is a ValidationError."""
+    if not names or not set(names) <= set(SUITES):
+        raise ValidationError(f"suites must be a non-empty subset of {SUITES}, got {list(names)}")
     checks = []
     if "gamma" in names:
         for rep_name, gs in (
@@ -702,10 +639,8 @@ def run_suite(names):
             for c in check_gauge_conditions(model)["checks"]:
                 checks.append({**c, "check_id": f"{model.name}_{c['check_id']}"})
             M = spinor_metric(model, check=False)
-            kind, scale = model.target
-            want = np.diag([1.0, 1.0, -1.0, -1.0]) if kind == "dirac" else np.eye(4)
             checks.append(_check(f"{model.name}_spinor_metric",
-                                 float(np.max(np.abs(M - want / scale)))))
+                                 float(np.max(np.abs(M - _spinor_target(model))))))
     if "factorization" in names:
         gs = dirac_representation()
         rng = np.random.default_rng(7)

@@ -192,8 +192,10 @@ def integrate_trap(state: BraggTrapState, s_max, tol=1e-11):
 
 def first_integral(E, deltaS, state: BraggTrapState):
     """E - (gamma/omega0) * [sin(deltaS + phi) - sin(phi)]; equals E0 on
-    any exact trajectory."""
+    any exact trajectory; omega0 = 0 leaves it undefined (ValidationError)."""
     g, p, w0 = state.gamma, state.phi, state.omega0
+    if w0 == 0:
+        raise ValidationError("omega0 = 0: the first integral is undefined")
     return E - (g / w0) * (np.sin(deltaS + p) - np.sin(p))
 
 

@@ -1,10 +1,16 @@
 """Command-line front end: configured runs, sweeps and check suites with
 CSV/JSON outputs and a manifest.json echoing every input.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  A one-line
-machine-parsable diagnostic goes to stderr on failure.  Sweeps run
-vectorised or as plain loops; --jobs is accepted and echoed in the manifest
-but does not change how a command runs.
+Each command writes its data files and returns its manifest fields and its
+one-line summary; run() alone writes manifest.json and prints the summary.
+A run that fails after its arguments are parsed still writes manifest.json,
+with the parameters, the error's type and message and, for NoConvergence,
+the last residuals.  A usage error writes none.
+
+Exit codes: 0 success, 2 validation error, 3 numerical failure or a failed
+algebra check.  A one-line machine-parsable diagnostic goes to stderr on
+failure.  Sweeps run vectorised or as plain loops; --jobs is accepted and
+echoed in the manifest but does not change how a command runs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, bragg, greens, orbits, trapped_modes
-from .errors import MetronLabError, ValidationError
+from .errors import MetronLabError, NoConvergence, ValidationError
 from .io import read_config, write_csv, write_gnuplot_stub, write_json
 from .numerics import RadialGrid
 
@@ -34,26 +40,19 @@ def parse_values(text):
     except ValueError:
         raise ValidationError(
             f"expected a comma list or start:stop:count, got {text!r}") from None
+    if not values:
+        raise ValidationError(f"empty list {text!r}")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"non-finite value in {text!r}")
     return values
 
 
 def parse_vector(text, n):
-    try:
-        vals = [float(v) for v in str(text).split(",")]
-    except ValueError:
-        raise ValidationError(f"expected {n} comma-separated numbers, got {text!r}") from None
+    """n finite floats, as parse_values reads them."""
+    vals = parse_values(text)
     if len(vals) != n:
         raise ValidationError(f"expected {n} comma-separated components, got {text!r}")
     return np.array(vals)
-
-
-def _add_common(parser):
-    parser.add_argument("--output-dir", default="out")
-    parser.add_argument("--formats", default="csv,json")
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def _add_single_mode(parser):
@@ -77,6 +76,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse strips the value of "--flag=--" to an empty list
+        empty = [k for k, v in vars(parsed).items() if v == []]
+        if empty:
+            self.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
+        return parsed
+
 
 class _CommandParser(_Parser):
     """A subcommand parser that records the dest of every argument added."""
@@ -88,44 +95,45 @@ class _CommandParser(_Parser):
 
 
 def build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name; each
+    subcommand parser carries the command function as `handler`."""
     top = _Parser(prog="metronlab")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_CommandParser)
     commands = {}
 
-    def command(name):
-        commands[name] = sub.add_parser(name)
-        return commands[name]
+    def command(name, handler):
+        p = commands[name] = sub.add_parser(name)
+        p.handler = handler
+        p.add_argument("--output-dir", default="out")
+        p.add_argument("--config", default=None)
+        p.add_argument("--jobs", type=int, default=1)
+        return p
 
-    p = command("metron-solve")
+    p = command("metron-solve", cmd_metron_solve)
     _add_single_mode(p)
-    _add_common(p)
 
-    p = command("metron-rescale")
+    p = command("metron-rescale", cmd_metron_rescale)
     _add_single_mode(p)
     p.add_argument("--lam", type=str, required=True,
                    help="scale factor; a,b,c or start:stop:count sweeps the family")
-    _add_common(p)
 
-    p = command("bragg-classify")
+    p = command("bragg-classify", cmd_bragg_classify)
     p.add_argument("--E0", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--omega0", type=float, required=True)
     p.add_argument("--s-max", type=float, default=0.0,
                    help="when positive, also integrate and write the trajectory")
-    _add_common(p)
 
-    p = command("bragg-sweep")
+    p = command("bragg-sweep", cmd_bragg_sweep)
     p.add_argument("--ratio", type=str, required=True, help="omega0*E0/gamma values")
     p.add_argument("--phi", type=str, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--omega0", type=float, default=1.0)
-    _add_common(p)
 
-    p = command("bragg-lattice")
+    p = command("bragg-lattice", cmd_bragg_lattice)
     p.add_argument("--ki", type=str, required=True, help="k1,k2,k3,k4 of the incident wave")
     p.add_argument("--fundamental", action="append", required=True,
                    help="spatial fundamental g1,g2,g3 (repeatable)")
@@ -133,18 +141,16 @@ def build_parser():
     p.add_argument("--normal-axis", type=int, default=2)
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--omega0", type=float, required=True)
-    _add_common(p)
 
-    p = command("orbit-drift")
+    p = command("orbit-drift", cmd_orbit_drift)
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--c3", type=float, required=True)
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--delta-r0", type=float, required=True)
     p.add_argument("--t-max", type=float, default=200.0)
-    _add_common(p)
 
-    p = command("orbit-threemode")
+    p = command("orbit-threemode", cmd_orbit_threemode)
     p.add_argument("--a1", type=complex, default=1.0 + 0j)
     p.add_argument("--a2", type=complex, default=0.0 + 0j)
     p.add_argument("--a12", type=complex, default=0.0 + 0j)
@@ -158,9 +164,8 @@ def build_parser():
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=400,
                    help="rows of threemode.csv, at uniform t from 0 to --t-max")
-    _add_common(p)
 
-    p = command("orbit-variance")
+    p = command("orbit-variance", cmd_orbit_variance)
     p.add_argument("--n1", type=float, required=True)
     p.add_argument("--n2", type=float, required=True)
     p.add_argument("--kprime", type=float, required=True)
@@ -168,9 +173,8 @@ def build_parser():
     p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=200)
-    _add_common(p)
 
-    p = command("greens-eval")
+    p = command("greens-eval", cmd_greens_eval)
     p.add_argument("--r", type=str, required=True)
     p.add_argument("--t", type=str, required=True)
     p.add_argument("--omega-hat", type=float, default=1.0)
@@ -178,28 +182,24 @@ def build_parser():
     p.add_argument("--kind", choices=list(greens.KERNEL_KINDS), default="retarded")
     p.add_argument("--method", choices=["quadrature", "stationary", "lightcone"],
                    default="quadrature")
-    _add_common(p)
 
-    p = command("greens-conserve")
+    p = command("greens-conserve", cmd_greens_conserve)
     p.add_argument("--kind", choices=list(greens.KERNEL_KINDS), default="symmetric")
     p.add_argument("--sigma", type=float, default=0.4)
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--speed", type=float, default=0.3)
     p.add_argument("--span", type=float, default=6.0)
     p.add_argument("--samples", type=int, default=121)
-    _add_common(p)
 
-    p = command("algebra-check")
+    p = command("algebra-check", cmd_algebra_check)
     p.add_argument("--suite", default=",".join(algebra.SUITES))
-    _add_common(p)
 
-    p = command("calibrate")
+    p = command("calibrate", cmd_calibrate)
     p.add_argument("--a-sq", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--m-core", type=float, required=True)
     p.add_argument("--k5", type=float, required=True)
     p.add_argument("--gprime", type=float, required=True)
-    _add_common(p)
 
     return top, commands
 
@@ -230,7 +230,7 @@ def _apply_config(command, argv):
     return argv[:1] + extra + argv[1:]
 
 
-def manifest_from(args, extra=None):
+def manifest_from(args, fields):
     payload = {
         "command": args.command,
         "version": __version__,
@@ -238,13 +238,8 @@ def manifest_from(args, extra=None):
             k: v for k, v in sorted(vars(args).items()) if k != "command"
         },
     }
-    if extra:
-        payload.update(extra)
+    payload.update(fields)
     return payload
-
-
-def _out(args):
-    return Path(args.output_dir)
 
 
 def _solve_from_args(args):
@@ -260,49 +255,37 @@ def _solve_from_args(args):
     return trapped_modes.iterate_single_mode(params, grid=RadialGrid(r_max, args.n_points))
 
 
-def cmd_metron_solve(args):
+def cmd_metron_solve(args, out):
     sol = _solve_from_args(args)
-    out = _out(args)
-    formats = args.formats.split(",")
-    if "csv" in formats:
-        write_csv(out / "solution.csv", ["r", "phi0", "phi1", "kappa_sq"], sol.to_csv_rows())
-        write_gnuplot_stub(out / "solution.gp", "solution.csv", "trapped mode",
-                           1, [(2, "phi0"), (3, "phi1"), (4, "kappa_sq")])
-    if "json" in formats:
-        write_json(out / "solution.json", sol.to_json_dict())
-    write_json(out / "manifest.json", manifest_from(args, {
+    write_csv(out / "solution.csv", ["r", "phi0", "phi1", "kappa_sq"], sol.to_csv_rows())
+    write_gnuplot_stub(out / "solution.gp", "solution.csv", "trapped mode",
+                       1, [(2, "phi0"), (3, "phi1"), (4, "kappa_sq")])
+    write_json(out / "solution.json", sol.to_json_dict())
+    return {
         "omega": sol.omega,
         "residual_eigen": sol.residual_eigen,
         "residual_poisson": sol.residual_poisson,
         "iterations_used": sol.iterations_used,
         "well_parameter": sol.well_parameter(),
         "crossing_radius": sol.crossing_radius(),
-    }))
-    print(f"omega = {sol.omega:.12g}  residuals = ({sol.residual_eigen:.3e}, "
-          f"{sol.residual_poisson:.3e})  iterations = {sol.iterations_used}")
-    return 0
+    }, (f"omega = {sol.omega:.12g}  residuals = ({sol.residual_eigen:.3e}, "
+        f"{sol.residual_poisson:.3e})  iterations = {sol.iterations_used}")
 
 
-def cmd_metron_rescale(args):
+def cmd_metron_rescale(args, out):
     lams = parse_values(args.lam)
-    if not lams:
-        raise ValidationError("empty lambda grid")
     sol = _solve_from_args(args)
-    out = _out(args)
+    fields = {"omega_base": sol.omega, "lambda_max": trapped_modes.max_scale_factor(sol)}
     if len(lams) == 1:
         scaled = trapped_modes.rescale(sol, lams[0])
-        if "csv" in args.formats.split(","):
-            write_csv(out / "rescaled.csv", ["r", "phi0", "phi1", "kappa_sq"],
-                      scaled.to_csv_rows())
-        write_json(out / "manifest.json", manifest_from(args, {
-            "omega_base": sol.omega,
+        write_csv(out / "rescaled.csv", ["r", "phi0", "phi1", "kappa_sq"],
+                  scaled.to_csv_rows())
+        return {
+            **fields,
             "omega_rescaled": scaled.omega,
-            "lambda_max": trapped_modes.max_scale_factor(sol),
             "residual_eigen": scaled.residual_eigen,
             "residual_poisson": scaled.residual_poisson,
-        }))
-        print(f"omega' = {scaled.omega:.12g} (base {sol.omega:.12g})")
-        return 0
+        }, f"omega' = {scaled.omega:.12g} (base {sol.omega:.12g})"
 
     rows = []
     for lam in lams:
@@ -315,16 +298,10 @@ def cmd_metron_rescale(args):
     write_csv(out / "rescale_sweep.csv",
               ["lambda", "omega", "residual_eigen", "residual_poisson", "status"],
               rows)
-    write_json(out / "manifest.json", manifest_from(args, {
-        "omega_base": sol.omega,
-        "lambda_max": trapped_modes.max_scale_factor(sol),
-        "points": len(rows),
-    }))
-    print(f"{len(rows)} rescalings")
-    return 0
+    return {**fields, "points": len(rows)}, f"{len(rows)} rescalings"
 
 
-def cmd_bragg_classify(args):
+def cmd_bragg_classify(args, out):
     state = bragg.BraggTrapState(E=args.E0, deltaS=0.0, gamma=args.gamma,
                                  phi=args.phi, omega0=args.omega0)
     res = bragg.classify_trapping(state)
@@ -336,34 +313,25 @@ def cmd_bragg_classify(args):
     if args.s_max > 0:
         s_path, E, dS = bragg.integrate_trap(state, args.s_max)
         const = bragg.first_integral(E, dS, state)
-        write_csv(_out(args) / "trajectory.csv",
-                  ["s", "E", "deltaS", "first_integral"],
+        write_csv(out / "trajectory.csv", ["s", "E", "deltaS", "first_integral"],
                   zip(s_path, E, dS, const))
-        write_gnuplot_stub(_out(args) / "trajectory.gp", "trajectory.csv",
+        write_gnuplot_stub(out / "trajectory.gp", "trajectory.csv",
                            "resonance trapping", 1, [(2, "E"), (3, "deltaS")])
         payload["first_integral_drift"] = float(np.max(np.abs(const - const[0])))
-    write_json(_out(args) / "classification.json", payload)
-    write_json(_out(args) / "manifest.json", manifest_from(args, payload))
-    print(f"verdict = {res['verdict']}  B = {res['B']:.12g}")
-    return 0
+    write_json(out / "classification.json", payload)
+    return payload, f"verdict = {res['verdict']}  B = {res['B']:.12g}"
 
 
-def cmd_bragg_sweep(args):
-    ratios = parse_values(args.ratio)
-    phis = parse_values(args.phi)
-    if not ratios or not phis:
-        raise ValidationError("empty sweep grid")
-    cols = bragg.classify_sweep(ratios, phis, args.gamma, args.omega0)
+def cmd_bragg_sweep(args, out):
+    cols = bragg.classify_sweep(parse_values(args.ratio), parse_values(args.phi),
+                                args.gamma, args.omega0)
     cells = len(cols["B"])
-    write_csv(_out(args) / "sweep.csv", list(cols),
+    write_csv(out / "sweep.csv", list(cols),
               zip(*(col.tolist() for col in cols.values())))
-    write_json(_out(args) / "manifest.json",
-               manifest_from(args, {"cells": cells}))
-    print(f"{cells} cells")
-    return 0
+    return {"cells": cells}, f"{cells} cells"
 
 
-def cmd_bragg_lattice(args):
+def cmd_bragg_lattice(args, out):
     k_i = parse_vector(args.ki, 4)
     fundamentals = []
     for g in args.fundamental:
@@ -377,17 +345,14 @@ def cmd_bragg_lattice(args):
     )
     ks = bragg.bragg_scatter_set(k_i, lattice, args.omega0)
     rows = [(k[0], k[1], k[2], k[3], bragg.minkowski_dot(k, k)) for k in ks]
-    write_csv(_out(args) / "scatter_set.csv", ["k1", "k2", "k3", "k4", "k_dot_k"], rows)
-    write_json(_out(args) / "manifest.json", manifest_from(args, {"count": len(rows)}))
-    print(f"{len(rows)} on-shell scattered wavenumbers")
-    return 0
+    write_csv(out / "scatter_set.csv", ["k1", "k2", "k3", "k4", "k_dot_k"], rows)
+    return {"count": len(rows)}, f"{len(rows)} on-shell scattered wavenumbers"
 
 
-def cmd_orbit_drift(args):
+def cmd_orbit_drift(args, out):
     model = orbits.OrbitDriftModel(d=args.d, C1=args.c1, C2=args.c2, C3=args.c3)
     eq = orbits.drift_equilibria(model)
     res = orbits.integrate_drift(model, args.delta_r0, args.t_max)
-    out = _out(args)
     write_csv(out / "drift_path.csv", ["t", "delta_r"],
               zip(res["t"], res["delta_r"]))
     dr = np.linspace(min(res["delta_r"].min(), -3), max(res["delta_r"].max(), 3), 601)
@@ -396,16 +361,14 @@ def cmd_orbit_drift(args):
     write_gnuplot_stub(out / "phase_portrait.gp", "phase_portrait.csv",
                        "orbit drift phase portrait", 1, [(2, "d(delta_r)/dt")])
     verdict = {k: v for k, v in res.items() if k not in ("t", "delta_r")}
-    write_json(out / "manifest.json", manifest_from(args, {
+    return {
         "equilibria": [{"delta_r": r, "stability": s} for r, s in eq],
         "verdict": verdict,
-    }))
-    print(f"verdict = {res['verdict']}"
-          + (f" root = {res['root']:.9g}" if "root" in res else ""))
-    return 0
+    }, (f"verdict = {res['verdict']}"
+        + (f" root = {res['root']:.9g}" if "root" in res else ""))
 
 
-def cmd_orbit_threemode(args):
+def cmd_orbit_threemode(args, out):
     if args.samples < 2:
         raise ValidationError("--samples must be at least 2 to span 0 to --t-max")
     state = orbits.ThreeModeState(
@@ -416,31 +379,27 @@ def cmd_orbit_threemode(args):
         state, mode=args.evolution, t_max=args.t_max, samples=args.samples
     )
     inv1, inv2 = orbits.manley_rowe(A1, A2, A12)
-    write_csv(_out(args) / "threemode.csv",
+    write_csv(out / "threemode.csv",
               ["t", "abs_A1", "abs_A2", "abs_A12", "inv_sum", "inv_diff"],
               zip(t, np.abs(A1), np.abs(A2), np.abs(A12), inv1, inv2))
-    write_json(_out(args) / "manifest.json", manifest_from(args, {
+    return {
         "invariant_drift": float(np.max(np.abs(inv1 - inv1[0]))),
-    }))
-    print(f"integrated to t = {t[-1]:.6g}")
-    return 0
+    }, f"integrated to t = {t[-1]:.6g}"
 
 
-def cmd_orbit_variance(args):
+def cmd_orbit_variance(args, out):
     if args.samples < 1:
         raise ValidationError("--samples must be at least 1")
     t = np.linspace(0.0, args.t_max, args.samples)
     N1, N2 = orbits.evolve_variances(args.n1, args.n2, args.kprime,
                                      args.mu1, args.mu2, t)
-    write_csv(_out(args) / "variances.csv", ["t", "N1", "N2"], zip(t, N1, N2))
-    write_json(_out(args) / "manifest.json", manifest_from(args, {
+    write_csv(out / "variances.csv", ["t", "N1", "N2"], zip(t, N1, N2))
+    return {
         "N1_final": float(N1[-1]), "N2_final": float(N2[-1]),
-    }))
-    print(f"N1 -> {N1[-1]:.9g}, N2 -> {N2[-1]:.9g}")
-    return 0
+    }, f"N1 -> {N1[-1]:.9g}, N2 -> {N2[-1]:.9g}"
 
 
-def cmd_greens_eval(args):
+def cmd_greens_eval(args, out):
     rs = parse_values(args.r)
     ts = parse_values(args.t)
     params = greens.DispersionParams(omega_hat=args.omega_hat, k_max=args.k_max)
@@ -455,13 +414,11 @@ def cmd_greens_eval(args):
                 desc = greens.greens_nondispersive(r, t, args.kind)
                 val = sum(b["weight"] for b in desc["branches"] if b["on_support"])
             rows.append((r, t, val, args.method))
-    write_csv(_out(args) / "kernel_scan.csv", ["r", "t", "value", "method"], rows)
-    write_json(_out(args) / "manifest.json", manifest_from(args, {"points": len(rows)}))
-    print(f"{len(rows)} kernel evaluations")
-    return 0
+    write_csv(out / "kernel_scan.csv", ["r", "t", "value", "method"], rows)
+    return {"points": len(rows)}, f"{len(rows)} kernel evaluations"
 
 
-def cmd_greens_conserve(args):
+def cmd_greens_conserve(args, out):
     if args.samples < 2:
         raise ValidationError("--samples must be at least 2 for the trapezoid rule")
     n = args.samples
@@ -480,64 +437,50 @@ def cmd_greens_conserve(args):
         "total": total.tolist(),
         "relative_violation": float(np.max(np.abs(total)) / scale),
     }
-    write_json(_out(args) / "conservation.json", payload)
-    write_json(_out(args) / "manifest.json", manifest_from(args, payload))
-    print(f"max |dp_i + dp_j| / max |dp_i| = {payload['relative_violation']:.3e}")
-    return 0
+    write_json(out / "conservation.json", payload)
+    return payload, f"max |dp_i + dp_j| / max |dp_i| = {payload['relative_violation']:.3e}"
 
 
-def cmd_algebra_check(args):
+def cmd_algebra_check(args, out):
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     checks = algebra.run_suite(names)
-    payload = {
-        "suite": names,
-        "checks": checks,
-        "all_pass": all(c["status"] == "pass" for c in checks),
-    }
-    write_json(_out(args) / "algebra_report.json", payload)
-    write_json(_out(args) / "manifest.json", manifest_from(args, {
-        "all_pass": payload["all_pass"], "count": len(checks),
-    }))
-    worst = max((c["max_deviation"] for c in checks), default=0.0)
-    print(f"{len(checks)} checks, all_pass = {payload['all_pass']}, "
-          f"worst deviation = {worst:.3e}")
-    return 0 if payload["all_pass"] else 3
+    all_pass = all(c["status"] == "pass" for c in checks)
+    write_json(out / "algebra_report.json",
+               {"suite": names, "checks": checks, "all_pass": all_pass})
+    worst = max(c["max_deviation"] for c in checks)
+    return ({"all_pass": all_pass, "count": len(checks)},
+            f"{len(checks)} checks, all_pass = {all_pass}, worst deviation = {worst:.3e}",
+            0 if all_pass else 3)
 
 
-def cmd_calibrate(args):
+def cmd_calibrate(args, out):
     cal = algebra.calibrate_constants(args.a_sq, args.beta, args.m_core,
                                       args.k5, args.gprime)
-    write_json(_out(args) / "constants.json", cal)
-    write_json(_out(args) / "manifest.json", manifest_from(args, cal))
-    print("  ".join(f"{k} = {v:.12g}" for k, v in cal.items()))
-    return 0
-
-
-_DISPATCH = {
-    "metron-solve": cmd_metron_solve,
-    "metron-rescale": cmd_metron_rescale,
-    "bragg-classify": cmd_bragg_classify,
-    "bragg-sweep": cmd_bragg_sweep,
-    "bragg-lattice": cmd_bragg_lattice,
-    "orbit-drift": cmd_orbit_drift,
-    "orbit-threemode": cmd_orbit_threemode,
-    "orbit-variance": cmd_orbit_variance,
-    "greens-eval": cmd_greens_eval,
-    "greens-conserve": cmd_greens_conserve,
-    "algebra-check": cmd_algebra_check,
-    "calibrate": cmd_calibrate,
-}
+    write_json(out / "constants.json", cal)
+    return cal, "  ".join(f"{k} = {v:.12g}" for k, v in cal.items())
 
 
 def run(argv):
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code, which is 0 unless
+    the command returns its own as a third value (algebra-check)."""
     parser, commands = build_parser()
+    args = None
     try:
         if argv and argv[0] in commands:
             argv = _apply_config(commands[argv[0]], list(argv))
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        out = Path(args.output_dir)
+        fields, summary, *status = commands[args.command].handler(args, out)
+        write_json(out / "manifest.json", manifest_from(args, fields))
+        print(summary)
+        return status[0] if status else 0
     except MetronLabError as exc:
+        if args is not None:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, NoConvergence):
+                error["residuals"] = exc.residuals
+            write_json(Path(args.output_dir) / "manifest.json",
+                       manifest_from(args, {"error": error}))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
 

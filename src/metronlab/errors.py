@@ -6,6 +6,8 @@ goal" (NumericalError, CLI exit code 3).  ValidationError is also a
 ValueError, so callers catching the builtin still see bad inputs.
 """
 
+from numpy.linalg import LinAlgError
+
 
 class MetronLabError(Exception):
     exit_code = 3
@@ -27,6 +29,10 @@ class StepUnderflow(NumericalError):
 
 class NonFiniteState(NumericalError):
     """A state component became NaN/Inf during integration."""
+
+
+class LapackFailure(NumericalError, LinAlgError):
+    """A LAPACK routine returned a non-zero info; still a LinAlgError."""
 
 
 class NoBracket(ValidationError):
@@ -136,4 +142,4 @@ class SingularVChoice(ValidationError):
 
 
 class DivisionDegenerate(ValidationError):
-    """Calibration denominator (beta or |a|^2) vanishes."""
+    """Calibration denominator (beta, |a|^2 or beta*k5) vanishes."""

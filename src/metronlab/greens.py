@@ -4,11 +4,17 @@ world lines, and the absorber damping / spectral-transport formulas.
 
 Kernel variants are named "retarded", "advanced" and "symmetric"; the
 symmetric kernel is half the sum of the other two and is the unique choice
-that conserves pairwise 4-momentum.
+that conserves pairwise 4-momentum.  KERNEL_KINDS maps each name to its
+(retarded, advanced) branch weights, and every kernel evaluation sums its
+two causal branches with them, skipping a branch of weight zero.  The
+exception is momentum_exchange, whose symmetric kernel is the unmasked
+Gaussian: a weighted sum of the two causal masks would drop the pairs at
+equal time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +43,14 @@ __all__ = [
     "absorber_balance",
 ]
 
-KERNEL_KINDS = ("retarded", "advanced", "symmetric")
+KERNEL_KINDS = {"retarded": (1.0, 0.0), "advanced": (0.0, 1.0), "symmetric": (0.5, 0.5)}
 
 
-def _check_kind(kind):
+def _branch_weights(kind):
+    """(retarded, advanced) weights of a kernel kind."""
     if kind not in KERNEL_KINDS:
-        raise ValidationError(f"kind must be one of {KERNEL_KINDS}")
+        raise ValidationError(f"kind must be one of {tuple(KERNEL_KINDS)}")
+    return KERNEL_KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,10 @@ class DispersionParams:
     k_max: float = 60.0
 
     def __post_init__(self):
-        if self.omega_hat < 0 or self.k_max <= 0:
-            raise ValidationError("omega_hat >= 0 and k_max > 0 required")
+        with np.errstate(over="ignore"):
+            squares_finite = np.isfinite(np.square([self.omega_hat, self.k_max])).all()
+        if not (self.omega_hat >= 0 and self.k_max > 0 and squares_finite):
+            raise ValidationError("omega_hat >= 0 and k_max > 0 required, with finite squares")
 
     def omega_k(self, k):
         return np.sqrt(self.omega_hat**2 + np.asarray(k) ** 2)
@@ -72,21 +82,16 @@ def greens_nondispersive(r, t, kind):
     carries both supports at half weight.  Returns a dict with the support
     residual(s) and weight(s).
     """
-    _check_kind(kind)
+    w_ret, w_adv = _branch_weights(kind)
     if r <= 0:
         raise OriginSingular("kernel evaluated at r = 0")
     weight = -1.0 / (2.0 * np.pi * r)
-    branches = []
-    if kind in ("retarded", "symmetric"):
-        w = weight if kind == "retarded" else weight / 2.0
-        branches.append(
-            {"branch": "retarded", "on_support": t > 0, "residual": r - t, "weight": w}
-        )
-    if kind in ("advanced", "symmetric"):
-        w = weight if kind == "advanced" else weight / 2.0
-        branches.append(
-            {"branch": "advanced", "on_support": t < 0, "residual": r + t, "weight": w}
-        )
+    branches = [
+        {"branch": name, "on_support": on_support, "residual": residual, "weight": w * weight}
+        for name, w, on_support, residual in (("retarded", w_ret, t > 0, r - t),
+                                              ("advanced", w_adv, t < 0, r + t))
+        if w
+    ]
     return {"r": r, "t": t, "kind": kind, "branches": branches}
 
 
@@ -98,7 +103,7 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
     The closed-form (method of characteristics) answer for the retarded
     branch is -s(t - r) / (2 pi r).
     """
-    _check_kind(kind)
+    weights = _branch_weights(kind)
     if r <= 0:
         raise OriginSingular("field evaluated at r = 0")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -110,22 +115,15 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
     out = np.zeros_like(t_grid)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * delta_width)
     for i, t in enumerate(t_grid):
-        tau = t - tp
         acc = 0.0
-        if kind in ("retarded", "symmetric"):
-            w = 1.0 if kind == "retarded" else 0.5
-            sel = tau > 0
-            acc += w * np.trapezoid(
-                norm * np.exp(-((r - tau[sel]) ** 2) / (2 * delta_width**2)) * s_vals[sel],
-                tp[sel],
-            )
-        if kind in ("advanced", "symmetric"):
-            w = 1.0 if kind == "advanced" else 0.5
-            sel = tau < 0
-            acc += w * np.trapezoid(
-                norm * np.exp(-((r + tau[sel]) ** 2) / (2 * delta_width**2)) * s_vals[sel],
-                tp[sel],
-            )
+        # the advanced branch is the retarded one in the mirrored delay -tau
+        for w, delay in zip(weights, (t - tp, tp - t)):
+            if w:
+                sel = delay > 0
+                acc += w * np.trapezoid(
+                    norm * np.exp(-((r - delay[sel]) ** 2) / (2 * delta_width**2)) * s_vals[sel],
+                    tp[sel],
+                )
         out[i] = -acc / (2.0 * np.pi * r)
     return out
 
@@ -140,8 +138,7 @@ def _dispersive_integral(r, t, params, k_window):
     to 1.8 * k_window where the window has fallen below 1e-40, so no
     truncation ringing survives."""
     k_end = 1.8 * k_window
-    n = max(4096, int(40 * k_end * max(r, abs(t), 1.0) / (2 * np.pi)))
-    n = min(n, 4_000_000)
+    n = int(min(max(4096.0, 40 * k_end * max(r, abs(t), 1.0) / (2 * np.pi)), 4_000_000))
     k = np.linspace(0.0, k_end, n)
     wk = params.omega_k(k)
     window = np.exp(-((k / k_window) ** 8))
@@ -151,39 +148,41 @@ def _dispersive_integral(r, t, params, k_window):
     return float(np.trapezoid(integrand, k))
 
 
-def greens_dispersive(r, t, params: DispersionParams, kind):
-    """Massive kernel by filtered oscillatory quadrature.
-
-    Retarded support t > 0, advanced t < 0, symmetric the half-sum.  The
-    integral is evaluated at the configured cutoff and at 0.8x the cutoff;
-    QuadratureNotConverged is raised when the two differ by more than 1e-4
-    relative.
-    """
-    _check_kind(kind)
+def _dispersive_branch_weight(r, t, params, kind):
+    """Weight of the branch whose support holds t (retarded t > 0, advanced
+    t < 0), after the input checks both dispersive kernels share."""
+    w_ret, w_adv = _branch_weights(kind)
     if r <= 0:
         raise OriginSingular("kernel evaluated at r = 0")
     if params.omega_hat <= 0:
         raise ValidationError("dispersive kernel needs omega_hat > 0")
     if t == 0:
         raise ValidationError("|t| must be positive")
+    return w_ret if t > 0 else w_adv
 
-    def value_at(tt):
-        i1 = _dispersive_integral(r, tt, params, params.k_max)
-        i2 = _dispersive_integral(r, tt, params, 0.8 * params.k_max)
-        scale = max(abs(i1), abs(i2), 1e-30)
-        if abs(i1 - i2) > 1e-4 * scale:
-            raise QuadratureNotConverged(
-                f"cutoff sensitivity {abs(i1 - i2) / scale:.2e} at (r={r}, t={tt})"
-            )
-        return -i1 / ((2.0 * np.pi) ** 2 * r)
 
-    if kind == "retarded":
-        return value_at(t) if t > 0 else 0.0
-    if kind == "advanced":
-        return -value_at(t) if t < 0 else 0.0
-    ret = value_at(t) if t > 0 else 0.0
-    adv = -value_at(t) if t < 0 else 0.0
-    return 0.5 * (ret + adv)
+def greens_dispersive(r, t, params: DispersionParams, kind):
+    """Massive kernel by filtered oscillatory quadrature.
+
+    Retarded support t > 0, advanced t < 0, symmetric the half-sum.  The
+    advanced branch is the time mirror of the retarded one: the integrand
+    only swaps its two cosines under t -> -t, so I(-t) = -I(t) holds bit for
+    bit and each branch is the retarded value at |t|.  The integral is
+    evaluated at the configured cutoff and at 0.8x the cutoff;
+    QuadratureNotConverged is raised when the two differ by more than 1e-4
+    relative.
+    """
+    w = _dispersive_branch_weight(r, t, params, kind)
+    if not w:
+        return 0.0
+    i1 = _dispersive_integral(r, abs(t), params, params.k_max)
+    i2 = _dispersive_integral(r, abs(t), params, 0.8 * params.k_max)
+    scale = max(abs(i1), abs(i2), 1e-30)
+    if not abs(i1 - i2) <= 1e-4 * scale:  # a NaN integral fails too
+        raise QuadratureNotConverged(
+            f"cutoff sensitivity {abs(i1 - i2) / scale:.2e} at (r={r}, t={t})"
+        )
+    return w * (-i1 / ((2.0 * np.pi) ** 2 * r))
 
 
 def greens_stationary_phase(r, t, params: DispersionParams, kind):
@@ -199,37 +198,30 @@ def greens_stationary_phase(r, t, params: DispersionParams, kind):
     on the causal branch (and the time-mirrored value for the advanced
     one).  Requires v < 1.
     """
-    _check_kind(kind)
-    if r <= 0:
-        raise OriginSingular("kernel evaluated at r = 0")
-    v = r / abs(t)
-    if v >= 1.0:
-        raise SuperluminalCone(f"v = r/|t| = {v:.4g} >= 1")
-    w_hat = params.omega_hat
-    k0 = w_hat * v / np.sqrt(1.0 - v * v)
-    omega0 = params.omega_k(k0)
-    wpp = w_hat**2 / omega0**3
+    w = _dispersive_branch_weight(r, t, params, kind)
+    k0, omega0, wpp = stationary_phase_point(params, r / abs(t))
+    if not w:
+        return 0.0
     amp = (
         -((2.0 * np.pi) ** -2)
         / r
         * (k0 / omega0)
-        * np.sqrt(2.0 * np.pi / (wpp * abs(t)))
+        * math.sqrt(2.0 * np.pi / (wpp * abs(t)))
     )
-    val = amp * np.cos(k0 * r - omega0 * abs(t) - np.pi / 4.0)
-    if kind == "retarded":
-        return float(val) if t > 0 else 0.0
-    if kind == "advanced":
-        return float(val) if t < 0 else 0.0
-    return 0.5 * float(val)
+    return w * float(amp * np.cos(k0 * r - omega0 * abs(t) - np.pi / 4.0))
 
 
 def stationary_phase_point(params: DispersionParams, v):
-    """(k0, omega0, omega'') for the cone velocity v < 1."""
+    """(k0, omega0, omega'') for the cone velocity v < 1; an omega0^3
+    outside the float range, where omega'' is lost, is a ValidationError."""
     if not 0 <= v < 1:
         raise SuperluminalCone(f"v = {v} outside [0, 1)")
-    k0 = params.omega_hat * v / np.sqrt(1.0 - v * v)
-    omega0 = params.omega_k(k0)
-    return k0, float(omega0), params.omega_hat**2 / float(omega0) ** 3
+    k0 = params.omega_hat * v / math.sqrt(1.0 - v * v)
+    omega0 = float(params.omega_k(k0))
+    try:
+        return k0, omega0, params.omega_hat**2 / omega0**3
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"omega0^3 leaves the float range at omega0 = {omega0:.3g}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +253,7 @@ class WorldLine:
     @classmethod
     def static_point(cls, position, t_span, n):
         """World line of a particle at rest at a spatial position."""
-        s = np.linspace(t_span[0], t_span[1], n)
-        x = np.zeros((n, 4))
-        x[:, :3] = np.asarray(position, dtype=float)
-        x[:, 3] = s
-        u = np.zeros((n, 4))
-        u[:, 3] = 1.0
-        return cls(s=s, x=x, u=u)
+        return cls.from_velocity(position, [0.0, 0.0, 0.0], t_span, n)
 
     @classmethod
     def from_velocity(cls, position0, velocity3, t_span, n):
@@ -305,7 +291,7 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
     by the causal step in the time separation (treated as a selector, not
     differentiated).  Returns (dp_i, dp_j) as contravariant 4-vectors.
     """
-    _check_kind(kind)
+    _branch_weights(kind)
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     sep = line_i.x[:, None, :3] - line_j.x[None, :, :3]

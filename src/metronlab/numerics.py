@@ -25,10 +25,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import (
+    LapackFailure,
     NoBracket,
     NoConvergence,
     NonDecayingSource,
@@ -61,6 +61,8 @@ class RadialGrid:
             raise ValidationError("n_points must be >= 16")
         if not (self.r_max > 0 and np.isfinite(self.r_max)):
             raise ValidationError("r_max must be positive and finite")
+        if not self.spacing ** 2 >= np.finfo(float).tiny:
+            raise ValidationError("grid spacing too small: 1/h^2 overflows")
 
     @property
     def spacing(self) -> float:
@@ -134,6 +136,7 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
     Accepts real or complex state vectors.  Returns the accepted step
     points, or, when t_eval is given, the states at those times from the
     solver's 7th-order dense output.
+    A non-finite span end or initial state raises ValidationError.
     Raises NonFiniteState when field returns a non-finite derivative and
     StepUnderflow when the solver stops short of the span end (its step
     fell below the floating-point spacing of s).
@@ -144,6 +147,8 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
         y = y.astype(float)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not (np.isfinite([s0, s1]).all() and np.isfinite(y).all()):
+        raise ValidationError("span and initial state must be finite")
     if s1 == s0:
         t = np.array([s0]) if t_eval is None else np.asarray(t_eval, dtype=float)
         return IvpResult(t, np.repeat(y[None, :], len(t), axis=0))
@@ -204,11 +209,12 @@ def solve_radial_eigen(V, node_count, bracket, grid):
 
     An eigenfrequency at or below bracket[0] raises NoBracket (well too
     deep); one at or above bracket[1] raises NotTrapped (mode not bound).
-    A non-finite V raises ValueError, a LAPACK failure LinAlgError.
+    A node_count outside [0, n_points - 3] raises ValidationError, a
+    non-finite V ValueError, a LAPACK failure LapackFailure (a LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
     if not 0 <= node_count < grid.n_points - 2:
-        raise ValueError("node_count must lie in [0, n_points - 3]")
+        raise ValidationError("node_count must lie in [0, n_points - 3]")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
@@ -235,7 +241,7 @@ def solve_radial_eigen(V, node_count, bracket, grid):
         m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,
                                             _STEBZ_ABSTOL, "B")
         if info:
-            raise LinAlgError(f"dstebz failed (info={info})")
+            raise LapackFailure(f"dstebz failed (info={info})")
         lam = float(w[0])
         if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
             break
@@ -253,7 +259,7 @@ def solve_radial_eigen(V, node_count, bracket, grid):
         raise NotTrapped(f"mode {node_count} lies at or above the bracket (not bound)")
     vec, info = dstein(diag, off, w[:m], iblock, isplit)
     if info:
-        raise LinAlgError(f"dstein failed (info={info})")
+        raise LapackFailure(f"dstein failed (info={info})")
 
     u = np.empty(grid.n_points)
     u[0] = 0.0
@@ -309,7 +315,7 @@ def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     # every array is a temporary, so LAPACK may overwrite them all
     *_, x, info = dgtsv(np.full(n - 2, -1.0), diag, np.full(n - 2, -1.0), b, 1, 1, 1, 1)
     if info:
-        raise LinAlgError(f"dgtsv failed (info={info})")
+        raise LapackFailure(f"dgtsv failed (info={info})")
     u = np.concatenate(([0.0], x))
     phi = np.empty(n)
     phi[1:] = u[1:] / r[1:]

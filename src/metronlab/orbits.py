@@ -301,9 +301,11 @@ def integrate_three_mode(state: ThreeModeState, mode="Emission", t_max=10.0, tol
         dA12 = 1j * np.conj(K) * A1 * np.conj(A2) if emission else 0.0j
         return np.array([dA1, dA2, dA12])
 
+    t_eval = np.linspace(0.0, t_max, samples)
+    if not np.diff(t_eval).all():  # linspace repeats a time when t_max is tiny
+        raise ValidationError(f"t_max = {t_max} cannot hold {samples} distinct sample times")
     y0 = np.array([state.A1, state.A2, state.A12], dtype=complex)
-    res = integrate_ivp(rhs, y0, (0.0, t_max), tol=tol,
-                        t_eval=np.linspace(0.0, t_max, samples))
+    res = integrate_ivp(rhs, y0, (0.0, t_max), tol=tol, t_eval=t_eval)
     return res.t, res.y[:, 0], res.y[:, 1], res.y[:, 2]
 
 

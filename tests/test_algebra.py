@@ -19,6 +19,7 @@ from metronlab.algebra import (
     minimal_noneuclidean,
     quark_ew_wavenumbers,
     quark_star,
+    run_suite,
     scale_ratio,
     spinor_metric,
     verify_gamma,
@@ -295,6 +296,14 @@ class TestCalibration:
         with pytest.raises(DivisionDegenerate):
             calibrate_constants(1.0, 0.0, 1.0, 1.0, 1.0)
 
+    def test_vanishing_k5_and_overflowing_epsilon(self):
+        with pytest.raises(DivisionDegenerate):
+            calibrate_constants(1.0, 1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DivisionDegenerate):
+            calibrate_constants(1.0, 1e-200, 1.0, 1e-200, 1.0)
+        with pytest.raises(DivisionDegenerate, match="overflows"):
+            calibrate_constants(1.0, 1.0, 1.0, 1e-273, 1.0)
+
     def test_scale_ratio(self):
         assert scale_ratio(1.0) == 1.0
         assert scale_ratio(1e-42) == pytest.approx(1e-7)
@@ -302,3 +311,15 @@ class TestCalibration:
         assert 6e-8 <= val <= 1e-7
         with pytest.raises(ValidationError):
             scale_ratio(-1.0)
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("names", [[], ["nope"], ["gamma", "nope"]])
+    def test_empty_or_unknown_suite_is_validation_error(self, names):
+        with pytest.raises(ValidationError, match="suites"):
+            run_suite(names)
+
+    def test_gamma_suite_records(self):
+        checks = run_suite(["gamma"])
+        assert len(checks) == 6
+        assert {c["status"] for c in checks} == {"pass"}

@@ -59,7 +59,7 @@ class TestManifestAndDeterminism:
                   "--output-dir", str(tmp_path)])
         assert rc == 0
         man = read_json(tmp_path / "manifest.json")
-        for key in ("ratio", "phi", "gamma", "omega0", "jobs", "formats",
+        for key in ("ratio", "phi", "gamma", "omega0", "jobs",
                     "output_dir"):
             assert key in man["parameters"]
 
@@ -150,6 +150,18 @@ class TestExitCodes:
         ["bragg-classify", "--conf", "{config}", "--gamma", "1", "--phi", "0",
          "--omega0", "1"],
         ["orbit-threemode", "--samples", "1"],
+        ["metron-solve", "--mode", "-1"],
+        ["metron-solve", "--mode", "3000", "--n-points", "100"],
+        ["greens-eval", "--r", "1", "--t", "0", "--method", "stationary"],
+        ["greens-eval", "--r", "", "--t", "1"],
+        ["algebra-check", "--suite", "nope"],
+        ["calibrate", "--a-sq", "1", "--beta", "1", "--m-core", "1", "--k5", "0",
+         "--gprime", "1"],
+        ["bragg-classify", "--E0", "0", "--gamma", "1", "--phi", "0", "--omega0", "0",
+         "--s-max", "1"],
+        ["orbit-drift", "--c1", "-1", "--c2", "0.5", "--c3", "0.25", "--delta-r0", "nan"],
+        ["orbit-threemode", "--t-max", "5e-324", "--samples", "3"],
+        ["bragg-classify", "--E0", "0", "--gamma", "1", "--phi=--", "--omega0", "1"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"
@@ -172,6 +184,34 @@ class TestExitCodes:
     def test_parse_values_rejects_non_finite(self, text):
         with pytest.raises(ValidationError):
             parse_values(text)
+
+    @pytest.mark.parametrize("text", ["", ",", "0:1:0"])
+    def test_parse_values_rejects_empty(self, text):
+        with pytest.raises(ValidationError, match="empty"):
+            parse_values(text)
+
+    def test_failed_run_writes_manifest_with_residuals(self, tmp_path):
+        rc = run(["metron-solve", "--max-iters", "4", "--output-dir", str(tmp_path)])
+        assert rc == 3
+        man = read_json(tmp_path / "manifest.json")
+        assert man["command"] == "metron-solve"
+        assert man["parameters"]["max_iters"] == 4
+        assert man["error"]["type"] == "NoConvergence"
+        assert man["error"]["message"]
+        assert man["error"]["residuals"]["d_phi0"] > 0.0
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_validation_failure_manifest_has_no_residuals(self, tmp_path):
+        rc = run(["orbit-threemode", "--samples", "1", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        error = read_json(tmp_path / "manifest.json")["error"]
+        assert error == {"type": "ValidationError",
+                         "message": "--samples must be at least 2 to span 0 to --t-max"}
+
+    def test_usage_error_writes_no_manifest(self, tmp_path):
+        rc = run(["bragg-classify", "--E0", "x", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_calibrate_degenerate_inputs(self, tmp_path):
         rc = run(["calibrate", "--a-sq", "0", "--beta", "1", "--m-core", "1",

@@ -4,6 +4,7 @@ import pytest
 from metronlab.errors import (
     KernelUnresolved,
     OriginSingular,
+    QuadratureNotConverged,
     SuperluminalCone,
     ValidationError,
 )
@@ -86,6 +87,24 @@ class TestDispersive:
             assert wpp * t > 40.0
             assert abs(q - s) < 0.05 * abs(q)
 
+    def test_branches_are_time_mirrors_with_the_kind_weights(self):
+        for kernel in (greens_dispersive, greens_stationary_phase):
+            ret = kernel(10.0, 25.0, self.params, "retarded")
+            assert ret != 0.0
+            assert kernel(10.0, -25.0, self.params, "advanced") == ret
+            assert kernel(10.0, 25.0, self.params, "symmetric") == 0.5 * ret
+            assert kernel(10.0, -25.0, self.params, "symmetric") == 0.5 * ret
+
+    @pytest.mark.parametrize("call", [
+        lambda kind: greens_nondispersive(1.0, 1.0, kind),
+        lambda kind: convolve_nondispersive(np.cos, 1.0, [0.0, 1.0], kind),
+        lambda kind: greens_dispersive(1.0, 1.0, DispersionParams(1.0), kind),
+        lambda kind: greens_stationary_phase(1.0, 2.0, DispersionParams(1.0), kind),
+    ])
+    def test_unknown_kind_is_validation_error(self, call):
+        with pytest.raises(ValidationError, match="kind"):
+            call("causal")
+
     def test_validation(self):
         with pytest.raises(OriginSingular):
             greens_dispersive(0.0, 1.0, self.params, "retarded")
@@ -109,6 +128,25 @@ class TestStationaryPhase:
     def test_superluminal_cone(self):
         with pytest.raises(SuperluminalCone):
             greens_stationary_phase(5.0, 4.0, DispersionParams(1.0, 40.0), "retarded")
+
+    @pytest.mark.parametrize("omega_hat", [1e-175, 1e150])
+    def test_curvature_outside_the_float_range_is_validation_error(self, omega_hat):
+        with pytest.raises(ValidationError, match="float range"):
+            greens_stationary_phase(1.0, 2.0, DispersionParams(omega_hat, 40.0), "retarded")
+
+    @pytest.mark.parametrize("omega_hat, k_max", [(1.0, np.nan), (1.0, np.inf), (1.0, 1e308),
+                                                  (np.nan, 40.0), (1e200, 40.0)])
+    def test_dispersion_needs_finite_squares(self, omega_hat, k_max):
+        with pytest.raises(ValidationError):
+            DispersionParams(omega_hat, k_max)
+
+    def test_nan_quadrature_is_not_converged(self):
+        with pytest.raises(QuadratureNotConverged):
+            greens_dispersive(1e300, 2e300, DispersionParams(1.0, 40.0), "retarded")
+
+    def test_zero_time_is_validation_error(self):
+        with pytest.raises(ValidationError, match="t"):
+            greens_stationary_phase(1.0, 0.0, DispersionParams(1.0, 40.0), "retarded")
 
 
 class TestMomentumExchange:

@@ -6,11 +6,13 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from metronlab import numerics, trapped_modes
 from metronlab.bragg import BraggTrapState, first_integral, integrate_trap
 from metronlab.errors import (
+    LapackFailure,
     NoBracket,
     NonDecayingSource,
     NonFiniteState,
     NotTrapped,
     StepUnderflow,
+    ValidationError,
 )
 from metronlab.trapped_modes import SingleModeParams, iterate_single_mode
 from metronlab.numerics import (
@@ -27,6 +29,12 @@ class TestIntegrateIvp:
     def test_constant_field_exact(self):
         res = integrate_ivp(lambda s, y: 0.0 * y, [1.0], (0.0, 10.0), tol=1e-10)
         assert res.y_final[0] == 1.0
+
+    @pytest.mark.parametrize("y0, span", [([np.nan], (0.0, 1.0)), ([1.0, np.inf], (0.0, 1.0)),
+                                          ([1.0], (0.0, np.inf)), ([1.0], (np.nan, 1.0))])
+    def test_non_finite_start_or_span_is_validation_error(self, y0, span):
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_ivp(lambda s, y: -y, y0, span)
 
     def test_exponential(self):
         res = integrate_ivp(lambda s, y: y, [1.0], (0.0, 1.0), tol=1e-10)
@@ -306,6 +314,16 @@ class TestLapackKernels:
         with pytest.raises(ValueError, match="node_count"):
             solve_radial_eigen(grid.r**2, 299, (0.1, 5.0), grid=grid)
 
+    @pytest.mark.parametrize("node_count", [-1, 299, 3000])
+    def test_node_count_outside_the_grid_is_validation_error(self, node_count):
+        grid = RadialGrid(30.0, 301)
+        with pytest.raises(ValidationError, match="node_count"):
+            solve_radial_eigen(grid.r**2, node_count, (0.1, 5.0), grid=grid)
+
+    def test_lapack_failure_is_a_numerical_linalg_error(self):
+        assert issubclass(LapackFailure, np.linalg.LinAlgError)
+        assert LapackFailure("x").exit_code == 3
+
 
 class TestRadialPoisson:
     def test_zero_source(self):
@@ -377,6 +395,11 @@ class TestGridTypes:
         g = RadialGrid(10.0, 101)
         assert g.spacing == pytest.approx(0.1)
         assert g.r[0] == 0.0
+
+    def test_spacing_whose_inverse_square_overflows_is_refused(self):
+        with pytest.raises(ValidationError, match="spacing"):
+            RadialGrid(1e-160, 101)
+        assert RadialGrid(1e-150, 101).spacing > 0
 
     def test_grid_radii_cached_read_only(self):
         g = RadialGrid(10.0, 101)
