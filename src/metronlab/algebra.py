@@ -574,8 +574,10 @@ def calibrate_constants(a_sq, beta, M, k5, G_prime):
 
     The loop identity G (m/q)^2 = epsilon closes algebraically.  A
     vanishing denominator, or an epsilon beyond the float range, is a
-    DivisionDegenerate.
+    DivisionDegenerate; a non-finite input a ValidationError.
     """
+    if not np.isfinite([a_sq, beta, M, k5, G_prime]).all():
+        raise ValidationError("a_sq, beta, M, k5 and G_prime must be finite")
     if a_sq <= 0 or beta <= 0 or beta * k5 == 0:
         raise DivisionDegenerate("a_sq and beta must be positive and beta * k5 nonzero")
     G = a_sq / 2.0

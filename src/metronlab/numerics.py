@@ -15,7 +15,11 @@ The two radial kernels call LAPACK directly, with the arguments SciPy's
 `eigh_tridiagonal` and `solve_banded` wrappers would pass, so their results
 are the same bits without the wrappers' checks: the eigen solve runs one
 `dstebz` bisection per outer-boundary pass and one `dstein` inverse
-iteration per solve, and the Poisson solve is one `dgtsv` call.
+iteration per solve, and the Poisson solve is one `dgtsv` call.  An eigen
+solve given a guess of its omega (the self-consistent solvers pass the
+previous sweep's) starts its outer-boundary passes there and bisects only a
+narrow value window around it; it checks the mode it found and falls back
+to the cold start, so it returns the cold result to within a few ulp.
 """
 
 from __future__ import annotations
@@ -180,6 +184,10 @@ _ROBIN_PASSES = 8
 # absolute tolerance is twice the underflow threshold (the default,
 # eps * ||T||, would leave ~1e-12 absolute error on fine grids)
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
+# Relative half-widths of the value window a warm-started pass bisects,
+# around the previous eigenvalue: the first pass (from the caller's guess,
+# one sweep old) and each confirming pass (one Robin update old)
+_WARM_WINDOWS = (1e-3, 1e-10)
 
 
 def _count_nodes_floor(u, rel=1e-8):
@@ -192,7 +200,7 @@ def _count_nodes_floor(u, rel=1e-8):
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
-def solve_radial_eigen(V, node_count, bracket, grid):
+def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
     """Find the radial eigenfrequency with a prescribed interior node count.
 
     Solves [laplacian + kappa^2] phi = 0 with kappa^2 = omega^2 - V(r), V
@@ -202,15 +210,29 @@ def solve_radial_eigen(V, node_count, bracket, grid):
     boundary is the local WKB decay condition u'/u = 1/R - |kappa(R)|, i.e.
     u_{N-2} = u_{N-1} (1 + h|kappa(R)| - h/R), a Robin term in the last
     diagonal entry; |kappa(R)| depends on omega, so the eigenvalue is
-    recomputed from a Dirichlet start until omega^2 is stationary.  Each
-    pass is one LAPACK `dstebz` bisection for that eigenvalue alone; the
-    eigenvector is one `dstein` inverse iteration on the converged pass,
-    computed only once the eigenvalue has passed the bracket checks.
+    recomputed until omega^2 is stationary to 1e-14.  Each pass is one
+    LAPACK `dstebz` bisection for that eigenvalue alone; the eigenvector is
+    one `dstein` inverse iteration on the converged pass, computed only once
+    the eigenvalue has passed the bracket checks.
+
+    Without a guess the passes start from a Dirichlet tail and each bisects
+    for eigenvalue m+1 over the whole spectrum.  A guess (an earlier omega of
+    the same mode, e.g. the previous sweep's) warm-starts them: the first
+    pass takes the Robin tail of guess^2 and counts guess^2 as the previous
+    eigenvalue, so it can be accepted at once, and every pass bisects only
+    a window around the previous eigenvalue (`_WARM_WINDOWS`: relative
+    half-width 1e-3 on the first pass, 1e-10 after), over the whole
+    spectrum when that window does not hold exactly one eigenvalue.  A lone eigenvalue in
+    the window need not be mode m, so the warm result stands only when it
+    passes every check below, the node count of its eigenvector included;
+    otherwise the cold start is run and decides.  Both starts reach the same
+    fixed point to within a few ulp.
 
     An eigenfrequency at or below bracket[0] raises NoBracket (well too
     deep); one at or above bracket[1] raises NotTrapped (mode not bound).
     A node_count outside [0, n_points - 3] raises ValidationError, a
-    non-finite V ValueError, a LAPACK failure LapackFailure (a LinAlgError).
+    non-finite V or guess ValueError, a LAPACK failure LapackFailure (a
+    LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
     if not 0 <= node_count < grid.n_points - 2:
@@ -223,8 +245,21 @@ def solve_radial_eigen(V, node_count, bracket, grid):
         raise ValueError("potential length must equal n_points")
     if not np.isfinite(V).all():
         raise ValueError("potential must be finite")
+    if guess is not None and not np.isfinite(guess):
+        raise ValueError("guess must be finite")
     if np.all(hi * hi - V <= 0.0):
         raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
+    if guess is not None:
+        try:
+            return _eigenpair(V, node_count, lo, hi, grid, float(guess) ** 2)
+        except (NoBracket, NotTrapped, NoConvergence):
+            pass  # another eigenvalue, or no fixed point near the guess
+    return _eigenpair(V, node_count, lo, hi, grid, None)
+
+
+def _eigenpair(V, node_count, lo, hi, grid, lam_prev):
+    """solve_radial_eigen's passes from the eigenvalue estimate lam_prev
+    (None: the cold start), its checks and its normalization."""
     r = grid.r
     h = grid.spacing
     h2 = h * h
@@ -232,22 +267,32 @@ def solve_radial_eigen(V, node_count, bracket, grid):
     off = np.full(grid.n_points - 3, -1.0 / h2)
     d_last = diag[-1]
     index = node_count + 1  # LAPACK counts eigenvalues from 1
-    tail = 0.0  # u_{N-1} / u_{N-2}; 0 is the Dirichlet start
-    lam_prev = None
-    for _ in range(_ROBIN_PASSES):
+    warm = lam_prev is not None
+
+    def robin_tail(lam):  # u_{N-1} / u_{N-2} under the WKB condition
+        kr = np.sqrt(max(V[-1] - lam, 0.0))
+        return 1.0 / (1.0 + h * kr - h / grid.r_max)
+
+    tail = robin_tail(lam_prev) if warm else 0.0  # 0 is the Dirichlet start
+    for k in range(_ROBIN_PASSES):
         diag[-1] = d_last - tail / h2
-        # range 'I' (2) picks eigenvalue `index` alone; vl, vu are unused;
-        # block order 'B' is what dstein expects
-        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,
-                                            _STEBZ_ABSTOL, "B")
+        if warm:
+            # range 'V' (1) bisects the eigenvalues in (vl, vu] alone
+            width = _WARM_WINDOWS[min(k, 1)] * abs(lam_prev)
+            m, w, iblock, isplit, info = dstebz(diag, off, 1, lam_prev - width,
+                                                lam_prev + width, 0, 0, _STEBZ_ABSTOL, "B")
+        if not warm or info or m != 1:
+            # range 'I' (2) picks eigenvalue `index` alone; vl, vu are unused;
+            # block order 'B' is what dstein expects
+            m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,
+                                                _STEBZ_ABSTOL, "B")
         if info:
             raise LapackFailure(f"dstebz failed (info={info})")
         lam = float(w[0])
         if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
             break
         lam_prev = lam
-        kr = np.sqrt(max(V[-1] - lam, 0.0))
-        tail = 1.0 / (1.0 + h * kr - h / grid.r_max)
+        tail = robin_tail(lam)
     else:
         raise NoConvergence(
             f"outer boundary fixed point not reached in {_ROBIN_PASSES} passes"

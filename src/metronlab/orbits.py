@@ -156,6 +156,8 @@ class OrbitDriftModel:
     mu: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite([self.d, self.C1, self.C2, self.C3]).all():
+            raise ValidationError("d, C1, C2 and C3 must be finite")
         if self.C3 < 0:
             raise ValidationError("C3 = mu^2/beta^2 must be nonnegative")
         if self.alpha is not None:
@@ -267,9 +269,10 @@ class ThreeModeState:
     beta_dr: float = 0.0
 
     def __post_init__(self):
-        for v in (self.A1, self.A2, self.A12, self.K):
+        for v in (self.A1, self.A2, self.A12, self.K, self.mu1, self.mu2, self.gamma_f,
+                  self.beta_dr):
             if not np.isfinite(complex(v)):
-                raise ValidationError("amplitudes and coupling must be finite")
+                raise ValidationError("amplitudes, coupling, damping and forcing must be finite")
 
 
 def integrate_three_mode(state: ThreeModeState, mode="Emission", t_max=10.0, tol=1e-11,

@@ -132,8 +132,9 @@ _RELAX_FAILURES = (NoBracket, NotTrapped, NonDecayingSource)
 _GAP_TOL = 1e-10  # a one-mode crossing gap below this is a root
 
 
-def _solve_mode(V, mode, omega_hat, grid):
-    """Eigen solve of mode `mode` in the potential V = omega_hat^2 - well.
+def _solve_mode(V, mode, omega_hat, grid, guess=None):
+    """Eigen solve of mode `mode` in the potential V = omega_hat^2 - well,
+    warm-started from `guess` (an earlier omega of the mode) when given.
 
     The bracket's upper end is the effective continuum edge sqrt(V(r_max)),
     which the mean field's Coulomb tail lowers below omega_hat at finite box
@@ -143,7 +144,7 @@ def _solve_mode(V, mode, omega_hat, grid):
     hi = float(np.sqrt(max(V[-1], 1e-12 * omega_hat**2))) * (1 - 1e-9)
     if not hi > lo:
         raise NotTrapped("the well reaches the box edge: no bound mode")
-    return solve_radial_eigen(V, mode, (lo, hi), grid)
+    return solve_radial_eigen(V, mode, (lo, hi), grid, guess=guess)
 
 
 class _PinnedDepthCore:
@@ -170,13 +171,17 @@ class _PinnedDepthCore:
         self.gram = self.eps.T @ self.eps
         self.damping = 0.85 if max(self.orders) == 0 else 0.6
         # each field starts as a Gaussian of depth 0.5 in its strongest coupling
-        # (zero if it has none); higher modes need a wider well to be bound
+        # (zero if it has none); higher modes need a wider well to be bound.
+        # Beyond 30 widths the Gaussian underflows to 0, so r is capped there
+        # and (r / width)^2 cannot overflow on a box many widths wide.
         width = max(r0 * (1.0 + 0.75 * m) for r0, m in zip(radii, self.orders))
         strongest = self.eps[np.arange(len(self.eps)), np.argmax(np.abs(self.eps), axis=1)]
         seed = np.divide(0.5, strongest, out=np.zeros(len(strongest)), where=strongest != 0)
-        self.fields = seed[:, None] * np.exp(-((grid.r / width) ** 2))
+        x = np.minimum(grid.r, 30.0 * width) / width
+        self.fields = seed[:, None] * np.exp(-(x * x))
         self.saved = self.fields.copy()
         self.sweeps = 0
+        self.last_omegas = [None] * len(self.orders)  # each mode's eigen warm start
 
     def sweep(self):
         """Eigen and Poisson solves of every mode in the current fields."""
@@ -185,7 +190,9 @@ class _PinnedDepthCore:
         for p, order in enumerate(self.orders):
             w2 = self.w2[p]
             V = w2 - (self.eps[:, p] * w2) @ self.fields
-            omegas[p], shape = _solve_mode(V, order, self.w_hats[p], self.grid)
+            omegas[p], shape = _solve_mode(V, order, self.w_hats[p], self.grid,
+                                           self.last_omegas[p])
+            self.last_omegas[p] = omegas[p]
             shapes.append(shape.values)
             units.append(solve_radial_poisson(
                 RadialField(self.grid, w2 * shape.values**2), sign=1).values)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,12 @@ class TestExitCodes:
         ["orbit-drift", "--c1", "-1", "--c2", "0.5", "--c3", "0.25", "--delta-r0", "nan"],
         ["orbit-threemode", "--t-max", "5e-324", "--samples", "3"],
         ["bragg-classify", "--E0", "0", "--gamma", "1", "--phi=--", "--omega0", "1"],
+        ["orbit-threemode", "--a2", "0.4", "--a12", "0.35", "--k", "0.5", "--mu1", "nan",
+         "--t-max", "1", "--samples", "10"],
+        ["orbit-drift", "--c1", "nan", "--c2", "0.5", "--c3", "0.25", "--delta-r0", "1",
+         "--t-max", "30"],
+        ["calibrate", "--a-sq", "inf", "--beta", "1", "--m-core", "1", "--k5", "1",
+         "--gprime", "1"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"
@@ -217,6 +226,22 @@ class TestExitCodes:
         rc = run(["calibrate", "--a-sq", "0", "--beta", "1", "--m-core", "1",
                   "--k5", "1", "--gprime", "1", "--output-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_failure_in_a_fresh_process_prints_one_line(self, tmp_path):
+        # pytest captures warnings, so only a real process shows whether a
+        # numpy RuntimeWarning reaches stderr beside the diagnostic line
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["metron-rescale", "--omega-hat", "1", "--eps", "1", "--mode", "0",
+                "--r0", "2e-306", "--max-iters", "1", "--tol", "1",
+                "--r-max", "1.0851078496319515e-82", "--n-points", "16", "--lam", "0",
+                "--output-dir", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-m", "metronlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 class TestSolveRoundtrip:

@@ -271,34 +271,34 @@ class TestLapackKernels:
         np.testing.assert_array_equal(out.values, _wrapper_poisson(source, sign))
 
     def test_one_eigenvector_per_returned_solve(self, monkeypatch):
-        # the reference single-mode solve: dstebz runs once per Robin pass of
-        # the wrapper loop, dstein once per solve that returns
-        calls = {"dstebz": 0, "dstein": 0}
-        inputs, returned = [], []
+        # the reference single-mode solve: every eigen solve after the first
+        # starts from the previous sweep's omega, so most Robin passes bisect
+        # a narrow window ('V') and few the whole spectrum ('I'); dstein runs
+        # once per solve that returns
+        calls = {"window": 0, "full": 0, "dstein": 0}
+        returned = []
 
-        def counted(name):
-            lapack = getattr(numerics, name)
+        def stebz(*args):
+            calls["window" if args[2] == 1 else "full"] += 1
+            return dstebz(*args)
 
-            def call(*args):
-                calls[name] += 1
-                return lapack(*args)
-            return call
+        def stein(*args):
+            calls["dstein"] += 1
+            return dstein(*args)
 
-        def recorded(V, node_count, bracket, grid):
-            inputs.append((np.array(V), node_count, grid))
-            out = eigen(V, node_count, bracket, grid)
+        def recorded(*args, **kwargs):
+            out = eigen(*args, **kwargs)
             returned.append(1)
             return out
 
-        eigen = trapped_modes.solve_radial_eigen
-        for name in calls:
-            monkeypatch.setattr(numerics, name, counted(name))
+        dstebz, dstein, eigen = numerics.dstebz, numerics.dstein, trapped_modes.solve_radial_eigen
+        monkeypatch.setattr(numerics, "dstebz", stebz)
+        monkeypatch.setattr(numerics, "dstein", stein)
         monkeypatch.setattr(trapped_modes, "solve_radial_eigen", recorded)
         sol = iterate_single_mode(SingleModeParams(omega_hat=1.0, epsilon=1.0))
-        assert sol.iterations_used == 139
+        assert sol.iterations_used == len(returned) == 139
         assert calls["dstein"] == len(returned)
-        passes = sum(_wrapper_eigen(V, m, g)[2] for V, m, g in inputs)
-        assert calls["dstebz"] == passes > calls["dstein"]
+        assert calls["full"] <= 50 < calls["window"]
 
     def test_non_finite_potential_raises(self):
         grid = RadialGrid(30.0, 301)
@@ -323,6 +323,62 @@ class TestLapackKernels:
     def test_lapack_failure_is_a_numerical_linalg_error(self):
         assert issubclass(LapackFailure, np.linalg.LinAlgError)
         assert LapackFailure("x").exit_code == 3
+
+
+def _sign_changes(phi):
+    """Interior zeros of phi, ignoring the roundoff wiggle of its tail."""
+    x = phi.values[np.abs(phi.values) > 1e-8]
+    return int(np.count_nonzero(np.diff(np.sign(x))))
+
+
+class TestWarmStart:
+    """A guess moves where the Robin passes start, not the fixed point they
+    reach, and a guess near another mode's omega is caught by the node count."""
+
+    @staticmethod
+    def _problem(n_points):
+        grid = RadialGrid(40.0, n_points)
+        return grid, 1.0 - np.exp(-((grid.r / 10.0) ** 2))  # binds modes 0-2
+
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9, 1 + 1e-6, 1 - 3e-4, 2.0])
+    @pytest.mark.parametrize("n_points", [201, 801, 2001, 4001])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_warm_start_reaches_the_cold_fixed_point(self, mode, n_points, factor):
+        grid, V = self._problem(n_points)
+        cold, cold_phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid)
+        warm, warm_phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid,
+                                            guess=cold * factor)
+        assert abs(warm - cold) <= 4 * np.spacing(cold)
+        assert _sign_changes(warm_phi) == _sign_changes(cold_phi) == mode
+
+    @pytest.mark.parametrize("n_points", [201, 2001])
+    def test_guess_of_another_mode_returns_the_requested_mode(self, n_points, monkeypatch):
+        grid, V = self._problem(n_points)
+        omegas = [solve_radial_eigen(V, m, (0.05, 0.999), grid=grid)[0] for m in range(3)]
+        vectors = []
+
+        def stein(*args):
+            vectors.append(1)
+            return dstein(*args)
+
+        dstein = numerics.dstein
+        monkeypatch.setattr(numerics, "dstein", stein)
+        for mode in range(3):
+            for other in set(range(3)) - {mode}:
+                vectors.clear()
+                omega, phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid,
+                                                guess=omegas[other])
+                assert abs(omega - omegas[mode]) <= 4 * np.spacing(omegas[mode])
+                assert _sign_changes(phi) == mode
+                # the warm passes settle on the other mode, whose eigenvector
+                # fails the node count; the cold start then finds this one
+                assert len(vectors) == 2
+
+    @pytest.mark.parametrize("guess", [np.nan, np.inf])
+    def test_non_finite_guess_raises(self, guess):
+        grid, V = self._problem(201)
+        with pytest.raises(ValueError, match="guess"):
+            solve_radial_eigen(V, 0, (0.05, 0.999), grid=grid, guess=guess)
 
 
 class TestRadialPoisson:
