@@ -356,8 +356,10 @@ def cmd_orbit_drift(args, out):
     write_csv(out / "drift_path.csv", ["t", "delta_r"],
               zip(res["t"], res["delta_r"]))
     dr = np.linspace(min(res["delta_r"].min(), -3), max(res["delta_r"].max(), 3), 601)
+    rate = orbits.drift_rhs(model, dr)
+    finite = np.isfinite(rate)  # the pole, at C3 = 0 and delta_r = 0, is left out
     write_csv(out / "phase_portrait.csv", ["delta_r", "ddelta_r_dt"],
-              zip(dr, orbits.drift_rhs(model, dr)))
+              zip(dr[finite], rate[finite]))
     write_gnuplot_stub(out / "phase_portrait.gp", "phase_portrait.csv",
                        "orbit drift phase portrait", 1, [(2, "d(delta_r)/dt")])
     verdict = {k: v for k, v in res.items() if k not in ("t", "delta_r")}

@@ -170,11 +170,19 @@ def greens_dispersive(r, t, params: DispersionParams, kind):
     bit and each branch is the retarded value at |t|.  The integral is
     evaluated at the configured cutoff and at 0.8x the cutoff;
     QuadratureNotConverged is raised when the two differ by more than 1e-4
-    relative.
+    relative.  It is raised before any quadrature when the largest phase,
+    max(k_max r, omega(k_max) |t|), has an ulp above 1 rad: no cutoff can
+    converge an integrand whose phase has no significant digits.
     """
     w = _dispersive_branch_weight(r, t, params, kind)
     if not w:
         return 0.0
+    phase = max(params.k_max * float(r),
+                math.hypot(params.omega_hat, params.k_max) * abs(float(t)))
+    if not math.ulp(phase) <= 1.0:
+        raise QuadratureNotConverged(
+            f"phase {phase:.3g} rad at the cutoff has no significant digits at (r={r}, t={t})"
+        )
     i1 = _dispersive_integral(r, abs(t), params, params.k_max)
     i2 = _dispersive_integral(r, abs(t), params, 0.8 * params.k_max)
     scale = max(abs(i1), abs(i2), 1e-30)
@@ -294,6 +302,9 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
     _branch_weights(kind)
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
+    with np.errstate(over="ignore"):
+        if not 0 < np.float64(sigma) ** 4 < np.inf:
+            raise ValidationError(f"sigma^4 leaves the float range at sigma = {sigma}")
     sep = line_i.x[:, None, :3] - line_j.x[None, :, :3]
     min_sep = float(np.min(np.sqrt(np.sum(sep**2, axis=2))))
     if sigma > min_sep:
@@ -309,8 +320,10 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
         # product quadrature weights; returns the contravariant impulse
         xi = xa[:, None, :] - xb[None, :, :]  # (na, nb, 4)
         z = np.einsum("abl,l,abl->ab", xi, METRIC, xi)
-        g = np.exp(-(z**2) / (2.0 * sigma**4))
-        gp = -z / sigma**4 * g
+        with np.errstate(over="ignore"):  # an overflow makes g = 0 exactly
+            g = np.exp(-(z**2) / (2.0 * sigma**4))
+        # only where g > 0 is |z| / sigma^4 bounded, by 39 / sigma^2
+        gp = np.divide(-z, sigma**4, out=np.zeros_like(z), where=g > 0) * g
         if kind == "retarded":
             gp = 2.0 * gp * (xi[:, :, 3] > 0)
         elif kind == "advanced":

@@ -164,7 +164,7 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
             raise NonFiniteState(f"non-finite derivative at s={s:.6g}")
         return dy
 
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sol = solve_ivp(checked, (s0, s1), y, method="DOP853", t_eval=t_eval,
                         rtol=tol, atol=atol)
     if not sol.success:

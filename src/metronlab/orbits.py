@@ -15,6 +15,7 @@ from .errors import (
     ComplexRoots,
     GridMismatch,
     InvalidSamples,
+    NonFiniteState,
     ResonanceSingularity,
     ValidationError,
 )
@@ -184,11 +185,17 @@ class OrbitDriftModel:
 
 
 def drift_rhs(model: OrbitDriftModel, delta_r):
-    """Right-hand side of the reduced drift equation."""
-    dr = np.asarray(delta_r, dtype=float)
-    return model.d * (
-        -1.0 + (2.0 * model.C1 * dr + model.C2) / (dr * dr + model.C3)
-    )
+    """Right-hand side of the reduced drift equation.  At its pole,
+    deltar^2 + C3 = 0 (only C3 = 0, deltar = 0), it is inf or nan, without
+    a floating-point warning; callers decide what a non-finite rate means."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _drift_rate(model, np.asarray(delta_r, dtype=float))
+
+
+def _drift_rate(model, dr):
+    """drift_rhs of a float array, outside any errstate: the integrator's
+    right-hand side, called once per stage, runs inside integrate_ivp's."""
+    return model.d * (-1.0 + (2.0 * model.C1 * dr + model.C2) / (dr * dr + model.C3))
 
 
 def drift_equilibria(model: OrbitDriftModel):
@@ -235,7 +242,7 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, tol=1e-10):
         stable = []
 
     def rhs(t, y):
-        return drift_rhs(model, y)
+        return _drift_rate(model, y)
 
     res = integrate_ivp(rhs, starts, (0.0, t_max), tol=tol)
     out = []
@@ -245,7 +252,11 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, tol=1e-10):
         if near:
             verdict = {"verdict": "TrappedAt", "root": near[0]}
         else:
-            direction = "inward" if drift_rhs(model, final) < 0 else "outward"
+            rate = drift_rhs(model, final)
+            if not np.isfinite(rate):
+                raise NonFiniteState(f"drift rate at delta_r = {final:.6g} is not finite "
+                                     "(the pole of the drift)")
+            direction = "inward" if rate < 0 else "outward"
             verdict = {"verdict": "Escaped", "direction": direction}
         out.append({**verdict, "t": res.t, "delta_r": path})
     return out[0] if starts.ndim == 0 else out

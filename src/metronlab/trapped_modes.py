@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .errors import (
@@ -567,7 +568,9 @@ def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
     only a nodeless root is accepted.  Bracketed outward from amp_guess (the
     previous sweep's amplitude) by relative steps of 1e-3 growing 4x up to a
     factor of 2, then Brent's method to a purely relative 1e-14.  An
-    overflowing march is neither weak nor strong, never a bracket end or root."""
+    overflowing march is neither weak nor strong, never a bracket end or root.
+    This is the cold search: `solve_fifth_order` runs it on its first sweep
+    and whenever the warm Newton solve (`_newton_phi2`) gives up."""
     r, h = grid.r.tolist(), grid.spacing
     # the march's h*h*coef*phi0_j, multiplied in the same order once per search
     q = ((h * h * (2.0 * eta2 * w2_2)) * np.asarray(phi0_vals)).tolist()
@@ -604,6 +607,51 @@ def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
     return amp, np.concatenate(([amp], u[1:] / grid.r[1:]))
 
 
+# Newton steps a warm phi2 solve may take; from the previous sweep's phi2 it
+# converges in three or four
+_PHI2_NEWTON_STEPS = 8
+
+
+def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev):
+    """The march's discrete problem solved whole by Newton's method from the
+    previous sweep's phi2: unknowns u_1..u_{n-1} (u = r*phi2, u_0 = 0), rows
+    u_{j+1} - 2 u_j + u_{j-1} + q_j u_j^3 / r_j^2 = 0 with the march's q, and
+    the flat tail u_{n-1} - u_{n-2} = 0.  The Jacobian is tridiagonal, so a
+    step is one `dgtsv`.  Returns (amplitude, phi2) as `_solve_phi2_flat`
+    does, or None when a step fails or leaves u non-finite, the steps do not
+    settle to 1e-14 (relative) within _PHI2_NEWTON_STEPS, or the root has a
+    node or an amplitude outside the flat-tail search's (1e-12, 1e12)."""
+    r, h = grid.r, grid.spacing
+    n = grid.n_points
+    c = (h * h * (2.0 * eta2 * w2_2)) * np.asarray(phi0_vals)[1:-1] / (r[1:-1] * r[1:-1])
+    u = np.concatenate(([0.0], r[1:] * phi2_prev[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_PHI2_NEWTON_STEPS):
+            x = u[1:-1]
+            # second differences as differences of first differences, which
+            # are exact wherever neighbours lie within a factor 2 of each other
+            d = np.diff(u)
+            res = np.append(d[1:] - d[:-1] + c * x * x * x, d[-1])
+            diag = np.append(3.0 * c * x * x - 2.0, 1.0)
+            lower = np.ones(n - 2)
+            lower[-1] = -1.0
+            # every array is a temporary, so LAPACK may overwrite them all
+            *_, step, info = dgtsv(lower, diag, np.ones(n - 2), -res, 1, 1, 1, 1)
+            if info:
+                return None
+            u[1:] += step
+            if not np.isfinite(u).all():
+                return None
+            if np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(u)):
+                break
+        else:
+            return None
+    amp = u[1] / h
+    if not (1e-12 < amp < 1e12 and u.min() >= 0.0):
+        return None
+    return amp, np.concatenate(([amp], u[1:] / r[1:]))
+
+
 def _decayed_tail(src, grid):
     """Taper the last few nodes to zero so the Coulomb-matching
     precondition holds for a source that decays only algebraically
@@ -628,8 +676,12 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     field is asymptotically free (r*phi2 flat).  The mean field collects
     both intensities: the pinned-depth core with one mode, one field and the
     extra source eta2 phi2^4, whose phi2 each sweep finds in the current
-    phi0 (`_solve_phi2_flat`), and Brent's method on the phi1 depth.  eps1
-    and eta2 must not have opposite signs; eta2 = 0 reduces phi2 to the free
+    phi0, and Brent's method on the phi1 depth.  The first sweep finds phi2
+    by the cold march and amplitude search (`_solve_phi2_flat`); every later
+    sweep solves the same discrete problem by Newton's method, warm-started
+    from the previous sweep's phi2 (`_newton_phi2`), and falls back to the
+    cold search when Newton fails or lands on a root with a node.  eps1 and
+    eta2 must not have opposite signs; eta2 = 0 reduces phi2 to the free
     radial wave.  phi2_amplitude is only the first sweep's guess.
     """
     if eps1 * eta2 < 0:
@@ -637,19 +689,20 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     if grid is None:
         grid = RadialGrid(max(40.0, 8.0 * r0), 2001)
     w2_2 = omega_hat_2**2
-    # the eta2 = 0 limit: the free radial wave c/r, flat at the origin
-    phi2 = phi2_amplitude * grid.r_max / 4.0 / np.maximum(grid.r, grid.r[1])
-    amp2 = phi2_amplitude
+    amp2, phi2 = phi2_amplitude, None  # the last sweep's phi2; None before the first
 
     def phi2_source(fields):
         nonlocal amp2, phi2
-        amp2, phi2 = _solve_phi2_flat(grid, fields[0], eta2, w2_2, amp2)
+        warm = phi2 is not None and _newton_phi2(grid, fields[0], eta2, w2_2, phi2)
+        amp2, phi2 = warm or _solve_phi2_flat(grid, fields[0], eta2, w2_2, amp2)
         src = _decayed_tail(w2_2 * phi2**4, grid)
         return eta2 * solve_radial_poisson(RadialField(grid, src), sign=1).values[None, :]
 
     core = _PinnedDepthCore(grid, [(omega_hat_1, 0)], [[eps1]], (r0,), max_iters,
                             extra=phi2_source if eta2 != 0.0 else None)
     omegas, modes, fields = core.solve(tol)
+    if phi2 is None:  # the eta2 = 0 limit: the free radial wave c/r, flat at the origin
+        phi2 = phi2_amplitude * grid.r_max / 4.0 / np.maximum(grid.r, grid.r[1])
     quarter = (grid.r * phi2)[3 * grid.n_points // 4 :]
     c = float(np.mean(quarter))
     variation = float(np.max(np.abs(quarter - c)) / abs(c)) if c != 0 else np.inf

@@ -227,21 +227,46 @@ class TestExitCodes:
                   "--k5", "1", "--gprime", "1", "--output-dir", str(tmp_path)])
         assert rc == 2
 
-    def test_failure_in_a_fresh_process_prints_one_line(self, tmp_path):
+    @staticmethod
+    def fresh_process(argv):
         # pytest captures warnings, so only a real process shows whether a
         # numpy RuntimeWarning reaches stderr beside the diagnostic line
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "metronlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_failure_in_a_fresh_process_prints_one_line(self, tmp_path):
         argv = ["metron-rescale", "--omega-hat", "1", "--eps", "1", "--mode", "0",
                 "--r0", "2e-306", "--max-iters", "1", "--tol", "1",
                 "--r-max", "1.0851078496319515e-82", "--n-points", "16", "--lam", "0",
                 "--output-dir", str(tmp_path)]
-        proc = subprocess.run([sys.executable, "-m", "metronlab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = self.fresh_process(argv)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    def test_drift_pole_in_the_phase_portrait_is_left_out(self, tmp_path):
+        # C3 = 0 puts the drift's pole at delta_r = 0, a node of the portrait
+        proc = self.fresh_process(["orbit-drift", "--c1", "0", "--c2", "1", "--c3", "0",
+                                   "--delta-r0", "1", "--t-max", "1",
+                                   "--output-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["verdict = TrappedAt root = 1"]
+        rows = np.loadtxt(tmp_path / "phase_portrait.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 600 and np.isfinite(rows).all()
+        assert not np.any(rows[:, 0] == 0.0)
+
+    def test_drift_verdict_at_the_pole_is_non_finite(self, tmp_path):
+        proc = self.fresh_process(["orbit-drift", "--c1=0", "--c2=0", "--c3=0", "--d=0",
+                                   "--delta-r0=0", "--t-max=0",
+                                   "--output-dir", str(tmp_path)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NonFiniteState"), proc.stderr
 
 
 class TestSolveRoundtrip:

@@ -144,6 +144,12 @@ class TestStationaryPhase:
         with pytest.raises(QuadratureNotConverged):
             greens_dispersive(1e300, 2e300, DispersionParams(1.0, 40.0), "retarded")
 
+    @pytest.mark.parametrize("r, t", [(1e15, 1.0), (1.0, -1e15)])
+    def test_phase_without_significant_digits_is_refused(self, r, t):
+        # k_max r or omega(k_max) |t| = 4e16 rad, whose ulp is 8 rad
+        with pytest.raises(QuadratureNotConverged, match="no significant digits"):
+            greens_dispersive(r, t, DispersionParams(1.0, 40.0), "symmetric")
+
     def test_zero_time_is_validation_error(self):
         with pytest.raises(ValidationError, match="t"):
             greens_stationary_phase(1.0, 0.0, DispersionParams(1.0, 40.0), "retarded")
@@ -179,6 +185,16 @@ class TestMomentumExchange:
         b = WorldLine.static_point([0.5, 0.0, 0.0], self.span, self.n)
         with pytest.raises(KernelUnresolved):
             momentum_exchange(a, b, 0.8, "symmetric")
+
+    def test_sigma_at_the_float_range_edge(self):
+        a = WorldLine.static_point([0.0, 0.0, 0.0], self.span, self.n)
+        b = WorldLine.static_point([3.0, 0.0, 0.0], self.span, self.n)
+        with pytest.raises(ValidationError, match="float range"):
+            momentum_exchange(a, b, 2.2250738585e-313, "symmetric")  # sigma^4 = 0
+        # sigma^4 = 1.6e-307 is normal: g underflows to 0 off the cone, where
+        # z / sigma^4 overflows, and the impulses stay finite (they were NaN)
+        dp_a, dp_b = momentum_exchange(a, b, 2e-77, "retarded")
+        assert np.isfinite(dp_a).all() and np.isfinite(dp_b).all()
 
     def test_worldline_normalization_enforced(self):
         s = np.linspace(0, 1, 8)

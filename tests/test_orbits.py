@@ -5,6 +5,7 @@ from metronlab.errors import (
     ComplexRoots,
     GridMismatch,
     InvalidSamples,
+    NonFiniteState,
     ResonanceSingularity,
     ValidationError,
 )
@@ -192,6 +193,17 @@ class TestIntegrateDrift:
         res = integrate_drift(model, eq["Unstable"] - 0.3, 60.0)
         assert res["verdict"] == "Escaped"
         assert res["direction"] == "inward"
+
+    def test_verdict_at_the_pole_is_non_finite(self):
+        # C3 = 0: the rate is 0/0 at delta_r = 0, where a zero-length run ends
+        model = OrbitDriftModel(d=0.0, C1=0.0, C2=0.0, C3=0.0)
+        assert np.isnan(drift_rhs(model, 0.0))
+        assert np.isinf(drift_rhs(OrbitDriftModel(d=1.0, C1=0.0, C2=1.0, C3=0.0), 0.0))
+        with pytest.raises(NonFiniteState, match="pole"):
+            integrate_drift(model, 0.0, 0.0)
+        # a start on the pole with C2 != 0: 1/0 in the first stage
+        with pytest.raises(NonFiniteState):
+            integrate_drift(OrbitDriftModel(d=1.0, C1=0.0, C2=1.0, C3=0.0), 0.0, 1.0)
 
     def test_barrier_phenomenology(self):
         # repulsive case C1 > 0 with positive drift: the far root is stable

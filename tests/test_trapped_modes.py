@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from metronlab import trapped_modes
 from metronlab.errors import (
@@ -358,7 +359,37 @@ class TestFifthOrder:
         monkeypatch.setattr(trapped_modes, "_march_phi2", counted)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
         assert sol.iterations_used == 130
-        assert len(calls) <= 15 * sol.iterations_used
+        # the cold search of the first sweep and one fallback: 28 marches
+        assert len(calls) <= 30
+
+    def test_phi2_marches_only_cold_or_on_fallback(self, monkeypatch):
+        searches, newtons, steps = [], [], []
+        search, newton, dgtsv = (trapped_modes._solve_phi2_flat, trapped_modes._newton_phi2,
+                                 trapped_modes.dgtsv)
+
+        def counted_search(*args):
+            searches.append(len(newtons))
+            return search(*args)
+
+        def counted_newton(*args):
+            newtons.append(newton(*args))
+            return newtons[-1]
+
+        def counted_dgtsv(*args):
+            steps.append(1)
+            return dgtsv(*args)
+
+        monkeypatch.setattr(trapped_modes, "_solve_phi2_flat", counted_search)
+        monkeypatch.setattr(trapped_modes, "_newton_phi2", counted_newton)
+        monkeypatch.setattr(trapped_modes, "dgtsv", counted_dgtsv)
+        sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
+        assert sol.iterations_used == 130
+        # the cold search runs first, then only right after a Newton failure
+        failed = [k + 1 for k, found in enumerate(newtons) if found is None]
+        assert searches == [0] + failed
+        assert len(failed) <= 2
+        # 445 Newton steps in the reference solve, 3.4 per sweep
+        assert len(steps) <= 4 * sol.iterations_used
 
     def test_phi2_branch_is_nodeless_for_any_first_guess(self):
         # stronger flat-tail roots carry nodes; any first guess must end on
@@ -428,6 +459,29 @@ class TestPhi2FlatTail:
         grid, phi0 = phi2_problem
         with pytest.raises(TailNotFree):
             trapped_modes._solve_phi2_flat(grid, sign * np.abs(phi0), 1.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("perturb", [1.2, 0.8, "wiggle"])
+    def test_newton_from_a_perturbed_root_returns_the_march_root(self, phi2_problem,
+                                                                 perturb):
+        grid, phi0 = phi2_problem
+        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 0.3)
+        factor = 1.0 + 0.05 * np.sin(grid.r) if perturb == "wiggle" else perturb
+        found = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, factor * phi2)
+        assert found is not None
+        amp_n, phi2_n = found
+        assert abs(amp_n / amp - 1.0) <= 1e-12
+        assert np.max(np.abs(phi2_n - phi2)) <= 1e-12 * np.max(phi2)
+        assert np.all(phi2_n > 0)
+
+    def test_newton_refuses_a_root_with_nodes(self, phi2_problem):
+        # start on the two-node flat-tail root: Newton stays there, and a
+        # root with a node is handed back to the cold search
+        grid, phi0 = phi2_problem
+        amp = brentq(lambda a: _flat_tail_slope(grid, phi0, a), 2.7, 2.9, rtol=1e-14)
+        u = np.asarray(_march(grid, phi0, amp))
+        assert u.min() < 0
+        start = np.concatenate(([amp], u[1:] / grid.r[1:]))
+        assert trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, start) is None
 
     def test_overflow_inside_the_bracket_is_not_a_root(self, monkeypatch):
         # tail slope +1 below amp = 1, overflow on [1, 1.0001), -1 above: the
