@@ -161,6 +161,16 @@ def _dispersive_branch_weight(r, t, params, kind):
     return w_ret if t > 0 else w_adv
 
 
+def _check_phase(phase, r, t):
+    """QuadratureNotConverged when the phase (rad) has an ulp above 1e-6 rad,
+    too coarse for six significant digits of its cosine: phases from 2^33 rad
+    up (the quadrature converges only below about 4e5 rad)."""
+    if not math.ulp(phase) <= 1e-6:
+        raise QuadratureNotConverged(
+            f"phase {phase:.3g} rad has no significant digits at (r={r}, t={t})"
+        )
+
+
 def greens_dispersive(r, t, params: DispersionParams, kind):
     """Massive kernel by filtered oscillatory quadrature.
 
@@ -171,18 +181,14 @@ def greens_dispersive(r, t, params: DispersionParams, kind):
     evaluated at the configured cutoff and at 0.8x the cutoff;
     QuadratureNotConverged is raised when the two differ by more than 1e-4
     relative.  It is raised before any quadrature when the largest phase,
-    max(k_max r, omega(k_max) |t|), has an ulp above 1 rad: no cutoff can
+    max(k_max r, omega(k_max) |t|), fails `_check_phase`: no cutoff can
     converge an integrand whose phase has no significant digits.
     """
     w = _dispersive_branch_weight(r, t, params, kind)
     if not w:
         return 0.0
-    phase = max(params.k_max * float(r),
-                math.hypot(params.omega_hat, params.k_max) * abs(float(t)))
-    if not math.ulp(phase) <= 1.0:
-        raise QuadratureNotConverged(
-            f"phase {phase:.3g} rad at the cutoff has no significant digits at (r={r}, t={t})"
-        )
+    _check_phase(max(params.k_max * float(r),
+                     math.hypot(params.omega_hat, params.k_max) * abs(float(t))), r, t)
     i1 = _dispersive_integral(r, abs(t), params, params.k_max)
     i2 = _dispersive_integral(r, abs(t), params, 0.8 * params.k_max)
     scale = max(abs(i1), abs(i2), 1e-30)
@@ -204,12 +210,14 @@ def greens_stationary_phase(r, t, params: DispersionParams, kind):
              * cos(k0 r - omega_0 |t| - pi/4)
 
     on the causal branch (and the time-mirrored value for the advanced
-    one).  Requires v < 1.
+    one).  Requires v < 1.  QuadratureNotConverged when the larger term of
+    the phase, max(k0 r, omega_0 |t|), fails `_check_phase`.
     """
     w = _dispersive_branch_weight(r, t, params, kind)
     k0, omega0, wpp = stationary_phase_point(params, r / abs(t))
     if not w:
         return 0.0
+    _check_phase(max(k0 * float(r), omega0 * abs(float(t))), r, t)
     amp = (
         -((2.0 * np.pi) ** -2)
         / r

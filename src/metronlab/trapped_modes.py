@@ -16,7 +16,9 @@ sweep is repulsive (a deeper well lowers omega, which demands a larger
 amplitude, which deepens the well), so the core relaxes with each mode's own
 central well depth pinned, which is contractive, and searches the depths
 that put every crossing at its radius: Brent's method for one mode, damped
-Newton for several, at a scan and then a tight tolerance.
+Newton for several, at a scan and then a tight tolerance.  The fifth
+order's phi2 is solved in every sweep by tridiagonal Newton steps from the
+previous sweep's phi2, or from Petviashvili's iteration when there is none.
 """
 
 from __future__ import annotations
@@ -148,6 +150,11 @@ def _solve_mode(V, mode, omega_hat, grid, guess=None):
     return solve_radial_eigen(V, mode, (lo, hi), grid, guess=guess)
 
 
+def _seed_width(radii, orders):
+    """Width of the seed well; higher modes need a wider well to be bound."""
+    return max(r0 * (1.0 + 0.75 * m) for r0, m in zip(radii, orders))
+
+
 class _PinnedDepthCore:
     """P trapped modes sharing A mean fields, relaxed at pinned own depths.
 
@@ -172,10 +179,10 @@ class _PinnedDepthCore:
         self.gram = self.eps.T @ self.eps
         self.damping = 0.85 if max(self.orders) == 0 else 0.6
         # each field starts as a Gaussian of depth 0.5 in its strongest coupling
-        # (zero if it has none); higher modes need a wider well to be bound.
-        # Beyond 30 widths the Gaussian underflows to 0, so r is capped there
-        # and (r / width)^2 cannot overflow on a box many widths wide.
-        width = max(r0 * (1.0 + 0.75 * m) for r0, m in zip(radii, self.orders))
+        # (zero if it has none).  Beyond 30 widths the Gaussian underflows to
+        # 0, so r is capped there and (r / width)^2 cannot overflow on a box
+        # many widths wide.
+        width = _seed_width(radii, self.orders)
         strongest = self.eps[np.arange(len(self.eps)), np.argmax(np.abs(self.eps), axis=1)]
         seed = np.divide(0.5, strongest, out=np.zeros(len(strongest)), where=strongest != 0)
         x = np.minimum(grid.r, 30.0 * width) / width
@@ -509,7 +516,7 @@ def solve_multimode(spec: MultiModeSpec, max_iters: int = 600, tol: float = 1e-9
     iterate_single_mode).
     """
     if grid is None:
-        width = max(r0 * (1.0 + 0.75 * m) for r0, (_, _, m) in zip(spec.scale_radii, spec.modes))
+        width = _seed_width(spec.scale_radii, [m for _, _, m in spec.modes])
         grid = RadialGrid(max(30.0, 4.0 * width), 2001)
     core = _PinnedDepthCore(grid, [(w, m) for w, _, m in spec.modes], spec.couplings,
                             spec.scale_radii, max_iters)
@@ -543,88 +550,70 @@ class FifthOrderSolution:
     iterations_used: int
 
 
-def _march_phi2(r, h, q, amplitude):
-    """Outward march of u2'' = -kappa2^2 u2 with the cubic self-interaction
-    kappa2^2 = coef * phi0 * |phi2|^2 evaluated pointwise (coef = 2 eta2
-    omega_hat_2^2); r and q = (h*h*coef) * phi0 are lists, the result is the
-    list u2 = r*phi2."""
-    n = len(r)
-    u = [0.0] * n
-    u[1] = amplitude * h
-    um, uj = 0.0, u[1]
-    for j in range(1, n - 1):
-        phi2_j = uj / r[j]
-        un = (2.0 - q[j] * phi2_j * phi2_j) * uj - um
-        u[j + 1] = un
-        um, uj = uj, un
+# Petviashvili steps a cold phi2 start may take; from the flat profile it
+# reaches a relative change of 1e-3 in 11 to 18
+_PHI2_COLD_STEPS = 40
+# Newton steps a phi2 solve may take; from the previous sweep's phi2 it
+# converges in three or four
+_PHI2_NEWTON_STEPS = 8
+# phi2(0) of the eta2 = 0 free wave, which no equation fixes
+_FREE_PHI2_AMPLITUDE = 0.3
+
+
+def _cold_phi2(c, u):
+    """Petviashvili's iteration u <- M^(3/2) L^-1 N(u), M = <u, L u> / <u, N(u)>,
+    for the rows of `_newton_phi2` as L u = N(u): L is positive definite
+    (diagonal 2, ..., 2, 1, off-diagonals -1) and N(u) = (c u^3, 0).  One
+    `dgtsv` a step from the positive profile u, until a step changes u by
+    less than 1e-3 (relative) or _PHI2_COLD_STEPS are taken; L^-1 of a
+    positive vector is positive, so every iterate is nodeless.  TailNotFree
+    when <u, N(u)> <= 0 (phi0 binds no phi2) or an iterate is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_PHI2_COLD_STEPS):
+            nu = np.append(c * u[:-1] ** 3, 0.0)
+            u_nu = float(u @ nu)
+            if not u_nu > 0.0:
+                raise TailNotFree("phi0 binds no phi2: <u, N(u)> <= 0")
+            # <u, L u> is the sum of squared first differences from u_0 = 0
+            u_lu = float(np.sum(np.diff(u, prepend=0.0) ** 2))
+            off = -np.ones(len(u) - 1)
+            *_, v, info = dgtsv(off, np.append(-2.0 * off, 1.0), off.copy(), nu, 1, 1, 1, 1)
+            new = (u_lu / u_nu) ** 1.5 * v
+            if info or not np.isfinite(new).all():
+                raise TailNotFree("the cold phi2 iteration leaves the float range")
+            change = np.max(np.abs(new - u)) / np.max(np.abs(new))
+            u = new
+            if change < 1e-3:
+                break
     return u
 
 
-def _solve_phi2_flat(grid, phi0_vals, eta2, w2_2, amp_guess):
-    """Amplitude of the regular, nodeless phi2 solution whose far tail is
-    flat in r*phi2: too weak keeps growing (u'(r_max) > 0), too strong bends
-    over toward a node.  Stronger flat-tail roots carry 2, 4, ... nodes, so a
-    march that crossed zero counts as too strong whatever its end slope, and
-    only a nodeless root is accepted.  Bracketed outward from amp_guess (the
-    previous sweep's amplitude) by relative steps of 1e-3 growing 4x up to a
-    factor of 2, then Brent's method to a purely relative 1e-14.  An
-    overflowing march is neither weak nor strong, never a bracket end or root.
-    This is the cold search: `solve_fifth_order` runs it on its first sweep
-    and whenever the warm Newton solve (`_newton_phi2`) gives up."""
-    r, h = grid.r.tolist(), grid.spacing
-    # the march's h*h*coef*phi0_j, multiplied in the same order once per search
-    q = ((h * h * (2.0 * eta2 * w2_2)) * np.asarray(phi0_vals)).tolist()
-    marches = {}  # amp -> (tail slope, u2 as an array, so its floats are freed)
-
-    def slope(amp, inside=False):
-        if amp not in marches:
-            u = _march_phi2(r, h, q, amp)
-            s, u = u[-1] - u[-2], np.array(u)
-            marches[amp] = (s if u.min() >= 0 else -abs(s), u)
-        if inside and not np.isfinite(marches[amp][0]):
-            raise TailNotFree("phi2 march overflows inside the flat-tail bracket")
-        return marches[amp][0]
-
-    a, s_a, rel = amp_guess, slope(amp_guess), 1e-3
-    while True:
-        up = s_a > 0  # a NaN compares False: overflow steps down
-        b = a * (1.0 + rel) if up else a / (1.0 + rel)
-        if b < 1e-12 or b > 1e12:
-            raise TailNotFree("flat-tail amplitude cannot be bracketed")
-        s_b = slope(b)
-        if np.isfinite(s_a) and np.isfinite(s_b) and (s_b > 0) != up:
-            break
-        if np.isfinite(s_b) or not np.isfinite(s_a):
-            a, s_a, rel = b, s_b, min(4.0 * rel, 1.0)
-        else:
-            rel /= 4.0  # overflow ahead of a finite amplitude
-            if rel < 1e-14:
-                raise TailNotFree("phi2 slope changes sign only at an overflow")
-    amp = brentq(slope, min(a, b), max(a, b), args=(True,), xtol=1e-300, rtol=1e-14)
-    u = marches[amp][1]
-    if u.min() < 0:
-        raise TailNotFree("the flat-tail phi2 has a node")
-    return amp, np.concatenate(([amp], u[1:] / grid.r[1:]))
-
-
-# Newton steps a warm phi2 solve may take; from the previous sweep's phi2 it
-# converges in three or four
-_PHI2_NEWTON_STEPS = 8
-
-
-def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev):
-    """The march's discrete problem solved whole by Newton's method from the
-    previous sweep's phi2: unknowns u_1..u_{n-1} (u = r*phi2, u_0 = 0), rows
-    u_{j+1} - 2 u_j + u_{j-1} + q_j u_j^3 / r_j^2 = 0 with the march's q, and
-    the flat tail u_{n-1} - u_{n-2} = 0.  The Jacobian is tridiagonal, so a
-    step is one `dgtsv`.  Returns (amplitude, phi2) as `_solve_phi2_flat`
-    does, or None when a step fails or leaves u non-finite, the steps do not
-    settle to 1e-14 (relative) within _PHI2_NEWTON_STEPS, or the root has a
-    node or an amplitude outside the flat-tail search's (1e-12, 1e12)."""
+def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev=None):
+    """The nodeless phi2 with a flat tail in phi0, by Newton's method on the
+    discrete problem: unknowns u_1..u_{n-1} (u = r*phi2, u_0 = 0), rows
+    u_{j+1} - 2 u_j + u_{j-1} + c_j u_j^3 = 0 with
+    c_j = h^2 * 2 eta2 omega_hat_2^2 * phi0_j / r_j^2, and the flat tail
+    u_{n-1} - u_{n-2} = 0.  Newton starts from phi2_prev (the previous
+    sweep's phi2) and, when there is none or that solve fails, from
+    `_cold_phi2`; TailNotFree when that solve fails too."""
     r, h = grid.r, grid.spacing
-    n = grid.n_points
     c = (h * h * (2.0 * eta2 * w2_2)) * np.asarray(phi0_vals)[1:-1] / (r[1:-1] * r[1:-1])
-    u = np.concatenate(([0.0], r[1:] * phi2_prev[1:]))
+    u = None if phi2_prev is None else _newton_steps(c, h, r[1:] * phi2_prev[1:])
+    if u is None:
+        u = _newton_steps(c, h, _cold_phi2(c, np.ones(grid.n_points - 1)))
+    if u is None:
+        raise TailNotFree("no nodeless phi2 with a flat tail")
+    return np.concatenate(([u[1] / h], u[1:] / r[1:]))
+
+
+def _newton_steps(c, h, u):
+    """Newton's method of `_newton_phi2` from (u_1..u_{n-1}): the root with
+    u_0 = 0 prepended.  The Jacobian is tridiagonal, so a step is one
+    `dgtsv`.  None when a step fails or leaves u non-finite, the steps do
+    not settle to 1e-14 (relative) within _PHI2_NEWTON_STEPS, or the root
+    has a node or an amplitude u_1 / h outside (1e-12, 1e12)."""
+    n = len(u) + 1
+    u = np.concatenate(([0.0], u))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_PHI2_NEWTON_STEPS):
             x = u[1:-1]
@@ -633,8 +622,7 @@ def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev):
             d = np.diff(u)
             res = np.append(d[1:] - d[:-1] + c * x * x * x, d[-1])
             diag = np.append(3.0 * c * x * x - 2.0, 1.0)
-            lower = np.ones(n - 2)
-            lower[-1] = -1.0
+            lower = np.append(np.ones(n - 3), -1.0)
             # every array is a temporary, so LAPACK may overwrite them all
             *_, step, info = dgtsv(lower, diag, np.ones(n - 2), -res, 1, 1, 1, 1)
             if info:
@@ -646,10 +634,9 @@ def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev):
                 break
         else:
             return None
-    amp = u[1] / h
-    if not (1e-12 < amp < 1e12 and u.min() >= 0.0):
+    if not (1e-12 < u[1] / h < 1e12 and u.min() >= 0.0):
         return None
-    return amp, np.concatenate(([amp], u[1:] / r[1:]))
+    return u
 
 
 def _decayed_tail(src, grid):
@@ -667,8 +654,7 @@ def _decayed_tail(src, grid):
 
 def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2: float,
                       r0: float, max_iters: int = 400, tol: float = 1e-9,
-                      grid: RadialGrid | None = None,
-                      phi2_amplitude: float = 0.3) -> FifthOrderSolution:
+                      grid: RadialGrid | None = None) -> FifthOrderSolution:
     """Two-mode variant with a fifth-order coupling for the second field.
 
     phi1 stays exponentially trapped while phi2, run at its limiting
@@ -676,25 +662,22 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     field is asymptotically free (r*phi2 flat).  The mean field collects
     both intensities: the pinned-depth core with one mode, one field and the
     extra source eta2 phi2^4, whose phi2 each sweep finds in the current
-    phi0, and Brent's method on the phi1 depth.  The first sweep finds phi2
-    by the cold march and amplitude search (`_solve_phi2_flat`); every later
-    sweep solves the same discrete problem by Newton's method, warm-started
-    from the previous sweep's phi2 (`_newton_phi2`), and falls back to the
-    cold search when Newton fails or lands on a root with a node.  eps1 and
-    eta2 must not have opposite signs; eta2 = 0 reduces phi2 to the free
-    radial wave.  phi2_amplitude is only the first sweep's guess.
+    phi0, and Brent's method on the phi1 depth.  Each sweep solves for phi2
+    by Newton's method (`_newton_phi2`), warm-started from the previous
+    sweep's phi2; the first sweep, and any sweep whose warm solve fails,
+    starts from Petviashvili's cold iteration instead.  eps1 and eta2 must
+    not have opposite signs; eta2 = 0 reduces phi2 to the free radial wave.
     """
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")
     if grid is None:
         grid = RadialGrid(max(40.0, 8.0 * r0), 2001)
     w2_2 = omega_hat_2**2
-    amp2, phi2 = phi2_amplitude, None  # the last sweep's phi2; None before the first
+    phi2 = None  # the last sweep's phi2; None before the first
 
     def phi2_source(fields):
-        nonlocal amp2, phi2
-        warm = phi2 is not None and _newton_phi2(grid, fields[0], eta2, w2_2, phi2)
-        amp2, phi2 = warm or _solve_phi2_flat(grid, fields[0], eta2, w2_2, amp2)
+        nonlocal phi2
+        phi2 = _newton_phi2(grid, fields[0], eta2, w2_2, phi2)
         src = _decayed_tail(w2_2 * phi2**4, grid)
         return eta2 * solve_radial_poisson(RadialField(grid, src), sign=1).values[None, :]
 
@@ -702,7 +685,7 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
                             extra=phi2_source if eta2 != 0.0 else None)
     omegas, modes, fields = core.solve(tol)
     if phi2 is None:  # the eta2 = 0 limit: the free radial wave c/r, flat at the origin
-        phi2 = phi2_amplitude * grid.r_max / 4.0 / np.maximum(grid.r, grid.r[1])
+        phi2 = _FREE_PHI2_AMPLITUDE * grid.r_max / 4.0 / np.maximum(grid.r, grid.r[1])
     quarter = (grid.r * phi2)[3 * grid.n_points // 4 :]
     c = float(np.mean(quarter))
     variation = float(np.max(np.abs(quarter - c)) / abs(c)) if c != 0 else np.inf

@@ -118,6 +118,18 @@ class TestExitCodes:
                   "--r0", "5", "--max-iters", "4", "--output-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("r", ["1e15", "1.000000000000001e15"])
+    def test_stationary_phase_without_digits_exits_3_with_one_line(self, tmp_path,
+                                                                   capsys, r):
+        # the phase k0 r - omega_0 |t| with omega_0 |t| = 2.3e15 rad, whose ulp is 0.5 rad
+        rc = run(["greens-eval", "--r", r, "--t", "2e15", "--kind", "retarded",
+                  "--method", "stationary", "--k-max", "40", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "no significant digits" in lines[0]
+
     @pytest.mark.parametrize("extra", [
         ["--r-max", "30", "--n-points", "5"],
         ["--eps", "nan"],

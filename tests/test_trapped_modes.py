@@ -1,5 +1,7 @@
 import json
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -348,59 +350,50 @@ class TestFifthOrder:
         d1, d2 = omegas[1] - omegas[0], omegas[2] - omegas[1]
         assert 1.5 < np.log2(d1 / d2) < 2.5
 
-    def test_phi2_marches_per_sweep(self, monkeypatch):
+    def test_phi2_cold_starts_per_solve(self, monkeypatch):
         calls = []
-        march = trapped_modes._march_phi2
+        cold = trapped_modes._cold_phi2
 
         def counted(*args):
             calls.append(1)
-            return march(*args)
+            return cold(*args)
 
-        monkeypatch.setattr(trapped_modes, "_march_phi2", counted)
+        monkeypatch.setattr(trapped_modes, "_cold_phi2", counted)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
         assert sol.iterations_used == 130
-        # the cold search of the first sweep and one fallback: 28 marches
-        assert len(calls) <= 30
+        # the first sweep and one fallback
+        assert len(calls) == 2
 
-    def test_phi2_marches_only_cold_or_on_fallback(self, monkeypatch):
-        searches, newtons, steps = [], [], []
-        search, newton, dgtsv = (trapped_modes._solve_phi2_flat, trapped_modes._newton_phi2,
-                                 trapped_modes.dgtsv)
+    def test_phi2_cold_starts_only_first_or_on_fallback(self, monkeypatch):
+        # c: a cold start, w: a Newton solve that succeeds, f: one that fails
+        events, steps = [], []
+        cold, newton, dgtsv = (trapped_modes._cold_phi2, trapped_modes._newton_steps,
+                               trapped_modes.dgtsv)
 
-        def counted_search(*args):
-            searches.append(len(newtons))
-            return search(*args)
+        def counted_cold(*args):
+            events.append("c")
+            return cold(*args)
 
         def counted_newton(*args):
-            newtons.append(newton(*args))
-            return newtons[-1]
+            found = newton(*args)
+            events.append("f" if found is None else "w")
+            return found
 
         def counted_dgtsv(*args):
             steps.append(1)
             return dgtsv(*args)
 
-        monkeypatch.setattr(trapped_modes, "_solve_phi2_flat", counted_search)
-        monkeypatch.setattr(trapped_modes, "_newton_phi2", counted_newton)
+        monkeypatch.setattr(trapped_modes, "_cold_phi2", counted_cold)
+        monkeypatch.setattr(trapped_modes, "_newton_steps", counted_newton)
         monkeypatch.setattr(trapped_modes, "dgtsv", counted_dgtsv)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
         assert sol.iterations_used == 130
-        # the cold search runs first, then only right after a Newton failure
-        failed = [k + 1 for k, found in enumerate(newtons) if found is None]
-        assert searches == [0] + failed
-        assert len(failed) <= 2
-        # 445 Newton steps in the reference solve, 3.4 per sweep
+        # the first sweep starts cold; a later one only after its warm solve failed
+        pattern = "".join(events)
+        assert re.fullmatch(r"cw(w|fcw)*", pattern)
+        assert pattern.count("f") <= 2
+        # Newton and Petviashvili steps together
         assert len(steps) <= 4 * sol.iterations_used
-
-    def test_phi2_branch_is_nodeless_for_any_first_guess(self):
-        # stronger flat-tail roots carry nodes; any first guess must end on
-        # the nodeless one
-        omegas = []
-        for amp in (0.01, 0.3, 1.0, 3.0, 10.0, 30.0):
-            sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9,
-                                    grid=RadialGrid(40.0, 401), phi2_amplitude=amp)
-            assert np.all(sol.phi2.values > 0)
-            omegas.append(sol.omegas[0])
-        assert max(omegas) - min(omegas) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -413,10 +406,16 @@ def phi2_problem():
 
 
 def _march(grid, phi0_vals, amp):
-    # eta2 = omega_hat_2 = 1: coef = 2
-    h = grid.spacing
-    return trapped_modes._march_phi2(grid.r.tolist(), h,
-                                     ((h * h * 2.0) * phi0_vals).tolist(), amp)
+    """The independent oracle: u = r*phi2 marched outward from the origin,
+    u_{j+1} = (2 - q_j phi2_j^2) u_j - u_{j-1}, u_0 = 0, u_1 = amp h, with
+    q = h^2 * 2 eta2 omega_hat_2^2 * phi0 at eta2 = omega_hat_2 = 1."""
+    r, h = grid.r.tolist(), grid.spacing
+    q = ((h * h * 2.0) * phi0_vals).tolist()
+    u = [0.0, amp * h]
+    for j in range(1, len(r) - 1):
+        phi2_j = u[j] / r[j]
+        u.append((2.0 - q[j] * phi2_j * phi2_j) * u[j] - u[j - 1])
+    return u
 
 
 def _flat_tail_slope(grid, phi0_vals, amp):
@@ -425,71 +424,85 @@ def _flat_tail_slope(grid, phi0_vals, amp):
 
 
 class TestPhi2FlatTail:
-    def test_guesses_find_the_same_root(self, phi2_problem):
+    def test_guesses_find_the_same_root(self, phi2_problem, monkeypatch):
+        # cold starts from differently shaped positive profiles end on one
+        # root; starts a power of two apart give the same bits, because
+        # Petviashvili's iteration is invariant under u -> a u
         grid, phi0 = phi2_problem
-        # 1 and above start beyond the roots with 2 and 4 nodes
-        amps = [trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, g)[0]
-                for g in (1e-3, 0.05, 0.3, 0.5, 1.0, 3.0, 30.0, 1e4)]
-        assert abs(amps[0] - 0.168729) < 1e-6
-        assert np.max(np.abs(np.array(amps) / amps[0] - 1.0)) < 1e-12
-        below = _flat_tail_slope(grid, phi0, amps[0] * (1.0 - 1e-9))
-        above = _flat_tail_slope(grid, phi0, amps[0] * (1.0 + 1e-9))
-        assert below > 0 > above
+        r = grid.r[1:]
+        cold = trapped_modes._cold_phi2
+        found = []
+        for start in (np.ones_like(r), r, 1.0 + np.sin(r) ** 2, np.exp(-r / 7.0) + 0.1,
+                      2.0**-20 * r, 2.0**20 * r):
+            monkeypatch.setattr(trapped_modes, "_cold_phi2",
+                                lambda c, u, start=start: cold(c, start))
+            found.append(trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0))
+        assert abs(found[0][0] - 0.168729) < 1e-6
+        for phi2 in found:
+            assert np.all(phi2 > 0)
+            np.testing.assert_array_max_ulp(phi2, found[0], maxulp=1)
+        np.testing.assert_array_equal(found[4], found[1])
+        np.testing.assert_array_equal(found[5], found[1])
 
     def test_returned_phi2_is_the_march_at_the_root(self, phi2_problem):
         grid, phi0 = phi2_problem
-        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 0.3)
-        u = _march(grid, phi0, amp)
-        assert phi2[0] == amp
+        phi2 = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0)
+        amp = phi2[0]
+        u = np.asarray(_march(grid, phi0, amp))
         assert np.all(phi2 > 0)
-        np.testing.assert_array_equal(phi2[1:], np.asarray(u[1:]) / grid.r[1:])
-
-    def test_large_guess_is_a_true_root_not_an_overflow_edge(self, phi2_problem):
-        grid, phi0 = phi2_problem
-        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 1e4)
-        assert np.all(np.isfinite(phi2))
+        assert np.max(np.abs(u[1:] / grid.r[1:] - phi2[1:])) <= 1e-12 * np.max(phi2)
+        # the oracle's tail slope changes sign across the returned amplitude
         below = _flat_tail_slope(grid, phi0, amp * (1.0 - 1e-9))
         above = _flat_tail_slope(grid, phi0, amp * (1.0 + 1e-9))
-        assert np.isfinite(below) and np.isfinite(above)
-        assert below * above < 0
+        assert below > 0 > above
+
+    def test_large_guess_is_a_true_root_not_an_overflow_edge(self, phi2_problem):
+        # a warm start 1e4 times too strong ends on the same nodeless root
+        grid, phi0 = phi2_problem
+        root = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0)
+        phi2 = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, 1e4 * root)
+        assert np.all(np.isfinite(phi2))
+        assert np.max(np.abs(phi2 - root)) <= 1e-12 * np.max(root)
+        below = _flat_tail_slope(grid, phi0, phi2[0] * (1.0 - 1e-9))
+        above = _flat_tail_slope(grid, phi0, phi2[0] * (1.0 + 1e-9))
+        assert below > 0 > above
 
     @pytest.mark.parametrize("sign", [0.0, -1.0])
     def test_non_positive_phi0_has_no_free_tail(self, phi2_problem, sign):
-        # kappa2^2 <= 0 everywhere, so every finite march grows
+        # kappa2^2 <= 0 everywhere, so <u, N(u)> <= 0 for every positive u;
+        # the cold start refuses it before it divides
         grid, phi0 = phi2_problem
-        with pytest.raises(TailNotFree):
-            trapped_modes._solve_phi2_flat(grid, sign * np.abs(phi0), 1.0, 1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailNotFree):
+                trapped_modes._newton_phi2(grid, sign * np.abs(phi0), 1.0, 1.0)
 
     @pytest.mark.parametrize("perturb", [1.2, 0.8, "wiggle"])
     def test_newton_from_a_perturbed_root_returns_the_march_root(self, phi2_problem,
-                                                                 perturb):
+                                                                 perturb, monkeypatch):
         grid, phi0 = phi2_problem
-        amp, phi2 = trapped_modes._solve_phi2_flat(grid, phi0, 1.0, 1.0, 0.3)
+        phi2 = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0)
         factor = 1.0 + 0.05 * np.sin(grid.r) if perturb == "wiggle" else perturb
-        found = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, factor * phi2)
-        assert found is not None
-        amp_n, phi2_n = found
-        assert abs(amp_n / amp - 1.0) <= 1e-12
+        # the warm solve alone: no cold start
+        monkeypatch.setattr(trapped_modes, "_cold_phi2", None)
+        phi2_n = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, factor * phi2)
+        assert abs(phi2_n[0] / phi2[0] - 1.0) <= 1e-12
         assert np.max(np.abs(phi2_n - phi2)) <= 1e-12 * np.max(phi2)
         assert np.all(phi2_n > 0)
 
-    def test_newton_refuses_a_root_with_nodes(self, phi2_problem):
-        # start on the two-node flat-tail root: Newton stays there, and a
-        # root with a node is handed back to the cold search
+    def test_newton_refuses_a_root_with_nodes(self, phi2_problem, monkeypatch):
+        # start on the two-node flat-tail root: the warm solve stays there,
+        # refuses it, and the cold start returns the nodeless root
         grid, phi0 = phi2_problem
+        root = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0)
         amp = brentq(lambda a: _flat_tail_slope(grid, phi0, a), 2.7, 2.9, rtol=1e-14)
         u = np.asarray(_march(grid, phi0, amp))
         assert u.min() < 0
         start = np.concatenate(([amp], u[1:] / grid.r[1:]))
-        assert trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, start) is None
-
-    def test_overflow_inside_the_bracket_is_not_a_root(self, monkeypatch):
-        # tail slope +1 below amp = 1, overflow on [1, 1.0001), -1 above: the
-        # bracket ends are finite, so only Brent's interior steps overflow
-        def fake_march(r, h, q, amp):
-            return [0.0, 1.0 if amp < 1.0 else np.inf if amp < 1.0001 else -1.0]
-
-        monkeypatch.setattr(trapped_modes, "_march_phi2", fake_march)
-        grid = RadialGrid(10.0, 21)
-        with pytest.raises(TailNotFree, match="inside"):
-            trapped_modes._solve_phi2_flat(grid, np.ones(21), 1.0, 1.0, 0.99)
+        colds = []
+        cold = trapped_modes._cold_phi2
+        monkeypatch.setattr(trapped_modes, "_cold_phi2",
+                            lambda *args: colds.append(1) or cold(*args))
+        phi2 = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0, start)
+        assert colds == [1]
+        np.testing.assert_array_equal(phi2, root)
