@@ -13,21 +13,23 @@ modes sharing mean fields, and the fifth order (whose mean field has the
 extra source eta2 phi2^4) are one eigen pair of P modes and A fields, solved
 by one core.  Enforcing the crossing inside the alternating eigen/Poisson
 sweep is repulsive (a deeper well lowers omega, which demands a larger
-amplitude, which deepens the well), so the core relaxes with each mode's own
-central well depth pinned, which is contractive, and searches the depths
-that put every crossing at its radius: Brent's method for one mode, damped
-Newton for several, at a scan and then a tight tolerance.  The fifth
-order's phi2 is solved in every sweep by tridiagonal Newton steps from the
-previous sweep's phi2, or from Petviashvili's iteration when there is none.
+amplitude, which deepens the well), so each sweep pins every mode's own
+central well depth instead, which is contractive.  The fields and those
+depths are then one fixed point, which puts every crossing at its radius,
+and Anderson mixing drives its residual to zero (D. G. Anderson, J. ACM 12,
+547, 1965; H. F. Walker and P. Ni, SIAM J. Numer. Anal. 49, 1715, 2011).
+The fifth order's phi2 is solved in every sweep by tridiagonal Newton steps
+from the previous sweep's phi2, or from Petviashvili's iteration when there
+is none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
 from .errors import (
     LambdaOutOfRange,
@@ -82,6 +84,8 @@ class SingleModeParams:
             raise ValidationError("tol must be positive")
         if self.epsilon == 0:
             raise ValidationError("epsilon must be nonzero")
+        if self.mode_order < 0:
+            raise ValidationError("mode_order must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,12 @@ class TrappedModeSolution:
         return zip(self.grid.r, self.phi0.values, self.phi1.values, self.kappa_sq.values)
 
 
-_RELAX_FAILURES = (NoBracket, NotTrapped, NonDecayingSource)
-_GAP_TOL = 1e-10  # a one-mode crossing gap below this is a root
+# a sweep failing with one of these is retried nearer the last good iterate
+_SWEEP_FAILURES = (NoBracket, NotTrapped, NonDecayingSource, NoConvergence)
+_GAP_TOL = 1e-10  # a crossing gap below this is met
+# Anderson mixing: residuals kept, mixing parameter, largest log-depth step
+_HISTORY, _MIXING, _LOG_DEPTH_CAP = 5, 0.7, 0.25
+_LOST_SWEEPS = 3  # successive sweeps that show a mode has lost its binding
 
 
 def _solve_mode(V, mode, omega_hat, grid, guess=None):
@@ -156,7 +164,7 @@ def _seed_width(radii, orders):
 
 
 class _PinnedDepthCore:
-    """P trapped modes sharing A mean fields, relaxed at pinned own depths.
+    """P trapped modes sharing A mean fields, solved at pinned own depths.
 
     Mode p (scale w_p, node order m_p, crossing radius r_p) sits in the
     potential w_p^2 (1 - sum_a eps[a, p] phi_a).  A sweep solves every mode in
@@ -165,9 +173,12 @@ class _PinnedDepthCore:
     phi_a = sum_q eps[a, q] A_q U_q + S_a, with S an optional extra source
     recomputed each sweep from the current fields.  Pinning each mode's own
     central depth d_q = (eps^T eps)_qq U_q(0) A_q fixes A_q in every sweep,
-    which makes the relaxation contractive; the depths are then moved until
-    every crossing gap sum_a eps[a, p] phi_a(r_p) - (w_p^2 - omega_p^2)/w_p^2
-    vanishes.  max_iters bounds the sweeps of the whole solve.
+    which makes the field update contractive (pinning the crossings instead
+    is repulsive: a deeper well lowers omega, which demands a larger
+    amplitude, which deepens the well).  The fields and the depths are one
+    fixed point: each field's response must equal it, and every crossing gap
+    sum_a eps[a, p] phi_a(r_p) - (w_p^2 - omega_p^2)/w_p^2 must vanish.
+    max_iters bounds the sweeps of the whole solve.
     """
 
     def __init__(self, grid, modes, couplings, radii, max_iters, extra=None):
@@ -177,17 +188,23 @@ class _PinnedDepthCore:
         self.w2 = self.w_hats**2
         self.orders = [m for _, m in modes]
         self.gram = self.eps.T @ self.eps
-        self.damping = 0.85 if max(self.orders) == 0 else 0.6
-        # each field starts as a Gaussian of depth 0.5 in its strongest coupling
-        # (zero if it has none).  Beyond 30 widths the Gaussian underflows to
-        # 0, so r is capped there and (r / width)^2 cannot overflow on a box
-        # many widths wide.
-        width = _seed_width(radii, self.orders)
+        # each field is measured in depth units, times its strongest coupling
+        # (1 if it has none)
         strongest = self.eps[np.arange(len(self.eps)), np.argmax(np.abs(self.eps), axis=1)]
-        seed = np.divide(0.5, strongest, out=np.zeros(len(strongest)), where=strongest != 0)
+        self.scale = np.where(strongest != 0, strongest, 1.0)[:, None]
+        # every depth starts at 0.5 up to omega_hat r0 = 5 (1 + m), and beyond
+        # that shallower as the scale family's depth ~ (omega_hat r0)^-2, so a
+        # wide, shallow well does not start thousands of times too deep
+        widest = max(float(w) * r0 / (5.0 * (1 + m))
+                     for w, m, r0 in zip(self.w_hats, self.orders, radii))
+        self.log_seed = math.log(0.5) - 2.0 * math.log(max(1.0, widest))
+        # each coupled field starts as a Gaussian of that depth.  Beyond 30
+        # widths the Gaussian underflows to 0, so r is capped there and
+        # (r / width)^2 cannot overflow on a box many widths wide.
+        width = _seed_width(radii, self.orders)
         x = np.minimum(grid.r, 30.0 * width) / width
-        self.fields = seed[:, None] * np.exp(-(x * x))
-        self.saved = self.fields.copy()
+        seed = np.where(strongest != 0, math.exp(self.log_seed), 0.0)[:, None]
+        self.fields = seed * np.exp(-(x * x)) / self.scale
         self.sweeps = 0
         self.last_omegas = [None] * len(self.orders)  # each mode's eigen warm start
 
@@ -207,163 +224,92 @@ class _PinnedDepthCore:
         source = np.zeros_like(self.fields) if self.extra is None else self.extra(self.fields)
         return omegas, np.array(shapes), np.array(units), source
 
-    def relax(self, depths, tol, max_sweeps):
-        """Sweep at pinned depths until the response fields change by less
-        than tol (relative).  A sweep that fails after the first halves the
-        step toward the last response instead, until nothing is left of it."""
-        prev = None
-        for _ in range(max_sweeps):
+    def at_radii(self, rows):
+        """Each row's value at each crossing radius: entry [p, i] is rows[i](r_p)."""
+        return np.array([[np.interp(r0, self.grid.r, f) for f in rows] for r0 in self.radii])
+
+    def solve(self, tol):
+        """Frequencies, mode fields and mean fields.
+
+        One fixed point over x = (the fields in depth units, the log depths),
+        whose residual is (response - fields, gaps / depths), driven to zero
+        by Anderson mixing (history _HISTORY, mixing _MIXING, log-depth steps
+        capped at _LOG_DEPTH_CAP).  A sweep that fails halves x toward the
+        last iterate whose sweep succeeded and drops the history; it raises
+        once nothing is left of the step.  The solve stops when the response
+        changes the fields by less than min(tol, 1e-10) (relative) and every
+        gap is below _GAP_TOL, and the squared amplitudes then follow from
+        the P x P crossing system of that sweep's state.
+
+        With several modes, a mode whose gap is negative (its well still too
+        deep) while the linearized crossing conditions put its depth at or
+        below zero in _LOST_SWEEPS successive sweeps has lost its binding:
+        NotTrapped names it.  The linearization holds the mode shapes and
+        shifts each omega_p^2 by first-order perturbation theory.
+        """
+        tight = min(tol, 1e-10)
+        n_modes = len(self.orders)
+        x = np.concatenate([(self.scale * self.fields).ravel(), np.full(n_modes, self.log_seed)])
+        good = None  # the last iterate whose sweep succeeded, and its residual
+        dxs, dfs = [], []  # Anderson's differences of iterates and of residuals
+        history = []  # (field change, largest |gap|) of every sweep
+        lost = np.zeros(n_modes, dtype=int)  # successive sweeps each mode looked lost
+        while True:
+            if self.sweeps >= self.max_iters:
+                raise _stalled(f"iteration budget {self.max_iters} exhausted", history)
+            self.fields = x[:-n_modes].reshape(self.fields.shape) / self.scale
+            depths = np.exp(x[-n_modes:])
             try:
                 omegas, shapes, units, source = self.sweep()
-            except _RELAX_FAILURES:
-                if prev is None:
+            except _SWEEP_FAILURES as exc:
+                if good is None:
                     raise
-                self.fields = 0.5 * (self.fields + prev)
-                if np.max(np.abs(self.fields - prev)) < 1e-14 * np.max(np.abs(self.fields)):
+                x = 0.5 * (x + good[0])
+                dxs, dfs = [], []
+                if np.max(np.abs(x - good[0])) < 1e-14 * np.max(np.abs(good[0])):
+                    if isinstance(exc, NoConvergence):
+                        raise _stalled(str(exc), history) from exc
                     raise
                 continue
-            amps = depths / (np.diag(self.gram) * units[:, 0])
+            self.sweeps += 1
+            unit_depths = np.diag(self.gram) * units[:, 0]  # d_q at A_q = 1
+            amps = depths / unit_depths
             new = (self.eps * amps) @ units + source
             change = max(float(np.max(np.abs(n - f)) / max(np.max(np.abs(n)), 1e-300))
                          for n, f in zip(new, self.fields))
-            self.sweeps += 1
-            prev = self.fields
-            self.fields = (1.0 - self.damping) * self.fields + self.damping * new
-            if change < tol:
-                return omegas, shapes, units, source, new
-        raise NoConvergence(f"pinned-depth sweep not converged (last change {change:.3e})",
-                            residuals={"d_phi0": change})
-
-    def gaps(self, depths, tol, cap=None):
-        """Crossing gaps of the state relaxed at `depths` (positive: too
-        shallow, the crossing lies beyond r_p).  A failed relaxation puts
-        back the fields of the last one that succeeded."""
-        budget = self.max_iters - self.sweeps
-        if budget <= 0:
-            raise NoConvergence(f"iteration budget {self.max_iters} exhausted")
-        try:
-            self.state = self.relax(depths, tol, budget if cap is None else min(budget, cap))
-        except (*_RELAX_FAILURES, NoConvergence):
-            self.fields = self.saved.copy()
-            raise
-        self.saved = self.fields.copy()
-        omegas, new, r = self.state[0], self.state[-1], self.grid.r
-        return np.array([self.eps[:, p] @ [np.interp(r0, r, f) for f in new] - (w2 - om * om) / w2
-                         for p, (r0, w2, om) in enumerate(zip(self.radii, self.w2, omegas))])
-
-    def brent(self, depth, tol, cap, xtol, factor):
-        """Depth root of the one-mode gap, bracketed outward from `depth` by
-        `factor` (geometric means once both sides are known), then Brent's
-        method to xtol.  A failed relaxation is an edge: NoBracket too deep,
-        NotTrapped too shallow; a capped probe that does not settle is too
-        deep beyond the deepest depth known to be shallow, else too shallow."""
-        lo = hi = shallow = deep = None  # finite-gap ends; ends with edges
-        # Brent reuses an uncapped gap as a bracket end; a capped one may have
-        # been classified against the edges known then, so it is evaluated again
-        settled = {}
-
-        def gap(d):
-            if d in settled:
-                return settled.pop(d)
-            try:
-                g = float(self.gaps([d], tol, cap)[0])
-            except NoBracket:
-                return -np.inf
-            except (NotTrapped, NonDecayingSource):
-                return np.inf
-            except NoConvergence:
-                if cap is None or self.sweeps >= self.max_iters:
-                    raise
-                return -np.inf if shallow is not None and d > shallow else np.inf
-            g = 0.0 if abs(g) < _GAP_TOL else g
-            if cap is None:
-                settled[d] = g
-            return g
-
-        # every probe lies beyond the known ends, so the latest is the innermost
-        for _ in range(80):
-            g = gap(depth)
-            if g == 0.0:
-                return depth
-            if g > 0:
-                shallow, lo = depth, depth if g < np.inf else lo
-            else:
-                deep, hi = depth, depth if g > -np.inf else hi
-            if lo is not None and hi is not None:
-                return brentq(gap, lo, hi, xtol=xtol, rtol=xtol)
-            if shallow is None:
-                depth = deep * factor
-            elif deep is None:
-                depth = shallow / factor
-            elif deep - shallow < 1e-14 * deep:
+            gap = (np.sum(self.eps.T * self.at_radii(new), axis=1)
+                   - (self.w2 - omegas * omegas) / self.w2)
+            history.append((change, float(np.max(np.abs(gap)))))
+            if change < tight and np.all(np.abs(gap) < _GAP_TOL):
                 break
-            else:
-                depth = float(np.sqrt(shallow * deep))
-            if not 1e-10 < depth < 1e10:
-                break
-        raise NotTrapped("crossing condition cannot be bracketed in depth")
-
-    def newton(self, depths, tol, cap, gtol, step):
-        """Damped Newton on the depth vector, forward-difference Jacobian of
-        relative step `step`: the step is halved while the trial fails or does
-        not lower the largest gap, until every gap is below gtol.  When the
-        halving stalls, a mode whose gap is negative (its well still too
-        deep) and whose full Newton step ends at a non-positive depth has
-        lost its binding, since no positive squared amplitude places its
-        crossing: NotTrapped names it.  Any other stall is NoConvergence."""
-        g = self.gaps(depths, tol, cap)
-        for _ in range(60):
-            worst = float(np.max(np.abs(g)))
-            if worst < gtol:
-                return depths
-            jac = np.column_stack([(self.gaps(depths + dq, tol, cap) - g) / dq[q]
-                                   for q, dq in enumerate(np.diag(step * depths))])
-            move = np.linalg.lstsq(jac, -g, rcond=None)[0]
-            lam = 1.0
-            while lam > 1e-4:
-                trial = depths + lam * move
-                if np.all(trial > 0):
-                    try:
-                        g_try = self.gaps(trial, tol, cap)
-                    except (*_RELAX_FAILURES, NoConvergence):
-                        if self.sweeps >= self.max_iters:
-                            raise
-                    else:
-                        if float(np.max(np.abs(g_try))) < worst:
-                            depths, g = trial, g_try
-                            break
-                lam *= 0.5
-            else:
-                lost = np.flatnonzero((g < 0) & (depths + move <= 0))
-                if lost.size:
-                    q = int(lost[0])
-                    raise NotTrapped(f"mode {q} lost binding: its crossing gap {g[q]:.3g} "
+            if n_modes > 1:
+                # d gap_p / d d_q: U_q at r_p less its mean over mode p's
+                # density (r u_p)^2, the first-order shift of omega_p^2
+                weights = (self.grid.r * shapes) ** 2
+                shifts = (weights @ units.T) / np.sum(weights, axis=1)[:, None]
+                jac = self.gram * (self.at_radii(units) - shifts) / unit_depths
+                ends = depths - np.linalg.lstsq(jac, gap, rcond=None)[0]
+                lost = np.where((gap < 0) & (ends <= 0), lost + 1, 0)
+                if np.any(lost >= _LOST_SWEEPS):
+                    q = int(np.argmax(lost))
+                    raise NotTrapped(f"mode {q} lost binding: its crossing gap {gap[q]:.3g} "
                                      "needs a non-positive depth")
-                raise NoConvergence("outer Newton stalled", residuals={"gap": worst})
-        raise NoConvergence("crossing conditions not met", residuals={"gap": worst})
+            f = np.concatenate([(self.scale * (new - self.fields)).ravel(), gap / depths])
+            if good is not None:
+                dxs.append(x - good[0])
+                dfs.append(f - good[1])
+                del dxs[:-_HISTORY], dfs[:-_HISTORY]
+            good = (x, f)
+            step = _MIXING * f
+            if dxs:
+                dx, df = np.column_stack(dxs), np.column_stack(dfs)
+                step -= (dx + _MIXING * df) @ np.linalg.lstsq(df, f, rcond=None)[0]
+            step[-n_modes:] = np.clip(step[-n_modes:], -_LOG_DEPTH_CAP, _LOG_DEPTH_CAP)
+            x = x + step
 
-    def solve(self, tol):
-        """Frequencies, mode fields and mean fields: the depths are searched at
-        a scan and then a tight inner tolerance, and the squared amplitudes
-        follow from the P x P crossing system of the final relaxed state."""
-        tight = min(tol, 1e-10)
-        depths = np.full(len(self.orders), 0.5)
-        # inner tolerance, probe cap, outer tolerance (Brent's on the depth,
-        # Newton's on the largest gap), bracket factor, Jacobian step
-        for inner, cap, outer, factor, step in ((max(1e-5, tol), 60, 1e-7, 0.5, 0.02),
-                                                (tight, None, _GAP_TOL, 1.0 - 1e-4, 1e-3)):
-            if len(depths) == 1:
-                depths = np.array([self.brent(depths[0], inner, cap, outer, factor)])
-            else:
-                depths = self.newton(depths, inner, cap, outer, step)
-        self.gaps(depths, tight)
-        omegas, shapes, units, source, _ = self.state
-
-        def at_radii(rows):
-            return np.array([[np.interp(r0, self.grid.r, f) for f in rows] for r0 in self.radii])
-
-        crossing = self.gram * self.w2[:, None] * at_radii(units)
-        rhs = self.w2 - omegas * omegas - self.w2 * np.sum(at_radii(source) * self.eps.T, axis=1)
+        crossing = self.gram * self.w2[:, None] * self.at_radii(units)
+        rhs = self.w2 - omegas * omegas - self.w2 * np.sum(self.at_radii(source) * self.eps.T,
+                                                           axis=1)
         try:
             amps = np.linalg.solve(crossing, rhs)
         except np.linalg.LinAlgError:  # modes in identical potentials share a crossing
@@ -372,6 +318,16 @@ class _PinnedDepthCore:
             raise NotTrapped(f"mode {int(np.argmin(amps))} lost binding: "
                              "non-positive squared amplitude")
         return omegas, np.sqrt(amps)[:, None] * shapes, (self.eps * amps) @ units + source
+
+
+def _stalled(message, history):
+    """NoConvergence carrying the last sweep's field change and largest gap,
+    and those of the last few sweeps, oldest first (none before a sweep)."""
+    last = history[-_HISTORY:]
+    residuals = {"d_phi0_history": [c for c, _ in last], "gap_history": [g for _, g in last]}
+    if last:
+        residuals.update(d_phi0=last[-1][0], gap=last[-1][1])
+    return NoConvergence(message, residuals=residuals)
 
 
 def default_r_max(r0):
@@ -383,19 +339,25 @@ def iterate_single_mode(params: SingleModeParams,
                         grid: RadialGrid | None = None) -> TrappedModeSolution:
     """Construct the self-consistent trapped mode with kappa^2(r0) = 0.
 
-    The pinned-depth core with one mode and one field: Brent's method on the
-    pinned depth eps*phi0(0) places the crossing at r0.  iterations_used
-    counts the sweeps; NoConvergence is raised when they would exceed
-    max_iters, NotTrapped when no admissible depth binds the mode.
+    In x = omega_hat r and psi = eps phi the problem depends on omega_hat
+    and eps only through the sign of eps, so the pinned-depth core solves
+    one mode in one field on the grid in x, with omega_hat = 1 and
+    eps = sign(eps), and the solution is mapped back once: scaled problems
+    retrace the unit one exactly.  iterations_used counts the sweeps;
+    NoConvergence is raised when they would exceed max_iters, NotTrapped
+    when no admissible depth binds the mode.
     """
     p = params
     if grid is None:
         grid = RadialGrid(default_r_max(p.r0), 2001)
-    core = _PinnedDepthCore(grid, [(p.omega_hat, p.mode_order)], [[p.epsilon]],
-                            (p.r0,), p.max_iters)
+    unit_grid = RadialGrid(p.omega_hat * grid.r_max, grid.n_points)
+    core = _PinnedDepthCore(unit_grid, [(1.0, p.mode_order)], [[np.sign(p.epsilon)]],
+                            (p.omega_hat * p.r0,), p.max_iters)
     omegas, modes, fields = core.solve(p.tol)
-    omega = float(omegas[0])
-    sol = _single_solution(p, grid, omega, omega * omega, fields[0], modes[0], core.sweeps)
+    omega = p.omega_hat * float(omegas[0])
+    size = abs(p.epsilon)
+    sol = _single_solution(p, grid, omega, omega * omega, fields[0] / size, modes[0] / size,
+                           core.sweeps)
     well = sol.well_parameter()
     if 0.0 < well < 1.0:
         lo = p.omega_hat * float(np.sqrt(1.0 - well))
@@ -494,6 +456,8 @@ class MultiModeSpec:
                 raise ValidationError("mode omega_hat must be positive")
             if s not in (1, -1):
                 raise ValidationError("sigma must be +1 or -1")
+            if m < 0:
+                raise ValidationError("node order must be non-negative")
 
 @dataclass(frozen=True)
 class MultiModeSolution:
@@ -510,10 +474,11 @@ def solve_multimode(spec: MultiModeSpec, max_iters: int = 600, tol: float = 1e-9
                     grid: RadialGrid | None = None) -> MultiModeSolution:
     """Joint fixed point of the coupled normal-mode and mean-field system.
 
-    The pinned-depth core with every mode and field of the spec: damped
-    Newton on the vector of pinned own depths places each kappa_p^2 zero
-    crossing at its radius (one mode takes Brent's method, exactly as
-    iterate_single_mode).
+    The pinned-depth core with every mode and field of the spec: one
+    Anderson-mixed fixed point over the fields and the pinned own depths
+    places each kappa_p^2 zero crossing at its radius.  iterations_used
+    counts the sweeps; NoConvergence is raised when they would exceed
+    max_iters, NotTrapped when a mode loses its binding.
     """
     if grid is None:
         width = _seed_width(spec.scale_radii, [m for _, _, m in spec.modes])
@@ -609,13 +574,16 @@ def _newton_phi2(grid, phi0_vals, eta2, w2_2, phi2_prev=None):
 def _newton_steps(c, h, u):
     """Newton's method of `_newton_phi2` from (u_1..u_{n-1}): the root with
     u_0 = 0 prepended.  The Jacobian is tridiagonal, so a step is one
-    `dgtsv`.  None when a step fails or leaves u non-finite, the steps do
-    not settle to 1e-14 (relative) within _PHI2_NEWTON_STEPS, or the root
-    has a node or an amplitude u_1 / h outside (1e-12, 1e12)."""
+    `dgtsv`.  Once a step settles to 1e-14 (relative) one more step polishes
+    the last bits, so starts that reach the root by different paths end on
+    the same bits.  None when a step fails or leaves u non-finite, the steps
+    do not settle within _PHI2_NEWTON_STEPS, or the root has a node or an
+    amplitude u_1 / h outside (1e-12, 1e12)."""
     n = len(u) + 1
     u = np.concatenate(([0.0], u))
+    settled = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_PHI2_NEWTON_STEPS):
+        for _ in range(_PHI2_NEWTON_STEPS + 1):
             x = u[1:-1]
             # second differences as differences of first differences, which
             # are exact wherever neighbours lie within a factor 2 of each other
@@ -630,8 +598,9 @@ def _newton_steps(c, h, u):
             u[1:] += step
             if not np.isfinite(u).all():
                 return None
-            if np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(u)):
+            if settled:
                 break
+            settled = np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(u))
         else:
             return None
     if not (1e-12 < u[1] / h < 1e12 and u.min() >= 0.0):
@@ -662,11 +631,12 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     field is asymptotically free (r*phi2 flat).  The mean field collects
     both intensities: the pinned-depth core with one mode, one field and the
     extra source eta2 phi2^4, whose phi2 each sweep finds in the current
-    phi0, and Brent's method on the phi1 depth.  Each sweep solves for phi2
-    by Newton's method (`_newton_phi2`), warm-started from the previous
-    sweep's phi2; the first sweep, and any sweep whose warm solve fails,
-    starts from Petviashvili's cold iteration instead.  eps1 and eta2 must
-    not have opposite signs; eta2 = 0 reduces phi2 to the free radial wave.
+    phi0, in one fixed point over phi0 and the phi1 depth.  Each sweep
+    solves for phi2 by Newton's method (`_newton_phi2`), warm-started from
+    the previous sweep's phi2; the first sweep, and any sweep whose warm
+    solve fails, starts from Petviashvili's cold iteration instead.
+    iterations_used counts the sweeps.  eps1 and eta2 must not have opposite
+    signs; eta2 = 0 reduces phi2 to the free radial wave.
     """
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")

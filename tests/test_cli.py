@@ -219,7 +219,12 @@ class TestExitCodes:
         assert man["parameters"]["max_iters"] == 4
         assert man["error"]["type"] == "NoConvergence"
         assert man["error"]["message"]
-        assert man["error"]["residuals"]["d_phi0"] > 0.0
+        residuals = man["error"]["residuals"]
+        assert residuals["d_phi0"] > 0.0 and residuals["gap"] > 0.0
+        # where it stalled: the last sweeps' field changes and largest gaps
+        assert residuals["d_phi0_history"][-1] == residuals["d_phi0"]
+        assert residuals["gap_history"][-1] == residuals["gap"]
+        assert len(residuals["d_phi0_history"]) == len(residuals["gap_history"]) == 4
         assert not (tmp_path / "solution.csv").exists()
 
     def test_validation_failure_manifest_has_no_residuals(self, tmp_path):

@@ -127,6 +127,8 @@ class TestSingleMode:
             SingleModeParams(omega_hat=-1.0, epsilon=1.0)
         with pytest.raises(ValidationError):
             SingleModeParams(omega_hat=1.0, epsilon=0.0)
+        with pytest.raises(ValidationError):
+            SingleModeParams(omega_hat=1.0, epsilon=1.0, mode_order=-1)
 
     def test_serialization_roundtrip(self, base_solution, tmp_path):
         doc = base_solution.to_json_dict()
@@ -297,6 +299,33 @@ class TestMultiMode:
             crossing = r[idx[0]]
             assert abs(crossing - spec.scale_radii[p]) <= 2 * (r[1] - r[0])
 
+    def test_modes_of_different_order(self):
+        # a nodeless and a one-node mode, each in its own field, weakly coupled
+        spec = MultiModeSpec(modes=[(1.0, 1, 0), (1.0, 1, 1)],
+                             couplings=[[1.0, 0.1], [0.1, 1.0]], scale_radii=(5.0, 10.0))
+        mm = solve_multimode(spec, max_iters=200, tol=1e-9, grid=RadialGrid(60.0, 1201))
+        assert max(mm.residual_eigen) < 1e-6
+        assert max(mm.residual_poisson) < 1e-6
+        assert [count_nodes(u.values) for u in mm.mode_fields] == [0, 1]
+        r = mm.mean_fields[0].grid.r
+        for p in range(2):
+            kv = mm.omegas[p] ** 2 - 1.0 + sum(
+                spec.couplings[a][p] * mm.mean_fields[a].values for a in range(2))
+            # both radii are nodes of this grid, where kappa_p^2 may be exactly 0
+            crossing = r[np.argmax(kv <= 0.0)]
+            assert abs(crossing - spec.scale_radii[p]) <= 2 * (r[1] - r[0])
+
+    def test_omegas_converge_at_second_order(self):
+        # the spec of test_two_modes_two_fields over four grids of one box
+        spec = MultiModeSpec(modes=[(1.0, 1, 0), (0.8, 1, 0)],
+                             couplings=[[1.0, 0.15], [0.15, 1.0]], scale_radii=(5.0, 6.5))
+        omegas = np.array([solve_multimode(spec, max_iters=1500, tol=1e-9,
+                                           grid=RadialGrid(30.0, n)).omegas
+                           for n in (401, 801, 1601, 3201)])
+        steps = np.diff(omegas, axis=0)
+        orders = np.log2(steps[:-1] / steps[1:])
+        assert np.all((1.5 < orders) & (orders < 2.5))
+
     def test_mode_that_loses_binding_is_not_trapped(self):
         # the (0.8, 1, 0) mode in the field of the (1, 1, 0) mode: Newton
         # drives its depth toward zero with its gap still negative
@@ -312,6 +341,8 @@ class TestMultiMode:
             MultiModeSpec(modes=[(1.0, 1, 0)], couplings=[[1.0, 2.0]], scale_radii=(5.0,))
         with pytest.raises(ValidationError):
             MultiModeSpec(modes=[(1.0, 2, 0)], couplings=[[1.0]], scale_radii=(5.0,))
+        with pytest.raises(ValidationError):
+            MultiModeSpec(modes=[(1.0, 1, -1)], couplings=[[1.0]], scale_radii=(5.0,))
 
 
 class TestFifthOrder:
@@ -360,7 +391,7 @@ class TestFifthOrder:
 
         monkeypatch.setattr(trapped_modes, "_cold_phi2", counted)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
-        assert sol.iterations_used == 130
+        assert sol.iterations_used == 20
         # the first sweep and one fallback
         assert len(calls) == 2
 
@@ -387,13 +418,15 @@ class TestFifthOrder:
         monkeypatch.setattr(trapped_modes, "_newton_steps", counted_newton)
         monkeypatch.setattr(trapped_modes, "dgtsv", counted_dgtsv)
         sol = solve_fifth_order(1.0, 1.0, 1.0, 1.0, r0=5.0, max_iters=400, tol=1e-9)
-        assert sol.iterations_used == 130
+        assert sol.iterations_used == 20
         # the first sweep starts cold; a later one only after its warm solve failed
         pattern = "".join(events)
         assert re.fullmatch(r"cw(w|fcw)*", pattern)
         assert pattern.count("f") <= 2
-        # Newton and Petviashvili steps together
-        assert len(steps) <= 4 * sol.iterations_used
+        # Newton and Petviashvili steps together: 132 when measured, with two
+        # cold starts of 11 and 19 steps and warm solves of 3 to 7 steps (the
+        # polishing step included)
+        assert len(steps) <= 7 * sol.iterations_used
 
 
 @pytest.fixture(scope="module")
