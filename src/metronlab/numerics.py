@@ -17,9 +17,10 @@ are the same bits without the wrappers' checks: the eigen solve runs one
 `dstebz` bisection per outer-boundary pass and one `dstein` inverse
 iteration per solve, and the Poisson solve is one `dgtsv` call.  An eigen
 solve given a guess of its omega (the self-consistent solvers pass the
-previous sweep's) starts its outer-boundary passes there and bisects only a
-narrow value window around it; it checks the mode it found and falls back
-to the cold start, so it returns the cold result to within a few ulp.
+previous sweep's) starts its outer-boundary passes there; its first pass
+picks the mode's eigenvalue by index, as a cold pass does, and each later
+pass tracks it in a narrow value window, so it returns the cold result to
+within a few ulp.
 """
 
 from __future__ import annotations
@@ -184,10 +185,9 @@ _ROBIN_PASSES = 8
 # absolute tolerance is twice the underflow threshold (the default,
 # eps * ||T||, would leave ~1e-12 absolute error on fine grids)
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
-# Relative half-widths of the value window a warm-started pass bisects,
-# around the previous eigenvalue: the first pass (from the caller's guess,
-# one sweep old) and each confirming pass (one Robin update old)
-_WARM_WINDOWS = (1e-3, 1e-10)
+# Relative half-width of the value window in which each pass of a warm start
+# after its first tracks the previous pass's eigenvalue (one Robin update old)
+_WARM_WINDOW = 1e-10
 
 
 def _count_nodes_floor(u, rel=1e-8):
@@ -216,17 +216,15 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
     the eigenvalue has passed the bracket checks.
 
     Without a guess the passes start from a Dirichlet tail and each bisects
-    for eigenvalue m+1 over the whole spectrum.  A guess (an earlier omega of
-    the same mode, e.g. the previous sweep's) warm-starts them: the first
-    pass takes the Robin tail of guess^2 and counts guess^2 as the previous
-    eigenvalue, so it can be accepted at once, and every pass bisects only
-    a window around the previous eigenvalue (`_WARM_WINDOWS`: relative
-    half-width 1e-3 on the first pass, 1e-10 after), over the whole
-    spectrum when that window does not hold exactly one eigenvalue.  A lone eigenvalue in
-    the window need not be mode m, so the warm result stands only when it
-    passes every check below, the node count of its eigenvector included;
-    otherwise the cold start is run and decides.  Both starts reach the same
-    fixed point to within a few ulp.
+    for eigenvalue m+1 by index over the whole spectrum.  A guess (an earlier
+    omega of the same mode, e.g. the previous sweep's) warm-starts them: the
+    first pass takes the Robin tail of guess^2 and counts guess^2 as the
+    previous eigenvalue, so it can be accepted at once.  It still picks
+    eigenvalue m+1 by index, so a guess of another mode cannot steer it; each
+    later pass tracks that eigenvalue in a window of relative half-width
+    `_WARM_WINDOW` around the previous pass's, over the whole spectrum when
+    the window does not hold exactly one eigenvalue.  Both starts reach the
+    same fixed point to within a few ulp.
 
     An eigenfrequency at or below bracket[0] raises NoBracket (well too
     deep); one at or above bracket[1] raises NotTrapped (mode not bound).
@@ -249,17 +247,7 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
         raise ValueError("guess must be finite")
     if np.all(hi * hi - V <= 0.0):
         raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
-    if guess is not None:
-        try:
-            return _eigenpair(V, node_count, lo, hi, grid, float(guess) ** 2)
-        except (NoBracket, NotTrapped, NoConvergence):
-            pass  # another eigenvalue, or no fixed point near the guess
-    return _eigenpair(V, node_count, lo, hi, grid, None)
 
-
-def _eigenpair(V, node_count, lo, hi, grid, lam_prev):
-    """solve_radial_eigen's passes from the eigenvalue estimate lam_prev
-    (None: the cold start), its checks and its normalization."""
     r = grid.r
     h = grid.spacing
     h2 = h * h
@@ -267,21 +255,23 @@ def _eigenpair(V, node_count, lo, hi, grid, lam_prev):
     off = np.full(grid.n_points - 3, -1.0 / h2)
     d_last = diag[-1]
     index = node_count + 1  # LAPACK counts eigenvalues from 1
-    warm = lam_prev is not None
+    warm = guess is not None
 
     def robin_tail(lam):  # u_{N-1} / u_{N-2} under the WKB condition
         kr = np.sqrt(max(V[-1] - lam, 0.0))
         return 1.0 / (1.0 + h * kr - h / grid.r_max)
 
+    lam_prev = float(guess) ** 2 if warm else None
     tail = robin_tail(lam_prev) if warm else 0.0  # 0 is the Dirichlet start
     for k in range(_ROBIN_PASSES):
         diag[-1] = d_last - tail / h2
-        if warm:
+        m = info = 0
+        if warm and k:
             # range 'V' (1) bisects the eigenvalues in (vl, vu] alone
-            width = _WARM_WINDOWS[min(k, 1)] * abs(lam_prev)
+            width = _WARM_WINDOW * abs(lam_prev)
             m, w, iblock, isplit, info = dstebz(diag, off, 1, lam_prev - width,
                                                 lam_prev + width, 0, 0, _STEBZ_ABSTOL, "B")
-        if not warm or info or m != 1:
+        if info or m != 1:
             # range 'I' (2) picks eigenvalue `index` alone; vl, vu are unused;
             # block order 'B' is what dstein expects
             m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,

@@ -343,37 +343,26 @@ def evolve_variances(N1_0, N2_0, K_prime, mu1, mu2, t):
     """Closed form of
         dN1/dt - 2 mu1 N1 = K' (N2 - N1)
         dN2/dt - 2 mu2 N2 = K' (N1 - N2)
-    via the eigen-decomposition of the constant 2x2 system matrix.
+    via the eigen-decomposition of the constant 2x2 system matrix, which is
+    symmetric, so its eigenvectors are orthonormal.
     """
+    if not np.isfinite([N1_0, N2_0, K_prime, mu1, mu2]).all():
+        raise ValidationError("variances, K_prime, mu1 and mu2 must be finite")
     if K_prime < 0:
         raise ValidationError("K_prime must be nonnegative")
     if N1_0 < 0 or N2_0 < 0:
         raise ValidationError("variances must be nonnegative")
-    a = 2.0 * mu1 - K_prime
-    dcoef = 2.0 * mu2 - K_prime
-    b = K_prime
-    tr = a + dcoef
-    disc = np.sqrt((a - dcoef) ** 2 / 4.0 + b * b)
-    lam1 = tr / 2.0 + disc
-    lam2 = tr / 2.0 - disc
+    lam, Q = np.linalg.eigh([[2.0 * mu1 - K_prime, K_prime],
+                             [K_prime, 2.0 * mu2 - K_prime]])
     y0 = np.array([N1_0, N2_0], dtype=float)
-    if lam1 == lam2:
-        # equal damping: the coupling matrix is symmetric with b >= 0, so
-        # this happens only when b = 0 and mu1 = mu2
-        scale = np.exp(lam1 * np.asarray(t))
-        return y0[0] * scale, y0[1] * scale
-    v1 = np.array([b, lam1 - a]) if b != 0 else np.array([1.0, 0.0])
-    v2 = np.array([b, lam2 - a]) if b != 0 else np.array([0.0, 1.0])
-    M = np.column_stack([v1, v2])
-    c = np.linalg.solve(M, y0)
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    N = (
-        c[0] * v1[:, None] * np.exp(lam1 * t)
-        + c[1] * v2[:, None] * np.exp(lam2 * t)
-    )
-    if scalar:
+    e0, e1 = np.exp(np.multiply.outer(lam, np.atleast_1d(t)))
+    # Q diag(e^{lam t}) Q^T = e0 I + (e1 - e0) q1 q1^T with lam ascending: y0
+    # itself at t = 0, and for y0 >= 0 a sum of two nonnegative terms (q1 is
+    # the Perron vector), so every N keeps its relative accuracy
+    q1 = Q[:, 1]
+    N = y0[:, None] * e0 + np.outer(q1 * (q1 @ y0), e1 - e0)
+    if t.ndim == 0:
         return float(N[0, 0]), float(N[1, 0])
     return N[0], N[1]
 

@@ -272,15 +272,20 @@ class TestLapackKernels:
 
     def test_one_eigenvector_per_returned_solve(self, monkeypatch):
         # the reference single-mode solve: every eigen solve after the first
-        # starts from the previous sweep's omega, so most Robin passes bisect
-        # a narrow window ('V') and few the whole spectrum ('I'); dstein runs
-        # once per solve that returns, and twice in the one sweep that fails
-        # (its warm and its cold start both fail the tail check)
+        # starts from the previous sweep's omega, so its first Robin pass picks
+        # the eigenvalue by index ('I') and its later passes track it in a
+        # 1e-10 window ('V'); dstein runs once per solve that returns, and
+        # once in the one sweep that fails the tail check
         calls = {"window": 0, "full": 0, "dstein": 0}
+        half_widths = []
         returned = []
 
         def stebz(*args):
-            calls["window" if args[2] == 1 else "full"] += 1
+            if args[2] == 1:
+                calls["window"] += 1
+                half_widths.append((args[4] - args[3]) / (args[4] + args[3]))
+            else:
+                calls["full"] += 1
             return dstebz(*args)
 
         def stein(*args):
@@ -298,8 +303,28 @@ class TestLapackKernels:
         monkeypatch.setattr(trapped_modes, "solve_radial_eigen", recorded)
         sol = iterate_single_mode(SingleModeParams(omega_hat=1.0, epsilon=1.0))
         assert sol.iterations_used == len(returned) == 18
-        assert calls["dstein"] == len(returned) + 2
-        assert calls["full"] <= 25 < calls["window"]
+        assert calls["dstein"] == len(returned) + 1
+        assert calls["full"] <= 25 and calls["window"] >= 23
+        # no wide first-pass window: every window is the 1e-10 tracking one
+        assert max(half_widths) < 2e-10
+
+    def test_failed_warm_start_computes_one_eigenvector(self, monkeypatch):
+        # mode 0 of this shallow well is bound below the bracket's top, but
+        # its tail is not small at R = 12: the warm start raises its own
+        # error after one dstein, without a second (cold) solve
+        grid = RadialGrid(12.0, 401)
+        V = 1.0 - 0.5 * np.exp(-((grid.r / 6.0) ** 2))
+        vectors = []
+
+        def stein(*args):
+            vectors.append(1)
+            return dstein(*args)
+
+        dstein = numerics.dstein
+        monkeypatch.setattr(numerics, "dstein", stein)
+        with pytest.raises(NotTrapped, match="tail magnitude"):
+            solve_radial_eigen(V, 0, (0.05, 0.9999), grid=grid, guess=0.9)
+        assert len(vectors) == 1
 
     def test_non_finite_potential_raises(self):
         grid = RadialGrid(30.0, 301)
@@ -371,9 +396,9 @@ class TestWarmStart:
                                                 guess=omegas[other])
                 assert abs(omega - omegas[mode]) <= 4 * np.spacing(omegas[mode])
                 assert _sign_changes(phi) == mode
-                # the warm passes settle on the other mode, whose eigenvector
-                # fails the node count; the cold start then finds this one
-                assert len(vectors) == 2
+                # the first pass picks this mode by index, whatever the
+                # guess, so one eigenvector is computed
+                assert len(vectors) == 1
 
     @pytest.mark.parametrize("guess", [np.nan, np.inf])
     def test_non_finite_guess_raises(self, guess):

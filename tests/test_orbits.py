@@ -292,7 +292,17 @@ class TestVarianceTransport:
         assert abs(N1 - res.y_final[0]) < 1e-9
         assert abs(N2 - res.y_final[1]) < 1e-9
 
+    @pytest.mark.parametrize("mu1, mu2", [(0.1, 0.2), (0.2, 0.1), (-0.3, 0.05)])
+    def test_uncoupled_modes_grow_at_their_own_rates(self, mu1, mu2):
+        # K' = 0: each variance is N(0) exp(2 mu t), whichever rate is larger
+        t = np.linspace(0.0, 3.0, 7)
+        N1, N2 = evolve_variances(1.0, 0.3, 0.0, mu1, mu2, t)
+        np.testing.assert_allclose(N1, np.exp(2 * mu1 * t), rtol=1e-14)
+        np.testing.assert_allclose(N2, 0.3 * np.exp(2 * mu2 * t), rtol=1e-14)
+
     def test_validation(self):
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_variances(1.0, 0.0, 0.1, np.nan, 0.0, 1.0)
         with pytest.raises(ValidationError):
             evolve_variances(1.0, 0.0, -0.1, 0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
