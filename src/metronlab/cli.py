@@ -257,7 +257,7 @@ def _solve_from_args(args):
 
 def cmd_metron_solve(args, out):
     sol = _solve_from_args(args)
-    write_csv(out / "solution.csv", ["r", "phi0", "phi1", "kappa_sq"], sol.to_csv_rows())
+    write_csv(out / "solution.csv", sol.to_csv_columns())
     write_gnuplot_stub(out / "solution.gp", "solution.csv", "trapped mode",
                        1, [(2, "phi0"), (3, "phi1"), (4, "kappa_sq")])
     write_json(out / "solution.json", sol.to_json_dict())
@@ -278,8 +278,7 @@ def cmd_metron_rescale(args, out):
     fields = {"omega_base": sol.omega, "lambda_max": trapped_modes.max_scale_factor(sol)}
     if len(lams) == 1:
         scaled = trapped_modes.rescale(sol, lams[0])
-        write_csv(out / "rescaled.csv", ["r", "phi0", "phi1", "kappa_sq"],
-                  scaled.to_csv_rows())
+        write_csv(out / "rescaled.csv", scaled.to_csv_columns())
         return {
             **fields,
             "omega_rescaled": scaled.omega,
@@ -291,13 +290,15 @@ def cmd_metron_rescale(args, out):
     for lam in lams:
         try:
             sc = trapped_modes.rescale(sol, lam)
-            rows.append((lam, sc.omega, sc.residual_eigen, sc.residual_poisson, "ok"))
+            rows.append((sc.omega, sc.residual_eigen, sc.residual_poisson, "ok"))
         except MetronLabError as exc:
-            rows.append((lam, float("nan"), float("nan"), float("nan"),
-                         f"error:{type(exc).__name__}"))
-    write_csv(out / "rescale_sweep.csv",
-              ["lambda", "omega", "residual_eigen", "residual_poisson", "status"],
-              rows)
+            rows.append((np.nan, np.nan, np.nan, f"error:{type(exc).__name__}"))
+    omega, res_eigen, res_poisson, status = zip(*rows)
+    write_csv(out / "rescale_sweep.csv", {
+        "lambda": np.array(lams), "omega": np.array(omega),
+        "residual_eigen": np.array(res_eigen), "residual_poisson": np.array(res_poisson),
+        "status": status,
+    })
     return {**fields, "points": len(rows)}, f"{len(rows)} rescalings"
 
 
@@ -313,8 +314,8 @@ def cmd_bragg_classify(args, out):
     if args.s_max > 0:
         s_path, E, dS = bragg.integrate_trap(state, args.s_max)
         const = bragg.first_integral(E, dS, state)
-        write_csv(out / "trajectory.csv", ["s", "E", "deltaS", "first_integral"],
-                  zip(s_path, E, dS, const))
+        write_csv(out / "trajectory.csv",
+                  {"s": s_path, "E": E, "deltaS": dS, "first_integral": const})
         write_gnuplot_stub(out / "trajectory.gp", "trajectory.csv",
                            "resonance trapping", 1, [(2, "E"), (3, "deltaS")])
         payload["first_integral_drift"] = float(np.max(np.abs(const - const[0])))
@@ -326,8 +327,7 @@ def cmd_bragg_sweep(args, out):
     cols = bragg.classify_sweep(parse_values(args.ratio), parse_values(args.phi),
                                 args.gamma, args.omega0)
     cells = len(cols["B"])
-    write_csv(out / "sweep.csv", list(cols),
-              zip(*(col.tolist() for col in cols.values())))
+    write_csv(out / "sweep.csv", cols)
     return {"cells": cells}, f"{cells} cells"
 
 
@@ -344,22 +344,24 @@ def cmd_bragg_lattice(args, out):
         normal_axis=args.normal_axis,
     )
     ks = bragg.bragg_scatter_set(k_i, lattice, args.omega0)
-    rows = [(k[0], k[1], k[2], k[3], bragg.minkowski_dot(k, k)) for k in ks]
-    write_csv(out / "scatter_set.csv", ["k1", "k2", "k3", "k4", "k_dot_k"], rows)
-    return {"count": len(rows)}, f"{len(rows)} on-shell scattered wavenumbers"
+    k = np.reshape(ks, (-1, 4))
+    write_csv(out / "scatter_set.csv", {
+        "k1": k[:, 0], "k2": k[:, 1], "k3": k[:, 2], "k4": k[:, 3],
+        "k_dot_k": np.array([bragg.minkowski_dot(v, v) for v in k]),
+    })
+    return {"count": len(k)}, f"{len(k)} on-shell scattered wavenumbers"
 
 
 def cmd_orbit_drift(args, out):
     model = orbits.OrbitDriftModel(d=args.d, C1=args.c1, C2=args.c2, C3=args.c3)
     eq = orbits.drift_equilibria(model)
     res = orbits.integrate_drift(model, args.delta_r0, args.t_max)
-    write_csv(out / "drift_path.csv", ["t", "delta_r"],
-              zip(res["t"], res["delta_r"]))
+    write_csv(out / "drift_path.csv", {"t": res["t"], "delta_r": res["delta_r"]})
     dr = np.linspace(min(res["delta_r"].min(), -3), max(res["delta_r"].max(), 3), 601)
     rate = orbits.drift_rhs(model, dr)
     finite = np.isfinite(rate)  # the pole, at C3 = 0 and delta_r = 0, is left out
-    write_csv(out / "phase_portrait.csv", ["delta_r", "ddelta_r_dt"],
-              zip(dr[finite], rate[finite]))
+    write_csv(out / "phase_portrait.csv",
+              {"delta_r": dr[finite], "ddelta_r_dt": rate[finite]})
     write_gnuplot_stub(out / "phase_portrait.gp", "phase_portrait.csv",
                        "orbit drift phase portrait", 1, [(2, "d(delta_r)/dt")])
     verdict = {k: v for k, v in res.items() if k not in ("t", "delta_r")}
@@ -381,9 +383,10 @@ def cmd_orbit_threemode(args, out):
         state, mode=args.evolution, t_max=args.t_max, samples=args.samples
     )
     inv1, inv2 = orbits.manley_rowe(A1, A2, A12)
-    write_csv(out / "threemode.csv",
-              ["t", "abs_A1", "abs_A2", "abs_A12", "inv_sum", "inv_diff"],
-              zip(t, np.abs(A1), np.abs(A2), np.abs(A12), inv1, inv2))
+    write_csv(out / "threemode.csv", {
+        "t": t, "abs_A1": np.abs(A1), "abs_A2": np.abs(A2), "abs_A12": np.abs(A12),
+        "inv_sum": inv1, "inv_diff": inv2,
+    })
     return {
         "invariant_drift": float(np.max(np.abs(inv1 - inv1[0]))),
     }, f"integrated to t = {t[-1]:.6g}"
@@ -392,10 +395,12 @@ def cmd_orbit_threemode(args, out):
 def cmd_orbit_variance(args, out):
     if args.samples < 1:
         raise ValidationError("--samples must be at least 1")
+    if not np.isfinite(args.t_max):
+        raise ValidationError("--t-max must be finite")
     t = np.linspace(0.0, args.t_max, args.samples)
     N1, N2 = orbits.evolve_variances(args.n1, args.n2, args.kprime,
                                      args.mu1, args.mu2, t)
-    write_csv(out / "variances.csv", ["t", "N1", "N2"], zip(t, N1, N2))
+    write_csv(out / "variances.csv", {"t": t, "N1": N1, "N2": N2})
     return {
         "N1_final": float(N1[-1]), "N2_final": float(N2[-1]),
     }, f"N1 -> {N1[-1]:.9g}, N2 -> {N2[-1]:.9g}"
@@ -415,8 +420,10 @@ def cmd_greens_eval(args, out):
             else:
                 desc = greens.greens_nondispersive(r, t, args.kind)
                 val = sum(b["weight"] for b in desc["branches"] if b["on_support"])
-            rows.append((r, t, val, args.method))
-    write_csv(out / "kernel_scan.csv", ["r", "t", "value", "method"], rows)
+            rows.append((r, t, val))
+    r, t, value = np.array(rows, dtype=float).T
+    write_csv(out / "kernel_scan.csv",
+              {"r": r, "t": t, "value": value, "method": [args.method] * len(rows)})
     return {"points": len(rows)}, f"{len(rows)} kernel evaluations"
 
 

@@ -1,14 +1,19 @@
 """Deterministic CSV/JSON output and flat config files.
 
 CSV: RFC-4180-style, header row, '.' decimal point, 17 significant digits
-(so doubles round-trip byte-identically).  JSON: UTF-8 with sorted keys.
-Config files: flat "key = value" lines with '#' comments.
+(so doubles round-trip byte-identically), CRLF line ends.  The writer is
+columnar and works a block of rows at a time: in each block an array
+column is formatted once per distinct value and the strings are indexed
+back into the rows.  The bytes are those of csv.writer with minimal quoting
+over format_number's cells, row by row.
+JSON: UTF-8 with sorted keys.  Config files: flat "key = value" lines with
+'#' comments.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +35,55 @@ def format_number(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    """Write rows (iterables of scalars) under a header, deterministically."""
+_BLOCK = 1024  # rows formatted and written at a time, which bounds the text held
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quote(text):
+    """A cell or header as csv.writer's minimal quoting writes it."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _column_cells(col):
+    """A column's cell strings.  A float64, int, bool or str array is
+    formatted once per distinct value and the strings indexed back; float64
+    values are told apart by bit pattern (so -0 and 0 stay apart) and take
+    '%.17g' directly.  Anything else goes through format_number per value."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = ["%.17g" % x for x in bits.view(np.float64).tolist()]
+    elif isinstance(col, np.ndarray) and col.dtype.kind in "biuU":
+        distinct, inverse = np.unique(col, return_inverse=True)
+        text = [_quote(format_number(v)) for v in distinct.tolist()]
+    else:
+        values = col.tolist() if isinstance(col, np.ndarray) else col
+        return [_quote(format_number(v)) for v in values]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def write_csv(path, columns):
+    """Write {header: column} as CSV, deterministically; returns the path.
+
+    Columns are 1-D arrays or lists of one length, formatted and written a
+    block of rows at a time.  A one-column row whose only cell is empty is
+    written as "" so that it is not a blank line.
+    """
+    header = [_quote(name) for name in columns]
+    cols = list(columns.values())
+    n_rows = len(cols[0]) if cols else 0
+    if any(len(col) != n_rows for col in cols):
+        raise ValueError("CSV columns differ in length")
+    if len(cols) == 1:
+        header = [h or '""' for h in header]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_number(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _BLOCK):
+            cells = [_column_cells(col[start:start + _BLOCK]) for col in cols]
+            if len(cells) == 1:
+                cells = [[c or '""' for c in cells[0]]]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
     return path
 
 

@@ -344,7 +344,8 @@ def evolve_variances(N1_0, N2_0, K_prime, mu1, mu2, t):
         dN1/dt - 2 mu1 N1 = K' (N2 - N1)
         dN2/dt - 2 mu2 N2 = K' (N1 - N2)
     via the eigen-decomposition of the constant 2x2 system matrix, which is
-    symmetric, so its eigenvectors are orthonormal.
+    symmetric, so its eigenvectors are orthonormal.  A non-finite time is
+    a ValidationError; a variance beyond the float range is NonFiniteState.
     """
     if not np.isfinite([N1_0, N2_0, K_prime, mu1, mu2]).all():
         raise ValidationError("variances, K_prime, mu1 and mu2 must be finite")
@@ -352,16 +353,21 @@ def evolve_variances(N1_0, N2_0, K_prime, mu1, mu2, t):
         raise ValidationError("K_prime must be nonnegative")
     if N1_0 < 0 or N2_0 < 0:
         raise ValidationError("variances must be nonnegative")
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValidationError("times must be finite")
     lam, Q = np.linalg.eigh([[2.0 * mu1 - K_prime, K_prime],
                              [K_prime, 2.0 * mu2 - K_prime]])
     y0 = np.array([N1_0, N2_0], dtype=float)
-    t = np.asarray(t, dtype=float)
-    e0, e1 = np.exp(np.multiply.outer(lam, np.atleast_1d(t)))
     # Q diag(e^{lam t}) Q^T = e0 I + (e1 - e0) q1 q1^T with lam ascending: y0
     # itself at t = 0, and for y0 >= 0 a sum of two nonnegative terms (q1 is
     # the Perron vector), so every N keeps its relative accuracy
     q1 = Q[:, 1]
-    N = y0[:, None] * e0 + np.outer(q1 * (q1 @ y0), e1 - e0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        e0, e1 = np.exp(np.multiply.outer(lam, np.atleast_1d(t)))
+        N = y0[:, None] * e0 + np.outer(q1 * (q1 @ y0), e1 - e0)
+    if not np.isfinite(N).all():
+        raise NonFiniteState("a variance overflows the float range")
     if t.ndim == 0:
         return float(N[0, 0]), float(N[1, 0])
     return N[0], N[1]

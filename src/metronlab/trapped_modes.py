@@ -131,8 +131,9 @@ class TrappedModeSolution:
             "kappa_sq": self.kappa_sq.values.tolist(),
         }
 
-    def to_csv_rows(self):
-        return zip(self.grid.r, self.phi0.values, self.phi1.values, self.kappa_sq.values)
+    def to_csv_columns(self):
+        return {"r": self.grid.r, "phi0": self.phi0.values, "phi1": self.phi1.values,
+                "kappa_sq": self.kappa_sq.values}
 
 
 # a sweep failing with one of these is retried nearer the last good iterate

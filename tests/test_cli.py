@@ -285,6 +285,21 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: NonFiniteState"), proc.stderr
 
+    @pytest.mark.parametrize("extra, code, error", [
+        (["--t-max", "inf"], 2, "ValidationError"),
+        (["--t-max", "1e308", "--mu1", "1"], 3, "NonFiniteState"),
+    ])
+    def test_variance_time_out_of_range(self, tmp_path, extra, code, error):
+        proc = self.fresh_process(["orbit-variance", "--n1", "1", "--n2", "0.3",
+                                   "--kprime", "0.5", *extra, "--output-dir", str(tmp_path)])
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "variances.csv").exists()
+
+
 
 class TestSolveRoundtrip:
     def test_metron_solve_writes_solution(self, tmp_path):

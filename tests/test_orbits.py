@@ -307,6 +307,10 @@ class TestVarianceTransport:
             evolve_variances(1.0, 0.0, -0.1, 0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
             evolve_variances(-1.0, 0.0, 0.1, 0.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="times"):
+            evolve_variances(1.0, 0.3, 0.5, 0.0, 0.0, [0.0, np.inf])
+        with pytest.raises(NonFiniteState):
+            evolve_variances(1.0, 0.3, 0.5, 1.0, 0.0, [0.0, 1e308])
 
 
 class TestBohrCheck:

@@ -136,9 +136,10 @@ class TestSingleMode:
         back = json.loads(text)
         assert back["omega"] == base_solution.omega
         assert len(back["phi0"]) == base_solution.grid.n_points
-        rows = list(base_solution.to_csv_rows())
-        assert len(rows) == base_solution.grid.n_points
-        assert rows[0][0] == 0.0
+        cols = base_solution.to_csv_columns()
+        assert list(cols) == ["r", "phi0", "phi1", "kappa_sq"]
+        assert all(len(c) == base_solution.grid.n_points for c in cols.values())
+        assert cols["r"][0] == 0.0
 
 
 def _richardson_order(omegas):
