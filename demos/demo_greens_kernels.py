@@ -30,10 +30,11 @@ print(f"  r=t=2: on_support={desc['branches'][0]['on_support']}, "
       f"weight={desc['branches'][0]['weight']:.6f}")
 
 print("\nmassive kernel: quadrature vs far-field asymptotics")
-for v, t in ((0.5, 40.0), (0.5, 80.0), (0.3, 120.0)):
-    q = greens_dispersive(v * t, t, params, "retarded")
-    a = greens_stationary_phase(v * t, t, params, "retarded")
-    print(f"  v={v}, t={t:5.0f}: quadrature {q:+.4e}  asymptotic {a:+.4e}  "
+v, t = np.array([0.5, 0.5, 0.3]), np.array([40.0, 80.0, 120.0])
+quad = greens_dispersive(v * t, t, params, "retarded")  # one call per scan
+asym = greens_stationary_phase(v * t, t, params, "retarded")
+for vi, ti, q, a in zip(v, t, quad, asym):
+    print(f"  v={vi}, t={ti:5.0f}: quadrature {q:+.4e}  asymptotic {a:+.4e}  "
           f"({abs(q - a) / abs(q):.2%} apart)")
 
 # --- only the symmetric kernel conserves pairwise momentum -------------------

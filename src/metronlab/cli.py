@@ -407,24 +407,21 @@ def cmd_orbit_variance(args, out):
 
 
 def cmd_greens_eval(args, out):
-    rs = parse_values(args.r)
-    ts = parse_values(args.t)
+    r, t = (a.ravel() for a in np.meshgrid(parse_values(args.r), parse_values(args.t),
+                                          indexing="ij"))
     params = greens.DispersionParams(omega_hat=args.omega_hat, k_max=args.k_max)
-    rows = []
-    for r in rs:
-        for t in ts:
-            if args.method == "quadrature":
-                val = greens.greens_dispersive(r, t, params, args.kind)
-            elif args.method == "stationary":
-                val = greens.greens_stationary_phase(r, t, params, args.kind)
-            else:
-                desc = greens.greens_nondispersive(r, t, args.kind)
-                val = sum(b["weight"] for b in desc["branches"] if b["on_support"])
-            rows.append((r, t, val))
-    r, t, value = np.array(rows, dtype=float).T
+    if args.method == "quadrature":
+        value = greens.greens_dispersive(r, t, params, args.kind)
+    elif args.method == "stationary":
+        value = greens.greens_stationary_phase(r, t, params, args.kind)
+    else:
+        value = np.array([
+            sum(b["weight"] for b in greens.greens_nondispersive(ri, ti, args.kind)["branches"]
+                if b["on_support"])
+            for ri, ti in zip(r, t)], dtype=float)
     write_csv(out / "kernel_scan.csv",
-              {"r": r, "t": t, "value": value, "method": [args.method] * len(rows)})
-    return {"points": len(rows)}, f"{len(rows)} kernel evaluations"
+              {"r": r, "t": t, "value": value, "method": [args.method] * len(r)})
+    return {"points": len(r)}, f"{len(r)} kernel evaluations"
 
 
 def cmd_greens_conserve(args, out):

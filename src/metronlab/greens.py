@@ -132,71 +132,147 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
 # Dispersive kernel: windowed oscillatory quadrature and asymptotics
 # ---------------------------------------------------------------------------
 
-def _dispersive_integral(r, t, params, k_window):
-    """Int [cos(kr - w_k t) - cos(kr + w_k t)] (k/w_k) W(k) dk with the
-    smooth window W = exp(-(k/k_window)^8); the integration range extends
-    to 1.8 * k_window where the window has fallen below 1e-40, so no
-    truncation ringing survives."""
-    k_end = 1.8 * k_window
-    n = int(min(max(4096.0, 40 * k_end * max(r, abs(t), 1.0) / (2 * np.pi)), 4_000_000))
-    k = np.linspace(0.0, k_end, n)
-    wk = params.omega_k(k)
-    window = np.exp(-((k / k_window) ** 8))
-    integrand = (np.cos(k * r - wk * t) - np.cos(k * r + wk * t)) * np.where(
-        wk > 0, k / np.where(wk > 0, wk, 1.0), 0.0
-    ) * window
-    return float(np.trapezoid(integrand, k))
+# the dispersive quadrature works on blocks of _NODE_BLOCK nodes by at most
+# _ROW_BLOCK points, so its memory grows with neither the nodes nor the scan
+_NODE_BLOCK = 8192
+_ROW_BLOCK = 32
 
 
-def _dispersive_branch_weight(r, t, params, kind):
-    """Weight of the branch whose support holds t (retarded t > 0, advanced
-    t < 0), after the input checks both dispersive kernels share."""
+def _scan_points(r, t):
+    """Flat float arrays of the broadcast (r, t) scan, and its shape."""
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    return r.ravel(), t.ravel(), r.shape
+
+
+def _shaped(values, shape):
+    """A scan's values in its shape; a Python float for a single point."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _first_bad(checks):
+    """(index, make_error) of the first point that fails a check, or (number
+    of points, None).  checks are (bad mask, make_error(i)) pairs in the order
+    one point runs them, so a point failing several gets its earliest, as a
+    loop over the points would."""
+    bad = np.array([mask for mask, _ in checks])
+    hits = np.flatnonzero(bad.any(axis=0))
+    if not hits.size:
+        return bad.shape[1], None
+    first = int(hits[0])
+    return first, checks[int(np.argmax(bad[:, first]))][1]
+
+
+def _branch_checks(r, t, params, kind):
+    """Each point's branch weight (retarded t > 0, advanced t < 0), and the
+    input checks both dispersive kernels share, in their order."""
     w_ret, w_adv = _branch_weights(kind)
-    if r <= 0:
-        raise OriginSingular("kernel evaluated at r = 0")
-    if params.omega_hat <= 0:
-        raise ValidationError("dispersive kernel needs omega_hat > 0")
-    if t == 0:
-        raise ValidationError("|t| must be positive")
-    return w_ret if t > 0 else w_adv
+    checks = [
+        (r <= 0, lambda i: OriginSingular("kernel evaluated at r = 0")),
+        (np.full(r.shape, params.omega_hat <= 0),
+         lambda i: ValidationError("dispersive kernel needs omega_hat > 0")),
+        (t == 0, lambda i: ValidationError("|t| must be positive")),
+    ]
+    return np.where(t > 0, w_ret, w_adv), checks
 
 
-def _check_phase(phase, r, t):
-    """QuadratureNotConverged when the phase (rad) has an ulp above 1e-6 rad,
-    too coarse for six significant digits of its cosine: phases from 2^33 rad
-    up (the quadrature converges only below about 4e5 rad)."""
-    if not math.ulp(phase) <= 1e-6:
-        raise QuadratureNotConverged(
-            f"phase {phase:.3g} rad has no significant digits at (r={r}, t={t})"
-        )
+def _phase_check(a, b, r, t, live):
+    """The check that refuses, where live, a phase max(a, b) (rad) with an ulp
+    above 1e-6 rad, too coarse for six significant digits of its cosine:
+    phases from 2^33 rad up (the quadrature converges only below about
+    4e5 rad)."""
+    phase = np.where(b > a, b, a)  # max(a, b) that keeps a NaN a, as Python's max
+    return (live & ~(np.spacing(phase) <= 1e-6), lambda i: QuadratureNotConverged(
+        f"phase {phase[i]:.3g} rad has no significant digits at (r={r[i]}, t={t[i]})"))
+
+
+def _dispersive_integrals(r, t, params, k_window):
+    """Int 2 sin(kr) sin(w_k t) (k/w_k) W(k) dk at each point (r, t > 0),
+    by the trapezoid rule.
+
+    The smooth window W = exp(-(k/k_window)^8) is below 1e-40 at the range
+    end, 1.8 * k_window, so no truncation ringing survives and the rule
+    converges spectrally.  Each point takes 40 nodes per 2 pi of its largest
+    phase rate, 4096 to 4e6.  The points with one node count share its
+    blocks: the k-only factors are built once per block and sin(w_k t) once
+    per distinct t, and each point adds the last-axis sum of an elementwise
+    product, so its value does not depend on the rest of the scan.  The
+    phase w_k t is summed as j (h t) + t omega_hat^2 / (w_k + k) at node j
+    of spacing h: its rounding, the roundoff floor at thousands of rad, is
+    then below that of the product w_k t.
+    """
+    k_end = 1.8 * k_window
+    counts = np.minimum(np.maximum(
+        4096.0, 40 * k_end * np.fmax(np.fmax(r, t), 1.0) / (2 * np.pi)), 4_000_000).astype(int)
+    out = np.zeros(r.shape)
+    for n in np.unique(counts):
+        h = k_end / (n - 1)
+        by_t = {}
+        for i in np.flatnonzero(counts == n):
+            by_t.setdefault(t[i], []).append(i)
+        for j0 in range(0, n, _NODE_BLOCK):
+            j = np.arange(j0, min(j0 + _NODE_BLOCK, n))
+            k = j * h
+            wk = params.omega_k(k)
+            excess = params.omega_hat**2 / (wk + k)  # w_k - k, without the cancellation
+            weighted = (2.0 * h) * (k / wk) * np.exp(-((k / k_window) ** 8))
+            if j0 == 0:
+                weighted[0] *= 0.5
+            if j0 + _NODE_BLOCK >= n:
+                weighted[-1] *= 0.5
+            for tt, points in by_t.items():
+                time_factor = np.sin(j * (h * tt) + tt * excess) * weighted
+                for s in range(0, len(points), _ROW_BLOCK):
+                    rows = points[s:s + _ROW_BLOCK]
+                    out[rows] += np.sum(np.sin(r[rows, None] * k) * time_factor, axis=-1)
+    return out
 
 
 def greens_dispersive(r, t, params: DispersionParams, kind):
-    """Massive kernel by filtered oscillatory quadrature.
+    """Massive kernel by filtered oscillatory quadrature, at a point or a scan.
 
+    r and t broadcast against each other; a scalar pair returns a float.
     Retarded support t > 0, advanced t < 0, symmetric the half-sum.  The
     advanced branch is the time mirror of the retarded one: the integrand
-    only swaps its two cosines under t -> -t, so I(-t) = -I(t) holds bit for
-    bit and each branch is the retarded value at |t|.  The integral is
-    evaluated at the configured cutoff and at 0.8x the cutoff;
+    2 sin(kr) sin(w_k t) (the cos(kr - w_k t) - cos(kr + w_k t) of the plane
+    waves) is odd in t, so each branch is the retarded value at |t|.  The
+    integral is evaluated at the configured cutoff and at 0.8x the cutoff;
     QuadratureNotConverged is raised when the two differ by more than 1e-4
     relative.  It is raised before any quadrature when the largest phase,
-    max(k_max r, omega(k_max) |t|), fails `_check_phase`: no cutoff can
-    converge an integrand whose phase has no significant digits.
+    max(k_max r, omega(k_max) |t|), has no significant digits (see
+    `_phase_check`): no cutoff can converge such an integrand.
+
+    The points of a scan that take one node count share its node grid, which
+    is summed in blocks of _NODE_BLOCK nodes (see `_dispersive_integrals`):
+    the memory does not grow with the node count, and every value equals its
+    single-point value bit for bit.  A scan raises the error of its first
+    failing point in flat (C) order, the check that point fails first.
     """
-    w = _dispersive_branch_weight(r, t, params, kind)
-    if not w:
-        return 0.0
-    _check_phase(max(params.k_max * float(r),
-                     math.hypot(params.omega_hat, params.k_max) * abs(float(t))), r, t)
-    i1 = _dispersive_integral(r, abs(t), params, params.k_max)
-    i2 = _dispersive_integral(r, abs(t), params, 0.8 * params.k_max)
-    scale = max(abs(i1), abs(i2), 1e-30)
-    if not abs(i1 - i2) <= 1e-4 * scale:  # a NaN integral fails too
+    r, t, shape = _scan_points(r, t)
+    w, checks = _branch_checks(r, t, params, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks.append(_phase_check(params.k_max * r,
+                                   math.hypot(params.omega_hat, params.k_max) * np.abs(t),
+                                   r, t, w != 0))
+    first, make_error = _first_bad(checks)
+    # the points before the first failing one are integrated: one of them
+    # may fail the cutoff test, and raise first
+    live = np.flatnonzero(w[:first] != 0)
+    r_live, t_live = r[live], np.abs(t[live])
+    i1 = _dispersive_integrals(r_live, t_live, params, params.k_max)
+    i2 = _dispersive_integrals(r_live, t_live, params, 0.8 * params.k_max)
+    scale = np.maximum(np.maximum(np.abs(i1), np.abs(i2)), 1e-30)
+    unconverged = np.flatnonzero(~(np.abs(i1 - i2) <= 1e-4 * scale))  # a NaN fails too
+    if unconverged.size:
+        j = unconverged[0]
         raise QuadratureNotConverged(
-            f"cutoff sensitivity {abs(i1 - i2) / scale:.2e} at (r={r}, t={t})"
+            f"cutoff sensitivity {abs(i1[j] - i2[j]) / scale[j]:.2e} "
+            f"at (r={r[live[j]]}, t={t[live[j]]})"
         )
-    return w * (-i1 / ((2.0 * np.pi) ** 2 * r))
+    if make_error is not None:
+        raise make_error(first)
+    out = np.zeros(r.shape)
+    out[live] = w[live] * (-i1 / ((2.0 * np.pi) ** 2 * r_live))
+    return _shaped(out, shape)
 
 
 def greens_stationary_phase(r, t, params: DispersionParams, kind):
@@ -211,33 +287,54 @@ def greens_stationary_phase(r, t, params: DispersionParams, kind):
 
     on the causal branch (and the time-mirrored value for the advanced
     one).  Requires v < 1.  QuadratureNotConverged when the larger term of
-    the phase, max(k0 r, omega_0 |t|), fails `_check_phase`.
+    the phase, max(k0 r, omega_0 |t|), fails `_phase_check`; ValidationError
+    when the amplitude leaves the float range (r or omega'' |t| near the
+    underflow).  r and t broadcast as in `greens_dispersive`, with the same
+    error order.
     """
-    w = _dispersive_branch_weight(r, t, params, kind)
-    k0, omega0, wpp = stationary_phase_point(params, r / abs(t))
-    if not w:
-        return 0.0
-    _check_phase(max(k0 * float(r), omega0 * abs(float(t))), r, t)
-    amp = (
-        -((2.0 * np.pi) ** -2)
-        / r
-        * (k0 / omega0)
-        * math.sqrt(2.0 * np.pi / (wpp * abs(t)))
-    )
-    return w * float(amp * np.cos(k0 * r - omega0 * abs(t) - np.pi / 4.0))
+    r, t, shape = _scan_points(r, t)
+    w, checks = _branch_checks(r, t, params, kind)
+    abs_t = np.abs(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k0, omega0, wpp, cone_checks = _stationary_terms(params, r / abs_t)
+        checks += cone_checks
+        checks.append(_phase_check(k0 * r, omega0 * abs_t, r, t, w != 0))
+        amp = -((2.0 * np.pi) ** -2) / r * (k0 / omega0) * np.sqrt(2.0 * np.pi / (wpp * abs_t))
+        values = w * (amp * np.cos(k0 * r - omega0 * abs_t - np.pi / 4.0))
+    checks.append(((w != 0) & ~np.isfinite(values), lambda i: ValidationError(
+        f"amplitude leaves the float range at (r={r[i]}, t={t[i]})")))
+    first, make_error = _first_bad(checks)
+    if make_error is not None:
+        raise make_error(first)
+    return _shaped(np.where(w != 0, values, 0.0), shape)
+
+
+def _stationary_terms(params, v):
+    """(k0, omega0, omega'') at the cone velocities v, and the checks that
+    refuse a v outside [0, 1) and an omega0^3 outside the float range, where
+    omega'' is lost.  Call under np.errstate: a refused v warns."""
+    k0 = params.omega_hat * v / np.sqrt(1.0 - v * v)
+    omega0 = params.omega_k(k0)
+    cube = np.float_power(omega0, 3)  # libm's pow, as for a float; array ** 3 rounds apart
+    checks = [
+        (~((0 <= v) & (v < 1)), lambda i: SuperluminalCone(f"v = {v[i]} outside [0, 1)")),
+        (~(np.isfinite(cube) & (cube != 0)), lambda i: ValidationError(
+            f"omega0^3 leaves the float range at omega0 = {omega0[i]:.3g}")),
+    ]
+    return k0, omega0, params.omega_hat**2 / cube, checks
 
 
 def stationary_phase_point(params: DispersionParams, v):
-    """(k0, omega0, omega'') for the cone velocity v < 1; an omega0^3
-    outside the float range, where omega'' is lost, is a ValidationError."""
-    if not 0 <= v < 1:
-        raise SuperluminalCone(f"v = {v} outside [0, 1)")
-    k0 = params.omega_hat * v / math.sqrt(1.0 - v * v)
-    omega0 = float(params.omega_k(k0))
-    try:
-        return k0, omega0, params.omega_hat**2 / omega0**3
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(f"omega0^3 leaves the float range at omega0 = {omega0:.3g}") from None
+    """(k0, omega0, omega'') for cone velocities v < 1, floats for a scalar v;
+    an omega0^3 outside the float range, where omega'' is lost, is a
+    ValidationError."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        *terms, checks = _stationary_terms(params, v.ravel())
+    first, make_error = _first_bad(checks)
+    if make_error is not None:
+        raise make_error(first)
+    return tuple(_shaped(x, v.shape) for x in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,7 @@ class TestExitCodes:
         ["metron-solve", "--mode", "3000", "--n-points", "100"],
         ["greens-eval", "--r", "1", "--t", "0", "--method", "stationary"],
         ["greens-eval", "--r", "", "--t", "1"],
+        ["greens-eval", "--r", "1e-301", "--t", "2e-301", "--method", "stationary"],
         ["algebra-check", "--suite", "nope"],
         ["calibrate", "--a-sq", "1", "--beta", "1", "--m-core", "1", "--k5", "0",
          "--gprime", "1"],

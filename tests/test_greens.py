@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import j1
 
+from metronlab import cli
 from metronlab.errors import (
     KernelUnresolved,
     OriginSingular,
@@ -9,6 +13,7 @@ from metronlab.errors import (
     ValidationError,
 )
 from metronlab.greens import (
+    KERNEL_KINDS,
     DispersionParams,
     WorldLine,
     absorber_balance,
@@ -79,13 +84,12 @@ class TestDispersive:
         assert abs(q - s) < 0.05 * abs(q)
 
     def test_agreement_improves_with_phase_volume(self):
-        for (v, t) in ((0.5, 80.0), (0.3, 120.0), (0.6, 90.0)):
-            r = v * t
-            q = greens_dispersive(r, t, self.params, "retarded")
-            s = greens_stationary_phase(r, t, self.params, "retarded")
-            k0, om0, wpp = stationary_phase_point(self.params, v)
-            assert wpp * t > 40.0
-            assert abs(q - s) < 0.05 * abs(q)
+        v, t = np.array([0.5, 0.3, 0.6]), np.array([80.0, 120.0, 90.0])
+        q = greens_dispersive(v * t, t, self.params, "retarded")
+        s = greens_stationary_phase(v * t, t, self.params, "retarded")
+        k0, om0, wpp = stationary_phase_point(self.params, v)
+        assert np.all(wpp * t > 40.0)
+        assert np.all(np.abs(q - s) < 0.05 * np.abs(q))
 
     def test_branches_are_time_mirrors_with_the_kind_weights(self):
         for kernel in (greens_dispersive, greens_stationary_phase):
@@ -134,6 +138,13 @@ class TestStationaryPhase:
         with pytest.raises(ValidationError, match="float range"):
             greens_stationary_phase(1.0, 2.0, DispersionParams(omega_hat, 40.0), "retarded")
 
+    @pytest.mark.parametrize("omega_hat", [1.0, 1e100])
+    def test_amplitude_outside_the_float_range_is_validation_error(self, omega_hat):
+        # 1/r overflows the amplitude; at omega_hat 1e100, omega'' |t| underflows to 0
+        with pytest.raises(ValidationError, match="amplitude"):
+            greens_stationary_phase(1e-301, 2e-301, DispersionParams(omega_hat, 40.0),
+                                    "retarded")
+
     @pytest.mark.parametrize("omega_hat, k_max", [(1.0, np.nan), (1.0, np.inf), (1.0, 1e308),
                                                   (np.nan, 40.0), (1e200, 40.0)])
     def test_dispersion_needs_finite_squares(self, omega_hat, k_max):
@@ -153,6 +164,153 @@ class TestStationaryPhase:
     def test_zero_time_is_validation_error(self):
         with pytest.raises(ValidationError, match="t"):
             greens_stationary_phase(1.0, 0.0, DispersionParams(1.0, 40.0), "retarded")
+
+
+def cos_difference_kernel(r, t, params, kind):
+    """The kernel as it stood before scans: one point at a time, the
+    trapezoid rule over cos(kr - w_k t) - cos(kr + w_k t) on np.linspace
+    nodes, at the configured cutoff.  The oracle of the sin-product scan."""
+    w_ret, w_adv = KERNEL_KINDS[kind]
+    w = w_ret if t > 0 else w_adv
+    t = abs(t)
+    k_end = 1.8 * params.k_max
+    n = int(min(max(4096.0, 40 * k_end * max(r, t, 1.0) / (2 * np.pi)), 4_000_000))
+    k = np.linspace(0.0, k_end, n)
+    wk = params.omega_k(k)
+    window = np.exp(-((k / params.k_max) ** 8))
+    integrand = (np.cos(k * r - wk * t) - np.cos(k * r + wk * t)) * (k / wk) * window
+    return w * (-float(np.trapezoid(integrand, k)) / ((2.0 * np.pi) ** 2 * r))
+
+
+def bessel_kernel(r, t, omega_hat):
+    """The retarded massive kernel inside the cone in closed form,
+    omega_hat J1(omega_hat s) / (4 pi s) with s = sqrt(t^2 - r^2)."""
+    s = np.sqrt(t * t - r * r)
+    return omega_hat * j1(omega_hat * s) / (4.0 * np.pi * s)
+
+
+def per_point(kernel, r, t, params, kind):
+    """A scan the way the CLI ran it before: one call per point, r-major."""
+    r, t = np.broadcast_arrays(r, t)
+    return np.array([kernel(float(a), float(b), params, kind)
+                     for a, b in zip(r.ravel(), t.ravel())]).reshape(r.shape)
+
+
+def first_error(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# the bench's quadrature scan region, inside the forward cone
+SCAN_R, SCAN_T = np.meshgrid(np.linspace(1.5, 7.5, 7), np.linspace(11.0, 41.0, 9), indexing="ij")
+
+
+@pytest.fixture(scope="module", params=[0.8, 1.0, 1.2])
+def scan(request):
+    params = DispersionParams(request.param, 60.0)
+    return params, greens_dispersive(SCAN_R, SCAN_T, params, "retarded")
+
+
+class TestScans:
+    params = DispersionParams(omega_hat=1.0, k_max=40.0)
+    # t = +-5.5 at r < 5.5 puts both cutoffs on the 4096-node floor, the
+    # rest spread over several node counts
+    r = np.array([0.7, 2.5, 3.5, 9.0])[:, None]
+    t = np.array([-30.0, -5.5, 5.5, 12.0, 26.0])
+
+    @pytest.mark.parametrize("kernel", [greens_dispersive, greens_stationary_phase])
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_scan_equals_its_single_points_bit_for_bit(self, kernel, kind):
+        t = np.where(np.abs(self.t) > self.r, self.t, -20.0)  # inside the cone
+        scan = kernel(self.r, t, self.params, kind)
+        assert scan.shape == (4, 5)
+        np.testing.assert_array_equal(scan, per_point(kernel, self.r, t, self.params, kind))
+        w_ret, w_adv = KERNEL_KINDS[kind]
+        np.testing.assert_array_equal(scan != 0, np.where(t > 0, w_ret, w_adv) * self.r != 0)
+
+    def test_a_single_point_is_a_float(self):
+        for kernel in (greens_dispersive, greens_stationary_phase):
+            assert type(kernel(2.0, 5.0, self.params, "retarded")) is float
+            assert type(kernel(2.0, -5.0, self.params, "retarded")) is float
+            assert kernel(np.array([2.0]), 5.0, self.params, "retarded").shape == (1,)
+
+    def test_values_match_the_cos_difference_oracle(self, scan):
+        params, values = scan
+        oracle = per_point(cos_difference_kernel, SCAN_R, SCAN_T, params, "retarded")
+        assert np.max(np.abs(values - oracle)) < 1e-11 * np.max(np.abs(oracle))
+
+    def test_retarded_values_match_the_bessel_closed_form(self, scan):
+        params, values = scan
+        exact = bessel_kernel(SCAN_R, SCAN_T, params.omega_hat)
+        assert np.max(np.abs(values - exact)) < 1e-9 * np.max(np.abs(exact))
+
+    def test_criterion_9_points_and_every_kind_match_the_bessel_closed_form(self):
+        v, t = np.array([0.5, 0.3, 0.6]), np.array([80.0, 120.0, 90.0])
+        exact = bessel_kernel(v * t, t, 1.0)
+        bound = 1e-9 * np.max(np.abs(exact))
+        ret = greens_dispersive(v * t, t, self.params, "retarded")
+        assert np.max(np.abs(ret - exact)) < bound
+        # the advanced kernel is the time mirror, the symmetric one the half-sum
+        both = greens_dispersive(v * t, np.stack([t, -t]), self.params, "advanced")
+        np.testing.assert_array_equal(both[0], 0.0)
+        assert np.max(np.abs(both[1] - exact)) < bound
+        sym = greens_dispersive(v * t, np.stack([t, -t]), self.params, "symmetric")
+        assert np.max(np.abs(sym - 0.5 * exact)) < bound
+
+    @pytest.mark.parametrize("kernel, r, t, error", [
+        (greens_dispersive, [2.0, 0.0, 3.0], [5.0, 6.0], OriginSingular),
+        (greens_stationary_phase, [2.0, 3.0, 0.0], [5.0, 6.0], OriginSingular),
+        (greens_dispersive, [2.0, 3.0], [5.0, 0.0, -4.0], ValidationError),
+        (greens_stationary_phase, [2.0, 3.0], [5.0, -4.0, 0.0], ValidationError),
+        (greens_dispersive, [2.0, 1e15, 3.0], [5.0, 6.0], QuadratureNotConverged),
+        (greens_stationary_phase, [2.0, 1e15], [5.0, 2e15], QuadratureNotConverged),
+        (greens_stationary_phase, [2.0, 9.0, 3.0], [5.0, 10.0, -1.0], SuperluminalCone),
+        # near the light cone the two cutoffs disagree: the cutoff test fails
+        (greens_dispersive, [1.0, 5.0, 0.0], [20.0, 5.5], QuadratureNotConverged),
+        (greens_dispersive, [1.0, 2.0], [20.0, np.nan], QuadratureNotConverged),
+        (greens_stationary_phase, [1e-301, 0.0], [2e-301, 5.0], ValidationError),
+        # the first bad point fails two checks: the earlier one is raised
+        (greens_dispersive, [0.0, 2.0], [0.0, 5.0], OriginSingular),
+        (greens_stationary_phase, [2.0, 9.0], [5.0, 4.0], SuperluminalCone),
+        # the first bad point fails a later check than the second one
+        (greens_dispersive, [2.0, 1e15, 0.0], [5.0, 6.0], QuadratureNotConverged),
+        (greens_stationary_phase, [2.0, 9.0, 0.0], [5.0, 6.0], SuperluminalCone),
+    ])
+    def test_a_scan_raises_the_error_of_its_first_bad_point(self, kernel, r, t, error):
+        r, t = np.array(r)[:, None], np.array(t)
+        expected = first_error(lambda: per_point(kernel, r, t, self.params, "symmetric"))
+        assert expected[0] is error
+        assert first_error(lambda: kernel(r, t, self.params, "symmetric")) == expected
+
+    @pytest.mark.parametrize("method, r, t, code", [
+        ("quadrature", "2,0,3", "5,6", 2),
+        ("quadrature", "2,3", "5,0,-4", 2),
+        ("stationary", "2,9,3", "5,10,-1", 2),
+        ("quadrature", "2,1e15", "5,6", 3),
+        ("quadrature", "1,5", "20,5.5", 3),
+    ])
+    def test_a_cli_scan_with_a_bad_point_exits_with_one_line(self, tmp_path, capsys,
+                                                             method, r, t, code):
+        rc = cli.run(["greens-eval", "--r", r, "--t", t, "--kind", "symmetric",
+                      "--method", method, "--output-dir", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == code
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_memory_stays_bounded_at_the_node_cap(self):
+        # both points take the 4e6-node cap at both cutoffs; a whole-grid
+        # quadrature held 196 MB for one of them
+        params = DispersionParams(1.0, 60.0)
+        tracemalloc.start()
+        try:
+            values = greens_dispersive(1.0, [7500.0, 8000.0], params, "retarded")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        exact = bessel_kernel(1.0, np.array([7500.0, 8000.0]), 1.0)
+        assert np.max(np.abs(values - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
 class TestMomentumExchange:
