@@ -10,6 +10,12 @@ two causal branches with them, skipping a branch of weight zero.  The
 exception is momentum_exchange, whose symmetric kernel is the unmasked
 Gaussian: a weighted sum of the two causal masks would drop the pairs at
 equal time.
+
+momentum_exchange evaluates the kernel once for both particles, on scalar
+(n_i, n_j) planes of the separation components, in row blocks of a fixed
+pair budget, so its memory does not grow with the sample counts.  World
+lines with a non-finite sample, and pairs of lines whose squared
+separations overflow, are refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -343,7 +349,8 @@ def stationary_phase_point(params: DispersionParams, v):
 
 @dataclass(frozen=True)
 class WorldLine:
-    """Sampled trajectory: proper times, positions and 4-velocities."""
+    """Sampled trajectory: at least 2 proper times, positions and
+    4-velocities, all finite, with a finite weight."""
 
     s: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)  # (n, 4)
@@ -354,9 +361,14 @@ class WorldLine:
         s = np.asarray(self.s, dtype=float)
         x = np.asarray(self.x, dtype=float)
         u = np.asarray(self.u, dtype=float)
+        if s.ndim != 1 or len(s) < 2:
+            raise ValidationError("s must hold at least 2 proper times for the trapezoid rule")
         if x.shape != (len(s), 4) or u.shape != x.shape:
             raise ValidationError("x and u must be (n, 4) arrays matching s")
-        norms = np.sum(METRIC * u * u, axis=1)
+        if not all(np.isfinite(a).all() for a in (s, x, u, self.weight)):
+            raise ValidationError("world line s, x, u and weight must be finite")
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check
+            norms = np.sum(METRIC * u * u, axis=1)
         if np.max(np.abs(norms + 1.0)) > 1e-8:
             raise ValidationError("4-velocity normalization u.u = -1 violated")
         object.__setattr__(self, "s", s)
@@ -372,17 +384,20 @@ class WorldLine:
     def from_velocity(cls, position0, velocity3, t_span, n):
         """Constant-velocity world line (|velocity3| < 1)."""
         v = np.asarray(velocity3, dtype=float)
-        v2 = float(np.sum(v * v))
-        if v2 >= 1.0:
-            raise ValidationError("speed must be below 1")
-        gam = 1.0 / np.sqrt(1.0 - v2)
-        s = np.linspace(t_span[0], t_span[1], n)  # proper time
-        x = np.zeros((n, 4))
-        x[:, 3] = gam * s
-        x[:, :3] = np.asarray(position0, dtype=float) + np.outer(gam * s, v)
-        u = np.zeros((n, 4))
-        u[:, :3] = gam * v
-        u[:, 3] = gam
+        # a non-finite or overflowing input leaves a non-finite sample, which
+        # the constructor refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            v2 = float(np.sum(v * v))
+            if v2 >= 1.0:
+                raise ValidationError("speed must be below 1")
+            gam = 1.0 / np.sqrt(1.0 - v2)
+            s = np.linspace(t_span[0], t_span[1], n)  # proper time
+            x = np.zeros((n, 4))
+            x[:, 3] = gam * s
+            x[:, :3] = np.asarray(position0, dtype=float) + np.outer(gam * s, v)
+            u = np.zeros((n, 4))
+            u[:, :3] = gam * v
+            u[:, 3] = gam
         return cls(s=s, x=x, u=u)
 
 
@@ -394,51 +409,100 @@ def _trapezoid_weights(s):
     return w
 
 
+# momentum_exchange works on row blocks of at most _PAIR_BLOCK (a, b) pairs
+# (one row at least), so its memory does not grow with n_a n_b
+_PAIR_BLOCK = 1 << 13
+
+
+def _separation_planes(x_a, x_b):
+    """The separations xi_l = x_a,l - x_b,l as (4, n_a, n_b) planes from the
+    (4, n) coordinate rows x_a and x_b, with the squared spatial distance
+    r^2 = xi_0^2 + xi_1^2 + xi_2^2 and xi_3^2.  Call under
+    np.errstate(over="ignore"): an overflow leaves an inf."""
+    xi = x_a[:, :, None] - x_b[:, None, :]
+    r2 = xi[0] * xi[0]
+    sq = xi[1] * xi[1]
+    r2 += sq
+    r2 += np.multiply(xi[2], xi[2], out=sq)
+    return xi, r2, np.multiply(xi[3], xi[3], out=sq)
+
+
 def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetric"):
     """Per-particle impulses from the double line integral of the kernel
     gradient over the two sampled trajectories.
 
-    The kernel is the Gaussian regularization exp(-z^2/(2 sigma^4)) of the
-    light-cone distribution in the invariant interval z = xi.xi, which is
-    even in xi by construction; the retarded/advanced variants multiply it
-    by the causal step in the time separation (treated as a selector, not
-    differentiated).  Returns (dp_i, dp_j) as contravariant 4-vectors.
+    The kernel is the Gaussian regularization g = exp(-z^2/(2 sigma^4)) of
+    the light-cone distribution in the invariant interval
+    z = xi_0^2 + xi_1^2 + xi_2^2 - xi_3^2 of the separation xi = x_i - x_j;
+    the retarded/advanced variants multiply it by the causal step in the
+    time separation (treated as a selector, not differentiated), and the
+    symmetric one is the unmasked Gaussian.  With G = -g z / sigma^4, times
+    2 on a causal branch, and the product trapezoid weights w_a w_b, the
+    contravariant impulse of particle i is (METRIC^2 = 1)
+
+        dp_i,l = 2 W sum_ab w_a w_b G_ab xi_l,ab,   W = weight_i weight_j,
+
+    and that of j the same sum over -xi with j's causal mask.  z, g and G
+    are even in xi, so one evaluation on scalar (n_i, n_j) planes serves both
+    particles; each impulse is reduced on its own side (i over j first, j
+    over i), so the symmetric kernel's dp_i + dp_j = 0 is a computed check,
+    not zero by construction.  The planes come in row blocks of at most
+    _PAIR_BLOCK pairs, so the working memory does not grow with n_i n_j.
+
+    Before any kernel work one pass over all blocks raises KernelUnresolved
+    when sigma exceeds the minimum spatial separation, sqrt(min r^2), and
+    ValidationError when a squared separation leaves the float range.
+    Returns (dp_i, dp_j) as contravariant 4-vectors.
     """
     _branch_weights(kind)
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     with np.errstate(over="ignore"):
-        if not 0 < np.float64(sigma) ** 4 < np.inf:
+        sigma4 = np.float64(sigma) ** 4
+        if not 0 < sigma4 < np.inf:
             raise ValidationError(f"sigma^4 leaves the float range at sigma = {sigma}")
-    sep = line_i.x[:, None, :3] - line_j.x[None, :, :3]
-    min_sep = float(np.min(np.sqrt(np.sum(sep**2, axis=2))))
+    x_i, x_j = np.ascontiguousarray(line_i.x.T), np.ascontiguousarray(line_j.x.T)
+    rows = max(1, _PAIR_BLOCK // len(line_j.s))
+    blocks = [slice(a, a + rows) for a in range(0, len(line_i.s), rows)]
+    min_r2, top = np.inf, 0.0
+    with np.errstate(over="ignore"):
+        for block in blocks:
+            _, r2, t2 = _separation_planes(x_i[:, block], x_j)
+            min_r2 = min(min_r2, r2.min())
+            top = max(top, r2.max(), t2.max())
+    min_sep = float(np.sqrt(min_r2))
     if sigma > min_sep:
         raise KernelUnresolved(
             f"sigma = {sigma} exceeds the minimum trajectory separation {min_sep:.4g}"
         )
+    if not top < np.inf:
+        raise ValidationError("squared separations of the world lines leave the float range")
+
     wi = _trapezoid_weights(line_i.s)
     wj = _trapezoid_weights(line_j.s)
-    weight = line_i.weight * line_j.weight
-
-    def impulse(xa, xb, wa, wb):
-        # gradient of G(x_a - x_b) with respect to x_a, contracted with the
-        # product quadrature weights; returns the contravariant impulse
-        xi = xa[:, None, :] - xb[None, :, :]  # (na, nb, 4)
-        z = np.einsum("abl,l,abl->ab", xi, METRIC, xi)
-        with np.errstate(over="ignore"):  # an overflow makes g = 0 exactly
-            g = np.exp(-(z**2) / (2.0 * sigma**4))
-        # only where g > 0 is |z| / sigma^4 bounded, by 39 / sigma^2
-        gp = np.divide(-z, sigma**4, out=np.zeros_like(z), where=g > 0) * g
-        if kind == "retarded":
-            gp = 2.0 * gp * (xi[:, :, 3] > 0)
-        elif kind == "advanced":
-            gp = 2.0 * gp * (xi[:, :, 3] < 0)
-        grad_cov = 2.0 * np.einsum("ab,abl->abl", gp, xi * METRIC)
-        contrav = grad_cov * METRIC
-        return weight * np.einsum("a,b,abl->l", wa, wb, contrav)
-
-    dp_i = impulse(line_i.x, line_j.x, wi, wj)
-    dp_j = impulse(line_j.x, line_i.x, wj, wi)
+    scale = (2.0 if kind == "symmetric" else 4.0) * line_i.weight * line_j.weight
+    sum_i = np.zeros(4)
+    cols_j = np.zeros(x_j.shape)  # j's sums over the rows of every block, on -xi
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite impulse is refused
+        for block in blocks:
+            xi, z, q = _separation_planes(x_i[:, block], x_j)
+            z -= q  # z = r^2 - xi_3^2
+            # an overflow of z^2 makes g = 0 exactly, as does exp below -746
+            np.divide(np.multiply(z, z, out=q), -2.0 * sigma4, out=q)
+            g = np.exp(q, out=np.zeros_like(q), where=q > -750.0)
+            # only where g > 0 is |z| / sigma^4 bounded, by 39 / sigma^2
+            gp = np.divide(z, -sigma4, out=z, where=g > 0)
+            gp *= g
+            h_i, h_j = gp * wj, gp * wi[block, None]
+            if kind != "symmetric":
+                later, earlier = xi[3] > 0, xi[3] < 0  # x_i after / before x_j
+                h_i *= later if kind == "retarded" else earlier
+                h_j *= earlier if kind == "retarded" else later
+            sum_i += np.einsum("ab,lab->la", h_i, xi) @ wi[block]
+            cols_j -= np.einsum("ab,lab->lb", h_j, xi)
+        dp_i, dp_j = scale * sum_i, scale * (cols_j @ wj)
+    if not (np.isfinite(dp_i).all() and np.isfinite(dp_j).all()):
+        raise ValidationError("the impulses leave the float range")
     return dp_i, dp_j
 
 

@@ -159,6 +159,13 @@ class TestExitCodes:
         ["bragg-classify", "--config", "{malformed}"],
         ["orbit-variance", "--n1", "1", "--n2", "0", "--kprime", "0.5", "--samples", "0"],
         ["greens-conserve", "--samples", "1"],
+        ["greens-conserve", "--separation", "nan"],
+        ["greens-conserve", "--speed", "nan"],
+        ["greens-conserve", "--speed", "1e200"],
+        ["greens-conserve", "--span", "nan"],
+        ["greens-conserve", "--span", "inf"],
+        ["greens-conserve", "--span", "1e200"],
+        ["greens-conserve", "--separation", "1e308"],
         ["bragg-lattice", "--ki", "abc", "--fundamental", "1,0,0", "--omega0", "1"],
         ["bragg-classify", "--config={malformed}"],
         ["bragg-classify", "--config={unknown_key}"],

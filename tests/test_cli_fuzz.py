@@ -5,7 +5,10 @@ line and no traceback.
 Values are finite, non-finite, negative or junk. Sizes that set a run's cost
 are capped (always passed, so no uncapped default runs): --n-points <= 101,
 --max-iters <= 5, --samples <= 500, --max-order <= 3, --t-max and --s-max <=
-20, and list values at most 4 entries with |r|, |t| <= 50. Other reals stay
+20, and list values at most 4 entries with |r|, |t| <= 50. The greens-conserve
+--separation and --span reach +-1e300, where squared separations overflow:
+its cost depends on --samples alone, and its --sigma is mostly positive and
+its --speed within +-1, so most runs reach the kernel. Other reals stay
 within +-10, so no stiff or fast-oscillating trajectory makes a run long.
 The three-mode amplitudes and coupling stay within +-3, its damping rates
 within +-0.1 and its forcing within +-0.5: a negative rate, or a positive
@@ -116,9 +119,9 @@ SPECS = {
     },
     "greens-conserve": {
         "--kind": (st.sampled_from(list(greens.KERNEL_KINDS)), False),
-        "--sigma": (real(), False),
-        "--separation": (real(), False), "--speed": (real(), False),
-        "--span": (real(), False), "--samples": (integer(-2, 500), True),
+        "--sigma": (POSITIVE, False),
+        "--separation": (real(1e300), False), "--speed": (real(1.0), False),
+        "--span": (real(1e300), False), "--samples": (integer(-2, 500), True),
     },
     "algebra-check": {
         "--suite": (st.lists(st.sampled_from(algebra.SUITES), max_size=3).map(",".join), False),

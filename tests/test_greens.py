@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import j1
 
-from metronlab import cli
+from metronlab import cli, greens
+from metronlab.bragg import METRIC
 from metronlab.errors import (
     KernelUnresolved,
     OriginSingular,
@@ -313,9 +314,128 @@ class TestScans:
         assert np.max(np.abs(values - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
+def einsum_impulses(line_i, line_j, sigma, kind):
+    """The impulses as they stood before the scalar planes: five (n_a, n_b, 4)
+    temporaries and three einsums per particle, each particle's sum over its
+    own (a, b) layout.  The oracle of momentum_exchange."""
+
+    def trapezoid_weights(s):
+        w = np.empty(len(s))
+        w[1:-1] = 0.5 * (s[2:] - s[:-2])
+        w[0] = 0.5 * (s[1] - s[0])
+        w[-1] = 0.5 * (s[-1] - s[-2])
+        return w
+
+    def impulse(xa, xb, wa, wb):
+        xi = xa[:, None, :] - xb[None, :, :]
+        z = np.einsum("abl,l,abl->ab", xi, METRIC, xi)
+        with np.errstate(over="ignore"):
+            g = np.exp(-(z**2) / (2.0 * sigma**4))
+        gp = np.divide(-z, sigma**4, out=np.zeros_like(z), where=g > 0) * g
+        if kind == "retarded":
+            gp = 2.0 * gp * (xi[:, :, 3] > 0)
+        elif kind == "advanced":
+            gp = 2.0 * gp * (xi[:, :, 3] < 0)
+        grad_cov = 2.0 * np.einsum("ab,abl->abl", gp, xi * METRIC)
+        return weight * np.einsum("a,b,abl->l", wa, wb, grad_cov * METRIC)
+
+    weight = line_i.weight * line_j.weight
+    wi, wj = trapezoid_weights(line_i.s), trapezoid_weights(line_j.s)
+    return impulse(line_i.x, line_j.x, wi, wj), impulse(line_j.x, line_i.x, wj, wi)
+
+
+def moving_line(position, velocity, span, n, weight=1.0):
+    line = WorldLine.from_velocity(position, velocity, span, n)
+    return WorldLine(s=line.s, x=line.x, u=line.u, weight=weight)
+
+
+# (line_i, line_j, sigma): both moving, unequal lengths over many row blocks
+# with weights != 1, and two- and three-sample lines
+ORACLE_CASES = {
+    "blocks": (moving_line([0.0, 0.0, 0.0], [0.1, 0.0, 0.2], (-6.0, 6.0), 300, 0.7),
+               moving_line([4.0, 1.0, 0.0], [0.0, 0.3, -0.1], (-5.0, 7.0), 211, 1.3), 0.4),
+    "long": (moving_line([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], (-6.0, 6.0), 1000),
+             moving_line([4.0, 0.0, 0.0], [-0.2, 0.3, 0.0], (-6.0, 6.0), 400), 0.4),
+    "2x3": (moving_line([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], (-6.0, 6.0), 2),
+            moving_line([4.0, 0.0, 0.0], [0.0, 0.3, 0.0], (-6.0, 6.0), 3), 1.5),
+    "3x2": (moving_line([0.0, 0.0, 0.0], [0.0, 0.1, 0.0], (-6.0, 6.0), 3),
+            moving_line([3.0, 0.0, 0.0], [0.0, 0.3, 0.0], (-6.0, 6.0), 2, 2.0), 1.0),
+}
+
+
 class TestMomentumExchange:
     span = (-6.0, 6.0)
     n = 101
+
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_the_einsum_oracle(self, case, kind):
+        line_i, line_j, sigma = ORACLE_CASES[case]
+        if case in ("blocks", "long"):
+            assert len(line_i.s) * len(line_j.s) > 2 * greens._PAIR_BLOCK
+        dp_i, dp_j = momentum_exchange(line_i, line_j, sigma, kind)
+        ref_i, ref_j = einsum_impulses(line_i, line_j, sigma, kind)
+        scale = max(np.max(np.abs(ref_i)), np.max(np.abs(ref_j)))
+        assert scale > 0
+        assert np.max(np.abs(dp_i - ref_i)) <= 1e-13 * scale
+        assert np.max(np.abs(dp_j - ref_j)) <= 1e-13 * scale
+
+    def test_kernel_unresolved_message_is_the_einsum_one(self):
+        # the minimum over all row blocks, rounded as the whole (n_a, n_b, 3)
+        # distance array rounded it
+        a = moving_line([0.0, 0.0, 0.0], [0.1, 0.0, 0.0], self.span, 200)
+        b = moving_line([0.7, 0.2, 0.1], [-0.1, 0.2, 0.05], self.span, 150)
+        assert len(a.s) * len(b.s) > 2 * greens._PAIR_BLOCK
+        sep = a.x[:, None, :3] - b.x[None, :, :3]
+        min_sep = float(np.min(np.sqrt(np.sum(sep**2, axis=2))))
+        with pytest.raises(KernelUnresolved) as info:
+            momentum_exchange(a, b, 0.8, "symmetric")
+        assert str(info.value) == (
+            f"sigma = 0.8 exceeds the minimum trajectory separation {min_sep:.4g}")
+
+    @pytest.mark.parametrize("kind, sigma, match", [
+        ("bogus", -1.0, "kind must be one of"),
+        ("symmetric", -1.0, "sigma must be positive"),
+        ("symmetric", 0.0, "sigma must be positive"),
+        ("retarded", 1e-100, "float range"),
+        ("advanced", 1e100, "float range"),
+        ("symmetric", float("nan"), "float range"),
+    ])
+    def test_sigma_is_refused_before_the_separation(self, kind, sigma, match):
+        a = WorldLine.static_point([0.0, 0.0, 0.0], self.span, self.n)
+        b = WorldLine.static_point([0.5, 0.0, 0.0], self.span, self.n)  # unresolved at 0.8
+        with pytest.raises(ValidationError, match=match):
+            momentum_exchange(a, b, sigma, kind)
+
+    @pytest.mark.parametrize("position, span", [
+        ([1e308, 0.0, 0.0], (-6.0, 6.0)),  # the spatial separation squared
+        ([4.0, 0.0, 0.0], (-1e200, 1e200)),  # the time separation squared
+        ([1e200, 0.0, 0.0], (-1e-3, 1e-3)),
+    ])
+    def test_overflowing_separations_are_refused(self, position, span):
+        a = WorldLine.static_point([0.0, 0.0, 0.0], span, self.n)
+        b = WorldLine.static_point(position, span, self.n)
+        with pytest.raises(ValidationError, match="separations .* float range"):
+            momentum_exchange(a, b, 0.4, "symmetric")
+
+    def test_overflowing_impulses_are_refused(self):
+        a = moving_line([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], self.span, self.n, 1e200)
+        b = moving_line([3.0, 0.0, 0.0], [0.0, 0.0, 0.0], self.span, self.n, 1e200)
+        with pytest.raises(ValidationError, match="impulses leave the float range"):
+            momentum_exchange(a, b, 0.4, "retarded")
+
+    def test_memory_stays_bounded(self):
+        # the (n, n, 4) temporaries held about 0.6 GB at this size
+        a = WorldLine.static_point([0.0, 0.0, 0.0], self.span, 2000)
+        b = WorldLine.from_velocity([4.0, 0.0, 0.0], [0.0, 0.3, 0.0], self.span, 2000)
+        tracemalloc.start()
+        try:
+            dp_a, dp_b = momentum_exchange(a, b, 0.4, "retarded")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert np.isfinite(dp_a).all() and np.isfinite(dp_b).all()
 
     def test_parallel_static_lines_antisymmetric(self):
         a = WorldLine.static_point([0.0, 0.0, 0.0], self.span, self.n)
@@ -360,6 +480,37 @@ class TestMomentumExchange:
         u = np.zeros((8, 4))  # u.u = 0, invalid
         with pytest.raises(ValidationError):
             WorldLine(s=s, x=x, u=u)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_worldline_needs_two_samples(self, n):
+        # one sample left the trapezoid weights an IndexError, none the
+        # normalization check a ValueError
+        with pytest.raises(ValidationError, match="at least 2"):
+            WorldLine.static_point([0.0, 0.0, 0.0], self.span, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["s", "x", "u", "weight"])
+    def test_worldline_refuses_non_finite_samples(self, name, bad):
+        fields = {"s": np.linspace(0, 1, 8), "x": np.zeros((8, 4)), "u": np.zeros((8, 4)),
+                  "weight": 1.0}
+        fields["u"][:, 3] = 1.0
+        if name == "weight":
+            fields[name] = bad
+        else:
+            fields[name][3, ...] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            WorldLine(**fields)
+
+    @pytest.mark.parametrize("position, velocity, span", [
+        ([np.nan, 0.0, 0.0], [0.0, 0.3, 0.0], (-6.0, 6.0)),
+        ([4.0, 0.0, 0.0], [0.0, np.nan, 0.0], (-6.0, 6.0)),
+        ([4.0, 0.0, 0.0], [0.0, 0.3, 0.0], (-np.inf, np.inf)),
+        ([4.0, 0.0, 0.0], [0.0, 0.3, 0.0], (np.nan, np.nan)),
+        ([4.0, 0.0, 0.0], [0.0, 0.3, 0.0], (-1.5e308, 1.5e308)),  # gamma s overflows
+    ])
+    def test_from_velocity_refuses_non_finite_samples(self, position, velocity, span):
+        with pytest.raises(ValidationError, match="finite"):
+            WorldLine.from_velocity(position, velocity, span, 11)
 
 
 class TestResponseDelta:
