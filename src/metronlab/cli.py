@@ -415,10 +415,8 @@ def cmd_greens_eval(args, out):
     elif args.method == "stationary":
         value = greens.greens_stationary_phase(r, t, params, args.kind)
     else:
-        value = np.array([
-            sum(b["weight"] for b in greens.greens_nondispersive(ri, ti, args.kind)["branches"]
-                if b["on_support"])
-            for ri, ti in zip(r, t)], dtype=float)
+        value = sum(np.where(b["on_support"], b["weight"], 0.0)
+                    for b in greens.greens_nondispersive(r, t, args.kind)["branches"])
     write_csv(out / "kernel_scan.csv",
               {"r": r, "t": t, "value": value, "method": [args.method] * len(r)})
     return {"points": len(r)}, f"{len(r)} kernel evaluations"
@@ -435,7 +433,10 @@ def cmd_greens_conserve(args, out):
     )
     dp_i, dp_j = greens.momentum_exchange(line_i, line_j, args.sigma, args.kind)
     total = dp_i + dp_j
-    scale = max(float(np.max(np.abs(dp_i))), 1e-300)
+    scale = float(np.max(np.abs(dp_i)))
+    if scale == 0:
+        raise ValidationError("dp_i is exactly zero: no sample pair interacts, "
+                              "so there is no violation to measure")
     payload = {
         "kind": args.kind,
         "dp_i": dp_i.tolist(),

@@ -11,11 +11,13 @@ exception is momentum_exchange, whose symmetric kernel is the unmasked
 Gaussian: a weighted sum of the two causal masks would drop the pairs at
 equal time.
 
-momentum_exchange evaluates the kernel once for both particles, on scalar
-(n_i, n_j) planes of the separation components, in row blocks of a fixed
-pair budget, so its memory does not grow with the sample counts.  World
-lines with a non-finite sample, and pairs of lines whose squared
-separations overflow, are refused with ValidationError.
+The light-cone descriptor and both dispersive kernels take broadcast r and
+t, so a scan is one call.  momentum_exchange evaluates the kernel once for
+both particles, on scalar (n_i, n_j) planes of the separation components
+built once per row block of a fixed pair budget, so its memory does not
+grow with the sample counts.  World lines with a non-finite sample, and
+pairs of lines whose squared separations overflow, are refused with
+ValidationError.
 """
 
 from __future__ import annotations
@@ -81,15 +83,19 @@ class DispersionParams:
 # ---------------------------------------------------------------------------
 
 def greens_nondispersive(r, t, kind):
-    """Distributional descriptor of the massless kernel.
+    """Distributional descriptor of the massless kernel, at a point or a scan.
 
     The retarded kernel is supported on r = t (t > 0) with weight
     -1/(2 pi r), the advanced one on r = -t (t < 0); the symmetric kernel
-    carries both supports at half weight.  Returns a dict with the support
-    residual(s) and weight(s).
+    carries both supports at half weight.  r and t broadcast against each
+    other, as in `greens_dispersive`.  Returns a dict with the broadcast r
+    and t and, per branch of nonzero weight, its on-support mask, support
+    residual and weight in their shape (numpy scalars for a single point).
+    OriginSingular when any r <= 0.
     """
     w_ret, w_adv = _branch_weights(kind)
-    if r <= 0:
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    if np.any(r <= 0):
         raise OriginSingular("kernel evaluated at r = 0")
     weight = -1.0 / (2.0 * np.pi * r)
     branches = [
@@ -414,19 +420,6 @@ def _trapezoid_weights(s):
 _PAIR_BLOCK = 1 << 13
 
 
-def _separation_planes(x_a, x_b):
-    """The separations xi_l = x_a,l - x_b,l as (4, n_a, n_b) planes from the
-    (4, n) coordinate rows x_a and x_b, with the squared spatial distance
-    r^2 = xi_0^2 + xi_1^2 + xi_2^2 and xi_3^2.  Call under
-    np.errstate(over="ignore"): an overflow leaves an inf."""
-    xi = x_a[:, :, None] - x_b[:, None, :]
-    r2 = xi[0] * xi[0]
-    sq = xi[1] * xi[1]
-    r2 += sq
-    r2 += np.multiply(xi[2], xi[2], out=sq)
-    return xi, r2, np.multiply(xi[3], xi[3], out=sq)
-
-
 def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetric"):
     """Per-particle impulses from the double line integral of the kernel
     gradient over the two sampled trajectories.
@@ -446,13 +439,15 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
     are even in xi, so one evaluation on scalar (n_i, n_j) planes serves both
     particles; each impulse is reduced on its own side (i over j first, j
     over i), so the symmetric kernel's dp_i + dp_j = 0 is a computed check,
-    not zero by construction.  The planes come in row blocks of at most
-    _PAIR_BLOCK pairs, so the working memory does not grow with n_i n_j.
+    not zero by construction.  One loop over row blocks of at most
+    _PAIR_BLOCK pairs builds each block's planes once, so the working memory
+    does not grow with n_i n_j.
 
-    Before any kernel work one pass over all blocks raises KernelUnresolved
-    when sigma exceeds the minimum spatial separation, sqrt(min r^2), and
-    ValidationError when a squared separation leaves the float range.
-    Returns (dp_i, dp_j) as contravariant 4-vectors.
+    The loop also keeps the minimum of r^2 and the maximum of r^2 and xi_3^2.
+    After it, KernelUnresolved is raised when sigma exceeds the minimum
+    spatial separation, sqrt(min r^2), then ValidationError when a squared
+    separation leaves the float range, then ValidationError when an impulse
+    does.  Returns (dp_i, dp_j) as contravariant 4-vectors.
     """
     _branch_weights(kind)
     if sigma <= 0:
@@ -462,30 +457,25 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
         if not 0 < sigma4 < np.inf:
             raise ValidationError(f"sigma^4 leaves the float range at sigma = {sigma}")
     x_i, x_j = np.ascontiguousarray(line_i.x.T), np.ascontiguousarray(line_j.x.T)
-    rows = max(1, _PAIR_BLOCK // len(line_j.s))
-    blocks = [slice(a, a + rows) for a in range(0, len(line_i.s), rows)]
-    min_r2, top = np.inf, 0.0
-    with np.errstate(over="ignore"):
-        for block in blocks:
-            _, r2, t2 = _separation_planes(x_i[:, block], x_j)
-            min_r2 = min(min_r2, r2.min())
-            top = max(top, r2.max(), t2.max())
-    min_sep = float(np.sqrt(min_r2))
-    if sigma > min_sep:
-        raise KernelUnresolved(
-            f"sigma = {sigma} exceeds the minimum trajectory separation {min_sep:.4g}"
-        )
-    if not top < np.inf:
-        raise ValidationError("squared separations of the world lines leave the float range")
-
     wi = _trapezoid_weights(line_i.s)
     wj = _trapezoid_weights(line_j.s)
     scale = (2.0 if kind == "symmetric" else 4.0) * line_i.weight * line_j.weight
+    rows = max(1, _PAIR_BLOCK // len(line_j.s))
+    min_r2, top = np.inf, 0.0
     sum_i = np.zeros(4)
     cols_j = np.zeros(x_j.shape)  # j's sums over the rows of every block, on -xi
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite impulse is refused
-        for block in blocks:
-            xi, z, q = _separation_planes(x_i[:, block], x_j)
+    # an overflowing separation or impulse is refused after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(line_i.s), rows):
+            block = slice(a, a + rows)
+            xi = x_i[:, block, None] - x_j[:, None, :]
+            z = xi[0] * xi[0]  # r^2, then z
+            q = xi[1] * xi[1]
+            z += q
+            z += np.multiply(xi[2], xi[2], out=q)
+            np.multiply(xi[3], xi[3], out=q)  # xi_3^2
+            min_r2 = min(min_r2, z.min())
+            top = max(top, z.max(), q.max())
             z -= q  # z = r^2 - xi_3^2
             # an overflow of z^2 makes g = 0 exactly, as does exp below -746
             np.divide(np.multiply(z, z, out=q), -2.0 * sigma4, out=q)
@@ -501,6 +491,13 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
             sum_i += np.einsum("ab,lab->la", h_i, xi) @ wi[block]
             cols_j -= np.einsum("ab,lab->lb", h_j, xi)
         dp_i, dp_j = scale * sum_i, scale * (cols_j @ wj)
+    min_sep = float(np.sqrt(min_r2))
+    if sigma > min_sep:
+        raise KernelUnresolved(
+            f"sigma = {sigma} exceeds the minimum trajectory separation {min_sep:.4g}"
+        )
+    if not top < np.inf:
+        raise ValidationError("squared separations of the world lines leave the float range")
     if not (np.isfinite(dp_i).all() and np.isfinite(dp_j).all()):
         raise ValidationError("the impulses leave the float range")
     return dp_i, dp_j

@@ -96,10 +96,6 @@ class RadialField:
             raise ValidationError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.grid.r
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

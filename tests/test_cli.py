@@ -54,6 +54,23 @@ class TestBasicCommands:
         text = (tmp_path / "kernel_scan.csv").read_text()
         assert "lightcone" in text
 
+    def test_bragg_lattice_readme_example(self, tmp_path):
+        rc = run(["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "0.6,0,0",
+                  "--fundamental", "0,0.6,0", "--dimensionality", "2", "--omega0", "1",
+                  "--output-dir", str(tmp_path)])
+        assert rc == 0
+        rows = np.loadtxt(tmp_path / "scatter_set.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert read_json(tmp_path / "manifest.json")["count"] == len(rows) > 0
+        np.testing.assert_allclose(rows[:, 4], -1.0, rtol=0, atol=1e-8)  # k.k = -omega0^2
+
+    def test_greens_conserve_without_interaction_is_refused(self, tmp_path):
+        rc = run(["greens-conserve", "--kind", "retarded", "--separation", "1e150",
+                  "--output-dir", str(tmp_path)])
+        assert rc == 2
+        error = read_json(tmp_path / "manifest.json")["error"]
+        assert error["type"] == "ValidationError" and "dp_i is exactly zero" in error["message"]
+        assert not (tmp_path / "conservation.json").exists()
+
 
 class TestManifestAndDeterminism:
     def test_manifest_echoes_every_parameter(self, tmp_path):
@@ -166,6 +183,9 @@ class TestExitCodes:
         ["greens-conserve", "--span", "inf"],
         ["greens-conserve", "--span", "1e200"],
         ["greens-conserve", "--separation", "1e308"],
+        # no sample pair interacts: dp_i is exactly zero
+        ["greens-conserve", "--kind", "retarded", "--separation", "1e150"],
+        ["greens-conserve", "--kind", "symmetric", "--separation", "1e150"],
         ["bragg-lattice", "--ki", "abc", "--fundamental", "1,0,0", "--omega0", "1"],
         ["bragg-classify", "--config={malformed}"],
         ["bragg-classify", "--config={unknown_key}"],

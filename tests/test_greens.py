@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,31 @@ class TestScans:
         assert rc == code
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_a_lightcone_scan_equals_its_per_point_sums_bit_for_bit(self, tmp_path, kind):
+        r, t = "0.5,1,2.5,7", "-2,-0.5,0,1,2"
+        rc = cli.run(["greens-eval", "--r", r, f"--t={t}", "--kind", kind,
+                      "--method", "lightcone", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "kernel_scan.csv").read_text().splitlines()[1:]
+        cells = [line.split(",") for line in lines]
+        # the comprehension the CLI ran before: one descriptor per point
+        oracle = np.array([
+            sum(b["weight"] for b in greens_nondispersive(ri, ti, kind)["branches"]
+                if b["on_support"])
+            for ri in cli.parse_values(r) for ti in cli.parse_values(t)], dtype=float)
+        values = np.array([float(c[2]) for c in cells])
+        np.testing.assert_array_equal(values.view(np.int64), oracle.view(np.int64))
+        assert (oracle != 0).sum() == (16 if kind == "symmetric" else 8)
+        assert [c[2] for c in cells if c[1] == "0"] == ["0"] * 4  # not -0
+
+    def test_a_lightcone_scan_with_r_zero_exits_2_with_one_line(self, tmp_path, capsys):
+        rc = cli.run(["greens-eval", "--r", "1,0,2", "--t", "1", "--kind", "symmetric",
+                      "--method", "lightcone", "--output-dir", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("error: OriginSingular")
+
     def test_memory_stays_bounded_at_the_node_cap(self):
         # both points take the 4e6-node cap at both cutoffs; a whole-grid
         # quadrature held 196 MB for one of them
@@ -379,6 +405,17 @@ class TestMomentumExchange:
         assert scale > 0
         assert np.max(np.abs(dp_i - ref_i)) <= 1e-13 * scale
         assert np.max(np.abs(dp_j - ref_j)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_an_unresolved_kernel_is_refused_before_an_overflowing_time_separation(self, kind):
+        # xi_3^2 overflows while r^2 = 0.25 stays finite: KernelUnresolved
+        # comes first, and the overflow warns nothing
+        a = WorldLine.static_point([0.0, 0.0, 0.0], (-1e200, 1e200), self.n)
+        b = WorldLine.static_point([0.5, 0.0, 0.0], (-1e200, 1e200), self.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelUnresolved, match="minimum trajectory separation 0.5$"):
+                momentum_exchange(a, b, 0.8, kind)
 
     def test_kernel_unresolved_message_is_the_einsum_one(self):
         # the minimum over all row blocks, rounded as the whole (n_a, n_b, 3)
