@@ -64,6 +64,7 @@ class LatticeSpec:
     fundamental_wavenumbers: spatial four-vectors with zero time component.
     dimensionality 2 declares a surface lattice; normal_axis names the free
     direction (0, 1 or 2) whose wavenumber component is a continuum.
+    max_order, the largest harmonic index, must be nonnegative.
     """
 
     fundamental_wavenumbers: tuple
@@ -76,6 +77,8 @@ class LatticeSpec:
         object.__setattr__(self, "fundamental_wavenumbers", vecs)
         if self.dimensionality not in (2, 3):
             raise ValidationError("dimensionality must be 2 or 3")
+        if self.max_order < 0:
+            raise ValidationError("max_order must be nonnegative")
         for v in vecs:
             if v.shape != (4,):
                 raise ValidationError("lattice wavenumbers must be four-vectors")
@@ -140,9 +143,12 @@ def bragg_scatter_set(k_i, lattice: LatticeSpec, omega0, tol=1e-9):
     3-D lattices: keep harmonics satisfying the shell condition within tol
     (generically only the specular k_l = 0 term survives).  2-D lattices:
     the normal component is solved from the shell condition; both real
-    roots (outgoing and ingoing) are kept.
+    roots (outgoing and ingoing) are kept.  A non-finite omega0 is a
+    ValidationError.
     """
     k_i = np.asarray(k_i, dtype=float)
+    if not np.isfinite(omega0):
+        raise ValidationError("omega0 must be finite")
     if abs(minkowski_dot(k_i, k_i) + omega0 * omega0) > 1e-9 * omega0 * omega0:
         raise OffShell("incident wavenumber is off the mass shell")
     out = []
@@ -235,23 +241,41 @@ def equilibrium_phases(B, phi):
 
 
 def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
-    """Brute-force long-time classification used as the oracle.
+    """Brute-force classification by integration, used as the oracle.
 
-    Oscillatory trajectories have monotonically decreasing phase; the
-    trajectory is integrated until the phase has wound through several
-    cycles or the energy has collapsed onto an equilibrium.
+    Integrates (E, deltaS) from the cell's start over at most s_max (three
+    windings at the rate gamma*|B - 1|, at least 200/gamma) and stops at
+    the first time deltaS falls through deltaS_0 - 4 pi: a phase that has
+    wound through two cycles marks the cell Oscillatory, a run that reaches
+    s_max without winding marks it Trapped.  The verdict is whether that
+    stop fired, never B.
+
+    Stopping changes no verdict.  dE/ds is proportional to E, so E keeps
+    the sign of E0 >= 0; for omega0 > 0, deltaS is then non-increasing, and
+    deltaS(s_max) < deltaS_0 - 4 pi exactly when it crossed that level at
+    some s <= s_max.  For omega0 <= 0 the phase never falls and the cell
+    stays Trapped.  The solver takes the same steps up to the crossing as
+    a run to s_max would, so an Oscillatory cell costs only its first two
+    windings.
+
+    Returns the verdict, s_max, s_end (where the run ended: s_max, or the
+    crossing), E at s_end, the largest first-integral drift along the
+    integrated path, and the trajectory (s, E, deltaS).
     """
     B = trapping_parameter(state)
     rate = state.gamma * max(abs(B - 1.0), 2e-3)
     s_max = min(max(200.0 / state.gamma, 6.0 * np.pi / rate), 1e6)
-    s, E, dS = integrate_trap(state, s_max, tol=tol)
+    level = state.deltaS - 4.0 * np.pi
+    res = integrate_ivp(_trap_rhs(state), [state.E, state.deltaS], (0.0, s_max),
+                        tol=tol, stop=lambda s, y: y[1] - level)
+    s, E, dS = res.t, res.y[:, 0], res.y[:, 1]
     drift = first_integral(E, dS, state) - first_integral(
         E[0], dS[0], state
     )
-    wound = dS[-1] < dS[0] - 4.0 * np.pi
     return {
-        "verdict": "Oscillatory" if wound else "Trapped",
+        "verdict": "Oscillatory" if res.stopped else "Trapped",
         "s_max": s_max,
+        "s_end": float(s[-1]),
         "E_final": float(E[-1]),
         "first_integral_drift": float(np.max(np.abs(drift))),
         "trajectory": (s, E, dS),

@@ -89,7 +89,8 @@ def greens_nondispersive(r, t, kind):
     -1/(2 pi r), the advanced one on r = -t (t < 0); the symmetric kernel
     carries both supports at half weight.  r and t broadcast against each
     other, as in `greens_dispersive`.  Returns a dict with the broadcast r
-    and t and, per branch of nonzero weight, its on-support mask, support
+    and t and, per branch of nonzero weight, its on-support mask (true only
+    on that branch's cone, where the support residual is zero), support
     residual and weight in their shape (numpy scalars for a single point).
     OriginSingular when any r <= 0.
     """
@@ -98,10 +99,10 @@ def greens_nondispersive(r, t, kind):
     if np.any(r <= 0):
         raise OriginSingular("kernel evaluated at r = 0")
     weight = -1.0 / (2.0 * np.pi * r)
+    # r > 0, so a zero residual puts the point on its branch's half of the cone
     branches = [
-        {"branch": name, "on_support": on_support, "residual": residual, "weight": w * weight}
-        for name, w, on_support, residual in (("retarded", w_ret, t > 0, r - t),
-                                              ("advanced", w_adv, t < 0, r + t))
+        {"branch": name, "on_support": residual == 0, "residual": residual, "weight": w * weight}
+        for name, w, residual in (("retarded", w_ret, r - t), ("advanced", w_adv, r + t))
         if w
     ]
     return {"r": r, "t": t, "kind": kind, "branches": branches}

@@ -121,13 +121,14 @@ def radial_laplacian(field: RadialField) -> np.ndarray:
 class IvpResult:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
+    stopped: bool = False  # the terminal stop fired before the span end
 
     @property
     def y_final(self) -> np.ndarray:
         return self.y[-1]
 
 
-def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
+def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None, stop=None) -> IvpResult:
     """Integrate dy/ds = field(s, y) over span with SciPy's DOP853, the
     Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
     Differential Equations I, 2nd ed., 1993, II.10), at rtol = tol and
@@ -141,6 +142,15 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
     Raises NonFiniteState when field returns a non-finite derivative and
     StepUnderflow when the solver stops short of the span end (its step
     fell below the floating-point spacing of s).
+
+    stop, an optional scalar function of (s, y), ends the run at its first
+    falling zero: it is handed to solve_ivp as a terminal event with
+    direction -1, located by root finding on the dense output of the step
+    in which it changes sign (Hairer, Norsett & Wanner, II.6).  The solver
+    takes the same steps as without it up to that step; the last point
+    returned is the zero itself (with t_eval, the last sample at or before
+    it), and the result's `stopped` says whether the stop fired.  Without a
+    stop no event is passed to solve_ivp.
     """
     s0, s1 = float(span[0]), float(span[1])
     y = np.atleast_1d(np.asarray(y0))
@@ -161,13 +171,19 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None) -> IvpResult:
             raise NonFiniteState(f"non-finite derivative at s={s:.6g}")
         return dy
 
+    events = None
+    if stop is not None:
+        def events(s, state):
+            return stop(s, state)
+        events.terminal, events.direction = True, -1
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sol = solve_ivp(checked, (s0, s1), y, method="DOP853", t_eval=t_eval,
-                        rtol=tol, atol=atol)
+                        events=events, rtol=tol, atol=atol)
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else s0
         raise StepUnderflow(f"{sol.message} (last output at s={reached:.6g})")
-    return IvpResult(sol.t, sol.y.T)
+    return IvpResult(sol.t, sol.y.T, stopped=sol.status == 1)
 
 
 # ---------------------------------------------------------------------------

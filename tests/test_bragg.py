@@ -212,6 +212,29 @@ class TestClassification:
                 assert oracle["first_integral_drift"] < 1e-8 * max(ratio, 1.0)
 
 
+class TestVerdictStop:
+    # (B, phi) cells: ratio = B + sin(phi); the full runs to s_max took
+    # 1899, 1482, 8982 and 6674 accepted steps
+    @pytest.mark.parametrize("B,phi", [(1.93, 0.0), (1.047, 4.0), (1.003, 1.0),
+                                       (1.0005, 5.5)])
+    def test_an_oscillatory_cell_stops_once_the_phase_has_wound_through_4pi(self, B, phi):
+        state = BraggTrapState(E=B + np.sin(phi), deltaS=0.0, gamma=1.0, phi=phi,
+                               omega0=1.0)
+        res = trap_verdict_by_integration(state)
+        assert res["verdict"] == classify_trapping(state)["verdict"] == "Oscillatory"
+        s, E, dS = res["trajectory"]
+        assert res["s_end"] == s[-1] < res["s_max"]
+        assert len(s) - 1 <= 300
+        assert abs(dS[-1] - (dS[0] - 4.0 * np.pi)) < 1e-9
+
+    @pytest.mark.parametrize("E,omega0", [(0.999, 1.0), (0.5, -1.0)])
+    def test_a_trapped_cell_runs_to_s_max(self, E, omega0):
+        state = BraggTrapState(E=E, deltaS=0.0, gamma=1.0, phi=0.0, omega0=omega0)
+        res = trap_verdict_by_integration(state)
+        assert res["verdict"] == classify_trapping(state)["verdict"] == "Trapped"
+        assert res["s_end"] == res["s_max"]
+
+
 class TestClassifySweep:
     @pytest.mark.parametrize("gamma,omega0", [(1.0, 1.0), (0.5, 2.0)])
     def test_against_definition(self, gamma, omega0):

@@ -211,6 +211,10 @@ class TestExitCodes:
          "--t-max", "30"],
         ["calibrate", "--a-sq", "inf", "--beta", "1", "--m-core", "1", "--k5", "1",
          "--gprime", "1"],
+        ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "0.6,0,0",
+         "--max-order", "-1", "--omega0", "1"],
+        ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "0.6,0,0",
+         "--omega0", "nan"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"

@@ -44,6 +44,17 @@ class TestNondispersive:
         (branch,) = desc["branches"]
         assert not branch["on_support"]
 
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_an_off_cone_point_reads_zero(self, tmp_path, kind):
+        for t in (2.0, -2.0):
+            desc = greens_nondispersive(0.5, t, kind)
+            assert not any(b["on_support"] for b in desc["branches"])
+        rc = cli.run(["greens-eval", "--r", "0.5", "--t=2,-2", "--kind", kind,
+                      "--method", "lightcone", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "kernel_scan.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[2] for line in lines] == ["0", "0"]
+
     def test_symmetric_half_weights(self):
         desc = greens_nondispersive(1.0, 1.0, "symmetric")
         weights = {b["branch"]: b["weight"] for b in desc["branches"]}
@@ -315,7 +326,8 @@ class TestScans:
             for ri in cli.parse_values(r) for ti in cli.parse_values(t)], dtype=float)
         values = np.array([float(c[2]) for c in cells])
         np.testing.assert_array_equal(values.view(np.int64), oracle.view(np.int64))
-        assert (oracle != 0).sum() == (16 if kind == "symmetric" else 8)
+        # on the cone: (1, 1) on the retarded branch, (0.5, -0.5) on the advanced
+        assert (oracle != 0).sum() == (2 if kind == "symmetric" else 1)
         assert [c[2] for c in cells if c[1] == "0"] == ["0"] * 4  # not -0
 
     def test_a_lightcone_scan_with_r_zero_exits_2_with_one_line(self, tmp_path, capsys):

@@ -66,6 +66,25 @@ class TestIntegrateIvp:
         with pytest.raises(ValueError):
             integrate_ivp(lambda s, y: y, [1.0], (0.0, 1.0), tol=0.0)
 
+    def test_stop_ends_the_run_at_its_falling_zero(self):
+        res = integrate_ivp(lambda s, y: -np.ones_like(y), [1.0], (0.0, 10.0), tol=1e-10,
+                            stop=lambda s, y: y[0] - 0.25)
+        assert res.stopped
+        assert res.t[-1] == pytest.approx(0.75, abs=1e-12)
+        assert res.y_final[0] == pytest.approx(0.25, abs=1e-12)
+
+    def test_a_rising_zero_or_none_leaves_the_steps_unchanged(self):
+        def rhs(s, y):
+            return -np.ones_like(y)
+
+        plain = integrate_ivp(rhs, [1.0], (0.0, 10.0), tol=1e-10)
+        for stop in (lambda s, y: 0.25 - y[0], lambda s, y: y[0] + 100.0):
+            res = integrate_ivp(rhs, [1.0], (0.0, 10.0), tol=1e-10, stop=stop)
+            assert not res.stopped and res.t[-1] == 10.0
+            np.testing.assert_array_equal(res.t, plain.t)
+            np.testing.assert_array_equal(res.y, plain.y)
+        assert not plain.stopped
+
     def test_trap_cell_steps(self):
         # machine-independent cost of one Bragg trapping cell at the default
         # tol: the accepted steps of the trajectory and its first integral
