@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 METRIC = np.array([1.0, 1.0, 1.0, -1.0])
+# Relative tolerance of the (E, deltaS) trajectory integrations
+_TRAP_TOL = 1e-11
 
 
 def minkowski_dot(a, b):
@@ -94,11 +96,14 @@ class LatticeSpec:
                     )
 
     def harmonics(self):
-        """All integer combinations of the fundamentals up to max_order."""
+        """All integer combinations of the fundamentals up to max_order, one
+        per row of an (H, 4) array, in lexicographic order of the indices."""
         m = self.max_order
-        base = np.array(self.fundamental_wavenumbers)
-        for orders in product(range(-m, m + 1), repeat=len(base)):
-            yield np.asarray(orders, dtype=float) @ base
+        base = np.array(self.fundamental_wavenumbers, dtype=float).reshape(-1, 4)
+        orders = np.array(list(product(range(-m, m + 1), repeat=len(base))), dtype=float)
+        # a stack of row-times-matrix products: each row has the bits of the
+        # 1-D product orders[h] @ base, which a 2-D matmul does not keep
+        return (orders[:, None, :] @ base)[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -137,47 +142,47 @@ def resonance_direction(k_s, omega0):
     return u
 
 
-def bragg_scatter_set(k_i, lattice: LatticeSpec, omega0, tol=1e-9):
+def bragg_scatter_set(k_i, lattice: LatticeSpec, omega0):
     """Scattered wavenumbers k_s = k_i + k_l that stay on the mass shell.
 
-    3-D lattices: keep harmonics satisfying the shell condition within tol
-    (generically only the specular k_l = 0 term survives).  2-D lattices:
-    the normal component is solved from the shell condition; both real
-    roots (outgoing and ingoing) are kept.  A non-finite omega0 is a
-    ValidationError.
+    3-D lattices: keep harmonics satisfying the shell condition within
+    1e-9 relative (generically only the specular k_l = 0 term survives).
+    2-D lattices: the normal component is solved from the shell condition;
+    both real roots (outgoing, then ingoing) are kept.  Of wavenumbers that
+    several harmonic labels give, the first is kept.  A non-finite omega0
+    is a ValidationError.
     """
     k_i = np.asarray(k_i, dtype=float)
     if not np.isfinite(omega0):
         raise ValidationError("omega0 must be finite")
     if abs(minkowski_dot(k_i, k_i) + omega0 * omega0) > 1e-9 * omega0 * omega0:
         raise OffShell("incident wavenumber is off the mass shell")
-    out = []
+    k_s = k_i + lattice.harmonics()
     if lattice.dimensionality == 3:
-        for k_l in lattice.harmonics():
-            k_s = k_i + k_l
-            if abs(minkowski_dot(k_s, k_s) + omega0 * omega0) <= tol * omega0**2:
-                out.append(k_s)
+        shell = np.abs(np.sum(METRIC * k_s * k_s, axis=1) + omega0 * omega0)
+        out = k_s[shell <= 1e-9 * omega0**2]
     else:
         ax = lattice.normal_axis
-        spatial_sq = float(np.sum(k_i[:3] ** 2))
-        for k_l in lattice.harmonics():
-            k_s = k_i + k_l
-            in_plane = k_s[:3].copy()
-            in_plane[ax] = 0.0
-            rem = spatial_sq - float(np.sum(in_plane**2))
-            if rem < 0.0:
-                continue
-            root = np.sqrt(rem)
-            for sgn in (1.0, -1.0) if root > 0 else (1.0,):
-                k_out = k_s.copy()
-                k_out[ax] = sgn * root
-                out.append(k_out)
-    # drop duplicates (several harmonic labels can give one wavenumber)
-    unique = []
-    for k in out:
-        if not any(np.allclose(k, q, atol=1e-12) for q in unique):
-            unique.append(k)
-    return unique
+        in_plane = k_s[:, :3].copy()
+        in_plane[:, ax] = 0.0
+        rem = float(np.sum(k_i[:3] ** 2)) - np.sum(in_plane**2, axis=1)
+        real = ~(rem < 0.0)
+        root = np.sqrt(rem[real])
+        # each harmonic as +root, then as -root where root > 0
+        out = np.repeat(k_s[real], 2, axis=0)
+        out[:, ax] = np.column_stack([root, -root]).ravel()
+        out = out[np.column_stack([np.full(len(root), True), root > 0]).ravel()]
+    # a row goes when np.allclose(row, q, atol=1e-12) holds for a kept q
+    kept = np.empty_like(out)
+    n = 0
+    with np.errstate(invalid="ignore"):
+        for k in out:
+            q = kept[:n]
+            close = (np.abs(k - q) <= 1e-12 + 1e-5 * np.abs(q)) & np.isfinite(q) | (k == q)
+            if not np.any(np.all(close, axis=1)):
+                kept[n] = k
+                n += 1
+    return list(kept[:n])
 
 
 def _trap_rhs(state: BraggTrapState):
@@ -190,7 +195,7 @@ def _trap_rhs(state: BraggTrapState):
     return rhs
 
 
-def integrate_trap(state: BraggTrapState, s_max, tol=1e-11):
+def integrate_trap(state: BraggTrapState, s_max, tol=_TRAP_TOL):
     """Trajectory of (E, deltaS) from (E0, 0); returns (s, E, deltaS)."""
     res = integrate_ivp(_trap_rhs(state), [state.E, state.deltaS], (0.0, s_max), tol=tol)
     return res.t, res.y[:, 0], res.y[:, 1]
@@ -240,7 +245,7 @@ def equilibrium_phases(B, phi):
     return np.where(swap, second, first)[()], np.where(swap, first, second)[()]
 
 
-def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
+def trap_verdict_by_integration(state: BraggTrapState):
     """Brute-force classification by integration, used as the oracle.
 
     Integrates (E, deltaS) from the cell's start over at most s_max (three
@@ -267,7 +272,7 @@ def trap_verdict_by_integration(state: BraggTrapState, tol=1e-11):
     s_max = min(max(200.0 / state.gamma, 6.0 * np.pi / rate), 1e6)
     level = state.deltaS - 4.0 * np.pi
     res = integrate_ivp(_trap_rhs(state), [state.E, state.deltaS], (0.0, s_max),
-                        tol=tol, stop=lambda s, y: y[1] - level)
+                        tol=_TRAP_TOL, stop=lambda s, y: y[1] - level)
     s, E, dS = res.t, res.y[:, 0], res.y[:, 1]
     drift = first_integral(E, dS, state) - first_integral(
         E[0], dS[0], state

@@ -31,12 +31,16 @@ class NonFiniteState(NumericalError):
     """A state component became NaN/Inf during integration."""
 
 
+class EvaluationBudgetExceeded(NumericalError):
+    """An integration spent its derivative-evaluation budget before its span end."""
+
+
 class LapackFailure(NumericalError, LinAlgError):
     """A LAPACK routine returned a non-zero info; still a LinAlgError."""
 
 
 class NoBracket(ValidationError):
-    """Radial eigenfrequency at or below the bracket's lower end (well too deep)."""
+    """Radial eigenvalue omega^2 <= 0: the well is too deep for a bound mode."""
 
 
 class NotTrapped(NumericalError):

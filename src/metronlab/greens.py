@@ -523,7 +523,7 @@ def response_delta(omega, s):
     return out
 
 
-def damping_coefficient(FR, k0, omega0, dispersion: DispersionParams, n_k=400, n_theta=200):
+def damping_coefficient(FR, k0, omega0, dispersion: DispersionParams):
     """Differential damping of a coherent wave (k0, omega0) by scattering:
 
         dmu/dr = pi/(4 omega_k0^2) * Int F^R(|k - k0|, omega_k - omega0) d^3k
@@ -532,8 +532,8 @@ def damping_coefficient(FR, k0, omega0, dispersion: DispersionParams, n_k=400, n
     the isotropic response variance spectrum FR(q, w) >= 0 with q = |dk|.
     """
     k0 = float(k0)
-    k = np.linspace(0.0, dispersion.k_max, n_k)
-    theta, wth = np.polynomial.legendre.leggauss(n_theta)
+    k = np.linspace(0.0, dispersion.k_max, 400)
+    theta, wth = np.polynomial.legendre.leggauss(200)
     cos_t = theta  # Gauss-Legendre nodes on [-1, 1]
     kk, ct = np.meshgrid(k, cos_t, indexing="ij")
     q = np.sqrt(np.maximum(kk**2 + k0**2 - 2.0 * kk * k0 * ct, 0.0))

@@ -33,6 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import (
+    EvaluationBudgetExceeded,
     LapackFailure,
     NoBracket,
     NoConvergence,
@@ -117,6 +118,11 @@ def radial_laplacian(field: RadialField) -> np.ndarray:
 # Adaptive initial-value integration
 # ---------------------------------------------------------------------------
 
+# Derivative evaluations one integrate_ivp call may spend: about three times
+# the most any reference run uses (174k, acceptance criterion 4)
+_MAX_RHS_EVALS = 500_000
+
+
 @dataclass
 class IvpResult:
     t: np.ndarray
@@ -139,9 +145,12 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None, stop=None) -> IvpResul
     points, or, when t_eval is given, the states at those times from the
     solver's 7th-order dense output.
     A non-finite span end or initial state raises ValidationError.
-    Raises NonFiniteState when field returns a non-finite derivative and
+    Raises NonFiniteState when field returns a non-finite derivative,
     StepUnderflow when the solver stops short of the span end (its step
-    fell below the floating-point spacing of s).
+    fell below the floating-point spacing of s), and
+    EvaluationBudgetExceeded when a run asks for more than _MAX_RHS_EVALS
+    derivatives (a growing solution can keep shrinking its steps without
+    ever underflowing them).
 
     stop, an optional scalar function of (s, y), ends the run at its first
     falling zero: it is handed to solve_ivp as a terminal event with
@@ -165,7 +174,15 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None, stop=None) -> IvpResul
         return IvpResult(t, np.repeat(y[None, :], len(t), axis=0))
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y))))
 
+    evals = 0
+
     def checked(s, state):
+        nonlocal evals
+        evals += 1
+        if evals > _MAX_RHS_EVALS:
+            raise EvaluationBudgetExceeded(
+                f"{_MAX_RHS_EVALS} derivative evaluations spent by s={s:.6g} "
+                f"of a span ending at {s1:.6g}")
         dy = field(s, state)
         if not np.isfinite(dy).all():
             raise NonFiniteState(f"non-finite derivative at s={s:.6g}")
@@ -202,17 +219,17 @@ _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 _WARM_WINDOW = 1e-10
 
 
-def _count_nodes_floor(u, rel=1e-8):
+def _count_nodes_floor(u):
     """Node count of a converged (decaying) solution, ignoring values below
-    rel * max|u| so that roundoff wiggle in the evanescent tail is not
+    1e-8 * max|u| so that roundoff wiggle in the evanescent tail is not
     mistaken for structure."""
     x = u[1:]
-    keep = np.abs(x) > rel * np.max(np.abs(x))
+    keep = np.abs(x) > 1e-8 * np.max(np.abs(x))
     s = np.sign(x[keep])
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
-def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
+def solve_radial_eigen(V, node_count, grid, guess=None):
     """Find the radial eigenfrequency with a prescribed interior node count.
 
     Solves [laplacian + kappa^2] phi = 0 with kappa^2 = omega^2 - V(r), V
@@ -225,7 +242,7 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
     recomputed until omega^2 is stationary to 1e-14.  Each pass is one
     LAPACK `dstebz` bisection for that eigenvalue alone; the eigenvector is
     one `dstein` inverse iteration on the converged pass, computed only once
-    the eigenvalue has passed the bracket checks.
+    the eigenvalue has passed the window checks.
 
     Without a guess the passes start from a Dirichlet tail and each bisects
     for eigenvalue m+1 by index over the whole spectrum.  A guess (an earlier
@@ -238,21 +255,23 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
     the window does not hold exactly one eigenvalue.  Both starts reach the
     same fixed point to within a few ulp.
 
-    An eigenfrequency at or below bracket[0] raises NoBracket (well too
-    deep); one at or above bracket[1] raises NotTrapped (mode not bound).
-    A node_count outside [0, n_points - 3] raises ValidationError, a
-    non-finite V or guess ValueError, a LAPACK failure LapackFailure (a
-    LinAlgError).
+    A bound mode lies in the window 0 < omega^2 < V(R), below the continuum
+    edge; the window's top is sqrt(V(R)) * (1 - 1e-9).  V(R) <= 0
+    raises NotTrapped (the well reaches the box edge), omega^2 <= 0 raises
+    NoBracket (well too deep), and omega at or above the top NotTrapped
+    (mode not bound).  A node_count outside [0, n_points - 3] raises
+    ValidationError, a non-finite V or guess ValueError, a LAPACK failure
+    LapackFailure (a LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
-    if not 0 <= node_count < grid.n_points - 2:
-        raise ValidationError("node_count must lie in [0, n_points - 3]")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValueError("bracket must satisfy lo < hi")
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n_points,):
         raise ValueError("potential length must equal n_points")
+    if not V[-1] > 0.0:
+        raise NotTrapped("the well reaches the box edge: no bound mode")
+    hi = float(np.sqrt(V[-1])) * (1 - 1e-9)
+    if not 0 <= node_count < grid.n_points - 2:
+        raise ValidationError("node_count must lie in [0, n_points - 3]")
     if not np.isfinite(V).all():
         raise ValueError("potential must be finite")
     if guess is not None and not np.isfinite(guess):
@@ -299,11 +318,11 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
         raise NoConvergence(
             f"outer boundary fixed point not reached in {_ROBIN_PASSES} passes"
         )
-    if not lam > max(lo, 0.0) ** 2:
-        raise NoBracket(f"mode {node_count} lies at or below the bracket (too deep)")
+    if not lam > 0.0:
+        raise NoBracket(f"mode {node_count} has omega^2 <= 0 (well too deep)")
     omega = float(np.sqrt(lam))
     if omega >= hi:
-        raise NotTrapped(f"mode {node_count} lies at or above the bracket (not bound)")
+        raise NotTrapped(f"mode {node_count} lies at or above the continuum edge (not bound)")
     vec, info = dstein(diag, off, w[:m], iblock, isplit)
     if info:
         raise LapackFailure(f"dstein failed (info={info})")
@@ -331,16 +350,14 @@ def solve_radial_eigen(V, node_count, bracket, grid, guess=None):
 # Spherically symmetric Poisson solve
 # ---------------------------------------------------------------------------
 
-def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
-    """Solve laplacian(phi0) = -sign*source with phi0 -> 0 as r -> infinity.
+def solve_radial_poisson(source: RadialField) -> RadialField:
+    """Solve laplacian(phi0) = -source with phi0 -> 0 as r -> infinity.
 
     One LAPACK `dgtsv` tridiagonal solve for u = r*phi0 with u(0)=0 and
     u'(r_max)=0 (the exterior solution is u = const, i.e. the Coulomb
     tail).  The returned field satisfies the discrete operator identity
     exactly on interior nodes.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     grid = source.grid
     s = source.values
     smax = np.max(np.abs(s))
@@ -353,11 +370,11 @@ def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     n = grid.n_points
     h = grid.spacing
     r = grid.r
-    # tridiagonal -u'' = sign*r*s on j=1..n-2 for the unknowns u_1..u_{n-1},
+    # tridiagonal -u'' = r*s on j=1..n-2 for the unknowns u_1..u_{n-1},
     # u_0 = 0, closed by the last row u_{n-1} - u_{n-2} = 0
     diag = np.full(n - 1, 2.0)
     diag[-1] = 1.0
-    b = sign * h * h * r[1:] * s[1:]
+    b = h * h * r[1:] * s[1:]
     b[-1] = 0.0
     # every array is a temporary, so LAPACK may overwrite them all
     *_, x, info = dgtsv(np.full(n - 2, -1.0), diag, np.full(n - 2, -1.0), b, 1, 1, 1, 1)
@@ -366,5 +383,5 @@ def solve_radial_poisson(source: RadialField, sign=1) -> RadialField:
     u = np.concatenate(([0.0], x))
     phi = np.empty(n)
     phi[1:] = u[1:] / r[1:]
-    phi[0] = phi[1] + sign * s[0] * h * h / 6.0
+    phi[0] = phi[1] + s[0] * h * h / 6.0
     return RadialField(grid, phi)

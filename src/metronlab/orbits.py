@@ -100,18 +100,15 @@ def forcing_spectrum(modulation, phase, T):
     return ForcingSpectrum(omega_bar=float(omega_bar), Omega=float(Omega), lines=tuple(lines))
 
 
-def mode_response(lines, omega_p, mu, t, response="auto"):
+def mode_response(lines, omega_p, mu, t, response):
     """Superpose the per-line response amplitudes at time t.
 
     response kinds: "stationary" uses -i/(omega_n - omega_p) and refuses
     exact resonance; "nonstationary" uses -i (1 - exp(-i w t))/w with the
-    secular value t at w = 0; "damped" uses 1/(i w + mu).  "auto" picks
-    damped when mu > 0 and nonstationary otherwise.
+    secular value t at w = 0; "damped" uses 1/(i w + mu).
     """
     if mu < 0:
         raise ValidationError("mu must be nonnegative")
-    if response == "auto":
-        response = "damped" if mu > 0 else "nonstationary"
     a = 0.0 + 0.0j
     for n, omega_n, g in lines:
         w = omega_n - omega_p
@@ -151,37 +148,22 @@ class OrbitDriftModel:
     C1: float
     C2: float
     C3: float
-    alpha: complex | None = None
-    gamma: float | None = None
-    beta: float | None = None
-    mu: float | None = None
 
     def __post_init__(self):
         if not np.isfinite([self.d, self.C1, self.C2, self.C3]).all():
             raise ValidationError("d, C1, C2 and C3 must be finite")
         if self.C3 < 0:
             raise ValidationError("C3 = mu^2/beta^2 must be nonnegative")
-        if self.alpha is not None:
-            derived = OrbitDriftModel.coefficients(
-                self.d, self.alpha, self.gamma, self.beta, self.mu
-            )
-            for got, want, name in zip(
-                (self.C1, self.C2, self.C3), derived, ("C1", "C2", "C3")
-            ):
-                if got != want:
-                    raise ValidationError(
-                        f"stored {name} = {got} disagrees with its primitives ({want})"
-                    )
-
-    @staticmethod
-    def coefficients(d, alpha, gamma, beta, mu):
-        ag = complex(alpha) * gamma
-        return (ag.imag / (2.0 * beta * d), mu * ag.real / (beta * beta * d), (mu / beta) ** 2)
 
     @classmethod
     def from_primitives(cls, d, alpha, gamma, beta, mu):
-        C1, C2, C3 = cls.coefficients(d, alpha, gamma, beta, mu)
-        return cls(d=d, C1=C1, C2=C2, C3=C3, alpha=complex(alpha), gamma=gamma, beta=beta, mu=mu)
+        """The model of the forcing constants; beta * d = 0 leaves C1 and C2
+        undefined (ValidationError), as does beta^2 * d underflowing to 0."""
+        if beta * d == 0 or beta * beta * d == 0:
+            raise ValidationError("beta * d = 0: C1 and C2 are undefined")
+        ag = complex(alpha) * gamma
+        return cls(d=d, C1=ag.imag / (2.0 * beta * d), C2=mu * ag.real / (beta * beta * d),
+                   C3=(mu / beta) ** 2)
 
 
 def drift_rhs(model: OrbitDriftModel, delta_r):
@@ -222,7 +204,7 @@ def _drift_slope(model, root, h=None):
     return float((drift_rhs(model, root + h) - drift_rhs(model, root - h)) / (2 * h))
 
 
-def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, tol=1e-10):
+def integrate_drift(model: OrbitDriftModel, delta_r0, t_max):
     """Integrate the drift; verdict TrappedAt(root) or Escaped(direction).
 
     delta_r0 is one start or a 1-D array of starts; the starts evolve
@@ -244,7 +226,7 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, tol=1e-10):
     def rhs(t, y):
         return _drift_rate(model, y)
 
-    res = integrate_ivp(rhs, starts, (0.0, t_max), tol=tol)
+    res = integrate_ivp(rhs, starts, (0.0, t_max), tol=1e-10)
     out = []
     for path in res.y.T:
         final = float(path[-1])

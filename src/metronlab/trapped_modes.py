@@ -144,21 +144,6 @@ _HISTORY, _MIXING, _LOG_DEPTH_CAP = 5, 0.7, 0.25
 _LOST_SWEEPS = 3  # successive sweeps that show a mode has lost its binding
 
 
-def _solve_mode(V, mode, omega_hat, grid, guess=None):
-    """Eigen solve of mode `mode` in the potential V = omega_hat^2 - well,
-    warm-started from `guess` (an earlier omega of the mode) when given.
-
-    The bracket's upper end is the effective continuum edge sqrt(V(r_max)),
-    which the mean field's Coulomb tail lowers below omega_hat at finite box
-    size; a well that reaches the box edge leaves no bracket and no bound mode.
-    """
-    lo = 1e-6 * omega_hat
-    hi = float(np.sqrt(max(V[-1], 1e-12 * omega_hat**2))) * (1 - 1e-9)
-    if not hi > lo:
-        raise NotTrapped("the well reaches the box edge: no bound mode")
-    return solve_radial_eigen(V, mode, (lo, hi), grid, guess=guess)
-
-
 def _seed_width(radii, orders):
     """Width of the seed well; higher modes need a wider well to be bound."""
     return max(r0 * (1.0 + 0.75 * m) for r0, m in zip(radii, orders))
@@ -216,12 +201,10 @@ class _PinnedDepthCore:
         for p, order in enumerate(self.orders):
             w2 = self.w2[p]
             V = w2 - (self.eps[:, p] * w2) @ self.fields
-            omegas[p], shape = _solve_mode(V, order, self.w_hats[p], self.grid,
-                                           self.last_omegas[p])
+            omegas[p], shape = solve_radial_eigen(V, order, self.grid, self.last_omegas[p])
             self.last_omegas[p] = omegas[p]
             shapes.append(shape.values)
-            units.append(solve_radial_poisson(
-                RadialField(self.grid, w2 * shape.values**2), sign=1).values)
+            units.append(solve_radial_poisson(RadialField(self.grid, w2 * shape.values**2)).values)
         source = np.zeros_like(self.fields) if self.extra is None else self.extra(self.fields)
         return omegas, np.array(shapes), np.array(units), source
 
@@ -650,7 +633,7 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
         nonlocal phi2
         phi2 = _newton_phi2(grid, fields[0], eta2, w2_2, phi2)
         src = _decayed_tail(w2_2 * phi2**4, grid)
-        return eta2 * solve_radial_poisson(RadialField(grid, src), sign=1).values[None, :]
+        return eta2 * solve_radial_poisson(RadialField(grid, src)).values[None, :]
 
     core = _PinnedDepthCore(grid, [(omega_hat_1, 0)], [[eps1]], (r0,), max_iters,
                             extra=phi2_source if eta2 != 0.0 else None)

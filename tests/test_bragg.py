@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,72 @@ class TestBraggScatterSet:
         lattice = LatticeSpec(fundamental_wavenumbers=(FourVector(1, 0, 0, 0),))
         with pytest.raises(OffShell):
             bragg_scatter_set(FourVector(0.1, 0, 0, 0.5), lattice, 1.0)
+
+    @staticmethod
+    def _pairwise_oracle(k_i, lattice, omega0):
+        """The scatter set harmonic by harmonic, each candidate checked with
+        np.allclose against every kept wavenumber."""
+        m = lattice.max_order
+        base = np.array(lattice.fundamental_wavenumbers)
+        out = []
+        for orders in product(range(-m, m + 1), repeat=len(base)):
+            k_s = k_i + np.asarray(orders, dtype=float) @ base
+            if lattice.dimensionality == 3:
+                if abs(minkowski_dot(k_s, k_s) + omega0 * omega0) <= 1e-9 * omega0**2:
+                    out.append(k_s)
+                continue
+            ax = lattice.normal_axis
+            in_plane = k_s[:3].copy()
+            in_plane[ax] = 0.0
+            rem = float(np.sum(k_i[:3] ** 2)) - float(np.sum(in_plane**2))
+            if rem < 0.0:
+                continue
+            root = np.sqrt(rem)
+            for sgn in (1.0, -1.0) if root > 0 else (1.0,):
+                k_out = k_s.copy()
+                k_out[ax] = sgn * root
+                out.append(k_out)
+        unique = []
+        for k in out:
+            if not any(np.allclose(k, q, atol=1e-12) for q in unique):
+                unique.append(k)
+        return unique
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dimensionality", [2, 3])
+    def test_equals_the_pairwise_oracle(self, dimensionality, seed):
+        # g and 2g along one axis give many labels for one wavenumber; in 3-D
+        # the incident components are odd multiples of -g/2, so harmonics
+        # other than the specular one reach the shell too
+        rng = np.random.default_rng(seed)
+        omega0 = rng.uniform(0.5, 1.5)
+        gx, gy = rng.uniform(0.3, 0.9, 2)
+        fundamentals = (FourVector(gx, 0, 0, 0), FourVector(2 * gx, 0, 0, 0),
+                        FourVector(0, gy, 0, 0))
+        if dimensionality == 3:
+            spatial = [-gx / 2 * rng.choice([1, 3]), -gy / 2 * rng.choice([1, 3]),
+                       rng.uniform(-1, 1)]
+        else:
+            spatial = rng.uniform(-1.0, 1.0, 3)
+        k_i = on_shell(spatial, omega0)
+        lattice = LatticeSpec(fundamental_wavenumbers=fundamentals,
+                              dimensionality=dimensionality, max_order=3)
+        got = np.reshape(bragg_scatter_set(k_i, lattice, omega0), (-1, 4))
+        want = np.reshape(self._pairwise_oracle(k_i, lattice, omega0), (-1, 4))
+        assert len(want) > 1
+        np.testing.assert_array_equal(got, want)
+
+    def test_dense_2d_lattice(self):
+        # of the 441 harmonics, the 221 with in-plane |k| below |k_i| = 5
+        # each give two normal roots
+        k_i = FourVector(0, 0, 5, 5.0990195135927845)
+        lattice = LatticeSpec(fundamental_wavenumbers=(FourVector(0.6, 0, 0, 0),
+                                                       FourVector(0, 0.6, 0, 0)),
+                              dimensionality=2, max_order=10)
+        ks = bragg_scatter_set(k_i, lattice, 1.0)
+        assert len(ks) == 442
+        for k in ks:
+            assert abs(minkowski_dot(k, k) + 1.0) < 1e-9
 
 
 class TestTrapDynamics:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metronlab import numerics
 from metronlab.cli import parse_values, run
 from metronlab.errors import ValidationError
 
@@ -146,6 +147,21 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "no significant digits" in lines[0]
+
+    def test_spent_evaluation_budget_exits_3_with_one_line(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a growing three-mode run shrinks its steps without end; the budget
+        # is lowered here so the refusal comes in a few milliseconds
+        monkeypatch.setattr(numerics, "_MAX_RHS_EVALS", 1000)
+        rc = run(["orbit-threemode", "--a2=-4.850998203236746", "--a12=-10.0",
+                  "--k=-0.0-5.623514109211828j", "--mu1=2.2479016422766147",
+                  "--mu2=3.6697626041902804", "--t-max=-11.846261680211956",
+                  "--samples=80", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: EvaluationBudgetExceeded")
+        assert read_json(tmp_path / "manifest.json")["error"]["type"] == "EvaluationBudgetExceeded"
 
     @pytest.mark.parametrize("extra", [
         ["--r-max", "30", "--n-points", "5"],

@@ -6,11 +6,13 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from metronlab import numerics, trapped_modes
 from metronlab.bragg import BraggTrapState, first_integral, integrate_trap
 from metronlab.errors import (
+    EvaluationBudgetExceeded,
     LapackFailure,
     NoBracket,
     NonDecayingSource,
     NonFiniteState,
     NotTrapped,
+    NumericalError,
     StepUnderflow,
     ValidationError,
 )
@@ -61,6 +63,22 @@ class TestIntegrateIvp:
 
         with pytest.raises(NonFiniteState):
             integrate_ivp(rhs, [1.0], (0.0, 1.0), tol=1e-8)
+
+    def test_evaluation_budget_ends_a_run(self, monkeypatch):
+        # a growing solution can keep shrinking its steps without underflowing
+        # them; past the budget the run raises instead of going on
+        monkeypatch.setattr(numerics, "_MAX_RHS_EVALS", 100)
+        calls = []
+
+        def rhs(s, y):
+            calls.append(s)
+            return y
+
+        with pytest.raises(EvaluationBudgetExceeded, match="100 derivative evaluations"):
+            integrate_ivp(rhs, [1.0], (0.0, 30.0), tol=1e-12)
+        assert len(calls) == 100
+        assert issubclass(EvaluationBudgetExceeded, NumericalError)
+        assert EvaluationBudgetExceeded("x").exit_code == 3
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -113,9 +131,7 @@ class TestRadialEigen:
     def test_single_well_ground_state(self):
         grid = RadialGrid(40.0, 4001)
         well = lambda r: 3.0 * np.exp(-((r / 1.5) ** 2))
-        omega, phi = solve_radial_eigen(
-            1.0 - well(grid.r), 0, (0.05, 0.999), grid=grid
-        )
+        omega, phi = solve_radial_eigen(1.0 - well(grid.r), 0, grid=grid)
         oracle = _matrix_eigen_oracle(well, grid, 0)
         assert abs(omega - oracle) < 1e-9
         lap = radial_laplacian(phi)
@@ -129,9 +145,7 @@ class TestRadialEigen:
     def test_third_mode_two_nodes(self):
         grid = RadialGrid(40.0, 4001)
         well = lambda r: 4.0 * np.exp(-((r / 4.0) ** 2))
-        omega, phi = solve_radial_eigen(
-            1.0 - well(grid.r), 2, (0.05, 0.999), grid=grid
-        )
+        omega, phi = solve_radial_eigen(1.0 - well(grid.r), 2, grid=grid)
         oracle = _matrix_eigen_oracle(well, grid, 2)
         assert abs(omega - oracle) < 1e-9
         keep = np.abs(phi.values) > 1e-8 * phi.max_abs()
@@ -140,31 +154,34 @@ class TestRadialEigen:
 
     def test_no_well_not_trapped(self):
         grid = RadialGrid(30.0, 2001)
-        with pytest.raises(NotTrapped):
-            solve_radial_eigen(
-                1.0 + 0.0 * grid.r, 0, (0.05, 0.999), grid=grid
-            )
+        with pytest.raises(NotTrapped, match="everywhere"):
+            solve_radial_eigen(1.0 + 0.0 * grid.r, 0, grid=grid)
 
-    def test_wrong_bracket_raises(self):
+    def test_mode_below_zero_raises_no_bracket(self):
+        # a well 10 deep and 1.5 wide binds its ground state below omega^2 = 0,
+        # where no real omega exists; mode 0 of the 3-deep well sits near 0.737
         grid = RadialGrid(40.0, 2001)
-        well = lambda r: 3.0 * np.exp(-((r / 1.5) ** 2))
-        with pytest.raises(NoBracket):
-            # ground state sits near 0.737; bracket above it has no mode 0
-            solve_radial_eigen(
-                1.0 - well(grid.r), 0, (0.9, 0.999), grid=grid
-            )
+        well = lambda r: np.exp(-((r / 1.5) ** 2))
+        with pytest.raises(NoBracket, match="omega\\^2 <= 0"):
+            solve_radial_eigen(1.0 - 10.0 * well(grid.r), 0, grid=grid)
+        omega, _ = solve_radial_eigen(1.0 - 3.0 * well(grid.r), 0, grid=grid)
+        assert 0.7 < omega < 0.8
+
+    def test_mode_above_the_continuum_edge_is_not_bound(self):
+        # the window's top is sqrt(V(R)) (1 - 1e-9): a box edge lowered to
+        # V(R) = 0.5 leaves the 0.737 ground state of this well above it
+        grid = RadialGrid(40.0, 2001)
+        V = 1.0 - 3.0 * np.exp(-((grid.r / 1.5) ** 2))
+        V[-1] = 0.5
+        with pytest.raises(NotTrapped, match="continuum edge"):
+            solve_radial_eigen(V, 0, grid=grid)
 
     def test_long_forbidden_region(self):
         # one-sided marches would need sub-double omega resolution here
         grid = RadialGrid(108.0, 2001)
         r = grid.r
         phi0 = 0.9 * np.exp(-((r / 20.0) ** 2))
-        omega, phi = solve_radial_eigen(
-            1.0 - phi0,
-            2,
-            (1e-6, 0.999),
-            grid=grid,
-        )
+        omega, phi = solve_radial_eigen(1.0 - phi0, 2, grid=grid)
         assert abs(phi.values[-1]) < 1e-3
 
 
@@ -187,14 +204,14 @@ class TestRadialEigenOracles:
         # -u'' + r^2 u = omega^2 u with u(0) = 0: the odd levels of the
         # 1-D oscillator, omega^2 = 4n + 3
         grid = RadialGrid(10.0, 2001)
-        omega, _ = solve_radial_eigen(grid.r**2, n, (0.1, 5.0), grid=grid)
+        omega, _ = solve_radial_eigen(grid.r**2, n, grid=grid)
         assert abs(omega**2 - (4 * n + 3)) < 4.0 * grid.spacing**2
 
     def test_richardson_order_two(self):
         omegas = []
         for n_points in (1001, 2001, 4001):
             grid = RadialGrid(10.0, n_points)
-            omegas.append(solve_radial_eigen(grid.r**2, 1, (0.1, 5.0), grid=grid)[0])
+            omegas.append(solve_radial_eigen(grid.r**2, 1, grid=grid)[0])
         order = np.log2((omegas[1] - omegas[0]) / (omegas[2] - omegas[1]))
         assert 1.8 < order < 2.2
 
@@ -202,7 +219,7 @@ class TestRadialEigenOracles:
     def test_dense_eigh_with_robin_row(self, mode):
         grid = RadialGrid(30.0, 301)
         V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
-        omega, _ = solve_radial_eigen(V, mode, (0.01, 0.999), grid=grid)
+        omega, _ = solve_radial_eigen(V, mode, grid=grid)
         h = grid.spacing
         kr = np.sqrt(max(V[-1] - omega**2, 0.0))
         robin = 1.0 / (1.0 + h * kr - h / grid.r_max)
@@ -212,7 +229,7 @@ class TestRadialEigenOracles:
     def test_outer_boundary_term_matters(self):
         grid = RadialGrid(30.0, 301)
         V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
-        omega, _ = solve_radial_eigen(V, 1, (0.01, 0.999), grid=grid)
+        omega, _ = solve_radial_eigen(V, 1, grid=grid)
         dirichlet = np.linalg.eigvalsh(_dense_operator(V, grid, 0.0))
         assert abs(dirichlet[1] - omega**2) > 1e-7
 
@@ -251,7 +268,7 @@ def _wrapper_eigen(V, node_count, grid):
     return float(np.sqrt(lam)), phi, passes
 
 
-def _wrapper_poisson(source, sign):
+def _wrapper_poisson(source):
     """The Poisson solve through solve_banded's (1, 1) banded matrix."""
     grid = source.grid
     n, h, r, s = grid.n_points, grid.spacing, grid.r, source.values
@@ -260,12 +277,12 @@ def _wrapper_poisson(source, sign):
     ab[1, :] = 2.0
     ab[2, :-1] = -1.0
     ab[1, -1] = 1.0
-    b = sign * h * h * r[1:] * s[1:]
+    b = h * h * r[1:] * s[1:]
     b[-1] = 0.0
     u = np.concatenate(([0.0], solve_banded((1, 1), ab, b)))
     phi = np.empty(n)
     phi[1:] = u[1:] / r[1:]
-    phi[0] = phi[1] + sign * s[0] * h * h / 6.0
+    phi[0] = phi[1] + s[0] * h * h / 6.0
     return phi
 
 
@@ -277,17 +294,16 @@ class TestLapackKernels:
     def test_eigen_equals_the_wrapper_bit_for_bit(self, n_points, mode):
         grid = RadialGrid(40.0, n_points)
         V = 1.0 - np.exp(-((grid.r / 10.0) ** 2))  # binds modes 0-2
-        omega, phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid)
+        omega, phi = solve_radial_eigen(V, mode, grid=grid)
         ref_omega, ref_phi, _ = _wrapper_eigen(V, mode, grid)
         assert omega == ref_omega
         np.testing.assert_array_equal(phi.values, ref_phi)
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_poisson_equals_solve_banded_bit_for_bit(self, sign):
+    def test_poisson_equals_solve_banded_bit_for_bit(self):
         grid = RadialGrid(30.0, 2001)
         source = RadialField(grid, np.exp(-(grid.r**2) / 4.0) * (1.0 + 0.3 * np.sin(grid.r)))
-        out = solve_radial_poisson(source, sign=sign)
-        np.testing.assert_array_equal(out.values, _wrapper_poisson(source, sign))
+        out = solve_radial_poisson(source)
+        np.testing.assert_array_equal(out.values, _wrapper_poisson(source))
 
     def test_one_eigenvector_per_returned_solve(self, monkeypatch):
         # the reference single-mode solve: every eigen solve after the first
@@ -328,7 +344,7 @@ class TestLapackKernels:
         assert max(half_widths) < 2e-10
 
     def test_failed_warm_start_computes_one_eigenvector(self, monkeypatch):
-        # mode 0 of this shallow well is bound below the bracket's top, but
+        # mode 0 of this shallow well is bound below the continuum edge, but
         # its tail is not small at R = 12: the warm start raises its own
         # error after one dstein, without a second (cold) solve
         grid = RadialGrid(12.0, 401)
@@ -342,28 +358,35 @@ class TestLapackKernels:
         dstein = numerics.dstein
         monkeypatch.setattr(numerics, "dstein", stein)
         with pytest.raises(NotTrapped, match="tail magnitude"):
-            solve_radial_eigen(V, 0, (0.05, 0.9999), grid=grid, guess=0.9)
+            solve_radial_eigen(V, 0, grid=grid, guess=0.9)
         assert len(vectors) == 1
 
     def test_non_finite_potential_raises(self):
         grid = RadialGrid(30.0, 301)
         V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
-        for j in (0, 150, 300):
+        for j in (0, 150, 299):
             bad = V.copy()
             bad[j] = np.nan
             with pytest.raises(ValueError, match="finite"):
-                solve_radial_eigen(bad, 0, (0.01, 0.999), grid=grid)
+                solve_radial_eigen(bad, 0, grid=grid)
+        # a box edge that is not above 0 leaves no eigen window, as in a sweep
+        # whose field has blown up there: NotTrapped, which a sweep retries
+        for edge in (np.nan, -np.inf):
+            bad = V.copy()
+            bad[-1] = edge
+            with pytest.raises(NotTrapped, match="box edge"):
+                solve_radial_eigen(bad, 0, grid=grid)
 
     def test_node_count_beyond_the_grid_raises(self):
         grid = RadialGrid(30.0, 301)
         with pytest.raises(ValueError, match="node_count"):
-            solve_radial_eigen(grid.r**2, 299, (0.1, 5.0), grid=grid)
+            solve_radial_eigen(grid.r**2, 299, grid=grid)
 
     @pytest.mark.parametrize("node_count", [-1, 299, 3000])
     def test_node_count_outside_the_grid_is_validation_error(self, node_count):
         grid = RadialGrid(30.0, 301)
         with pytest.raises(ValidationError, match="node_count"):
-            solve_radial_eigen(grid.r**2, node_count, (0.1, 5.0), grid=grid)
+            solve_radial_eigen(grid.r**2, node_count, grid=grid)
 
     def test_lapack_failure_is_a_numerical_linalg_error(self):
         assert issubclass(LapackFailure, np.linalg.LinAlgError)
@@ -390,16 +413,15 @@ class TestWarmStart:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_warm_start_reaches_the_cold_fixed_point(self, mode, n_points, factor):
         grid, V = self._problem(n_points)
-        cold, cold_phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid)
-        warm, warm_phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid,
-                                            guess=cold * factor)
+        cold, cold_phi = solve_radial_eigen(V, mode, grid=grid)
+        warm, warm_phi = solve_radial_eigen(V, mode, grid=grid, guess=cold * factor)
         assert abs(warm - cold) <= 4 * np.spacing(cold)
         assert _sign_changes(warm_phi) == _sign_changes(cold_phi) == mode
 
     @pytest.mark.parametrize("n_points", [201, 2001])
     def test_guess_of_another_mode_returns_the_requested_mode(self, n_points, monkeypatch):
         grid, V = self._problem(n_points)
-        omegas = [solve_radial_eigen(V, m, (0.05, 0.999), grid=grid)[0] for m in range(3)]
+        omegas = [solve_radial_eigen(V, m, grid=grid)[0] for m in range(3)]
         vectors = []
 
         def stein(*args):
@@ -411,8 +433,7 @@ class TestWarmStart:
         for mode in range(3):
             for other in set(range(3)) - {mode}:
                 vectors.clear()
-                omega, phi = solve_radial_eigen(V, mode, (0.05, 0.999), grid=grid,
-                                                guess=omegas[other])
+                omega, phi = solve_radial_eigen(V, mode, grid=grid, guess=omegas[other])
                 assert abs(omega - omegas[mode]) <= 4 * np.spacing(omegas[mode])
                 assert _sign_changes(phi) == mode
                 # the first pass picks this mode by index, whatever the
@@ -423,7 +444,7 @@ class TestWarmStart:
     def test_non_finite_guess_raises(self, guess):
         grid, V = self._problem(201)
         with pytest.raises(ValueError, match="guess"):
-            solve_radial_eigen(V, 0, (0.05, 0.999), grid=grid, guess=guess)
+            solve_radial_eigen(V, 0, grid=grid, guess=guess)
 
 
 class TestRadialPoisson:
@@ -438,7 +459,7 @@ class TestRadialPoisson:
         s = np.where(grid.r <= R, 1.0, 0.0)
         # cell-averaged value at the jump node keeps second-order accuracy
         s[int(round(R / grid.spacing))] = 0.5
-        phi0 = solve_radial_poisson(RadialField(grid, s), sign=1)
+        phi0 = solve_radial_poisson(RadialField(grid, s))
         r = grid.r
         exact = np.where(r <= R, R * R / 2.0 - r * r / 6.0, R**3 / (3.0 * np.maximum(r, 1e-12)))
         exact[0] = R * R / 2.0
@@ -447,7 +468,7 @@ class TestRadialPoisson:
     def test_gaussian_charge_oracle(self):
         grid = RadialGrid(30.0, 4001)
         s = np.exp(-(grid.r**2))
-        phi0 = solve_radial_poisson(RadialField(grid, s), sign=1)
+        phi0 = solve_radial_poisson(RadialField(grid, s))
         Q = simpson(s * grid.r**2, x=grid.r)  # total-charge quadrature oracle
         tail = grid.r[-1] * phi0.values[-1]
         assert abs(tail - Q) < 1e-4 * Q
@@ -459,7 +480,7 @@ class TestRadialPoisson:
     def test_maximum_principle(self):
         grid = RadialGrid(30.0, 2001)
         s = np.exp(-(grid.r**2) / 4.0)
-        phi0 = solve_radial_poisson(RadialField(grid, s), sign=1)
+        phi0 = solve_radial_poisson(RadialField(grid, s))
         assert np.all(phi0.values >= 0.0)
         assert np.argmax(phi0.values) == 0
 
@@ -467,7 +488,7 @@ class TestRadialPoisson:
         grid = RadialGrid(30.0, 8001)
         r = grid.r
         s = np.exp(-(r**2))
-        phi0 = solve_radial_poisson(RadialField(grid, s), sign=1)
+        phi0 = solve_radial_poisson(RadialField(grid, s))
         dphi = np.gradient(phi0.values, r)
         lhs = simpson(dphi**2 * r**2, x=r)
         rhs = simpson(s * phi0.values * r**2, x=r)
@@ -477,7 +498,7 @@ class TestRadialPoisson:
     def test_discrete_residual_is_tight(self):
         grid = RadialGrid(30.0, 2001)
         s = np.exp(-(grid.r**2) / 2.0)
-        phi0 = solve_radial_poisson(RadialField(grid, s), sign=1)
+        phi0 = solve_radial_poisson(RadialField(grid, s))
         resid = radial_laplacian(phi0) + s[1:-1]
         assert np.max(np.abs(resid)) < 1e-10
 

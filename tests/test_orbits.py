@@ -170,9 +170,13 @@ class TestDriftEquilibria:
                                                 gamma=1.2, beta=0.8, mu=0.05)
         assert model.C1 == pytest.approx((0.3 + 0.4j).imag * 1.2 / (2 * 0.8 * 0.5))
         assert model.C3 == pytest.approx((0.05 / 0.8) ** 2)
-        with pytest.raises(ValidationError):
-            OrbitDriftModel(d=0.5, C1=99.0, C2=model.C2, C3=model.C3,
-                            alpha=0.3 + 0.4j, gamma=1.2, beta=0.8, mu=0.05)
+
+    @pytest.mark.parametrize("beta, d", [(0.0, 1.0), (1.0, 0.0), (1e-200, 1.0)])
+    def test_primitives_with_beta_d_zero_are_refused(self, beta, d):
+        # C1 = Im(alpha gamma)/(2 beta d) and C2 = mu Re(alpha gamma)/(beta^2 d);
+        # beta = 1e-200 leaves beta*d nonzero but beta^2*d underflows to 0
+        with pytest.raises(ValidationError, match="beta \\* d"):
+            OrbitDriftModel.from_primitives(d=d, alpha=1.0, gamma=1.0, beta=beta, mu=0.0)
 
 
 class TestIntegrateDrift:
