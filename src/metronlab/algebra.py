@@ -363,9 +363,6 @@ class ElectroweakConfig:
     g2: float
     Lambda_sq: float
     e_M: float
-    higgs_v: float
-    kappa_h_nu: float
-    kappa_h_e: float
     m_w_sq: float
     m_z_sq: float
 
@@ -388,7 +385,7 @@ def mass_ratio(omega_e_sq, omega_nu_sq, kappa_sq):
     return num / den
 
 
-def electroweak_config(k5_e, k9, higgs_v=1.0) -> ElectroweakConfig:
+def electroweak_config(k5_e, k9) -> ElectroweakConfig:
     """Derived masses and couplings for the lepton-sector wavenumbers.
 
     The neutrino components mirror the electron ones (k6_nu = -k5_e,
@@ -410,11 +407,9 @@ def electroweak_config(k5_e, k9, higgs_v=1.0) -> ElectroweakConfig:
     if not Lambda_sq > 0:
         raise InvalidSignature("Lambda^2 must be positive")
     C2 = 0.5 * (omega_e_sq + omega_nu_sq + 2.0 * kappa_sq)
-    # aligned scalar: its wavenumber is the neutrino one
-    kappa_h_nu = omega_nu_sq
-    kappa_h_e = kappa_sq
-    m_w_sq = higgs_v**2 * (kappa_h_nu + kappa_h_e) ** 2 / (2.0 * C2)
-    m_z_sq = higgs_v**2 * kappa_h_nu**2 / omega_nu_sq
+    # the aligned scalar (vacuum value 1) couples by omega_nu^2 and kappa^2
+    m_w_sq = (omega_nu_sq + kappa_sq) ** 2 / (2.0 * C2)
+    m_z_sq = omega_nu_sq**2 / omega_nu_sq
     return ElectroweakConfig(
         k5_e=k5_e,
         k6_nu=k6_nu,
@@ -426,32 +421,22 @@ def electroweak_config(k5_e, k9, higgs_v=1.0) -> ElectroweakConfig:
         g2=float(np.sqrt(C2)),
         Lambda_sq=Lambda_sq,
         e_M=float(np.sqrt(Lambda_sq / omega_nu_sq)),
-        higgs_v=higgs_v,
-        kappa_h_nu=kappa_h_nu,
-        kappa_h_e=kappa_h_e,
         m_w_sq=float(m_w_sq),
         m_z_sq=float(m_z_sq),
     )
 
 
-def find_mass_ratio_config(target=0.87, k5_e=1.0):
+def find_mass_ratio_config(target=0.87):
     """Wavenumber pair reproducing a given m_W/m_Z with mirrored lepton
-    wavenumbers (equal masses); root-find on x = kappa/omega_nu where the
-    ratio is sqrt(1 + x^2)/sqrt(2)."""
-    from scipy.optimize import brentq
-
-    lo, hi = 1e-9, 1.0 - 1e-9  # x^2 = kappa^2/omega^2 below the signature bound
-
-    def f(x):
-        om_sq = 1.0
-        kap = x * x * om_sq
-        return float(mass_ratio(om_sq, om_sq, kap)) - target
-
-    if f(lo) * f(hi) > 0:
+    wavenumbers (equal masses).  With omega_nu^2 = 1 the ratio is
+    sqrt((1 + x^2)/2), x = kappa/omega_nu, so x = sqrt(2 t^2 - 1), k9 = x and
+    k5 = sqrt(1 + x^2); ValidationError unless 0 <= x^2 < 1 (NaN included)."""
+    target = float(target)
+    x_sq = 2.0 * target * target - 1.0
+    if not 0.0 <= x_sq < 1.0:
         raise ValidationError(f"target ratio {target} not reachable with equal masses")
-    x = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
-    # with omega_nu^2 = 1: k9 = x and k5^2 = 1 + x^2
-    return electroweak_config(k5_e * np.sqrt(1.0 + x * x), k5_e * x)
+    x = np.sqrt(x_sq)
+    return electroweak_config(np.sqrt(1.0 + x * x), x)
 
 
 def quark_ew_wavenumbers(k_e, k_nu, k_c):
@@ -515,7 +500,8 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
     diffeomorphism amplitudes.
 
     Non-diagonal sector: with direction vectors v_(pq) = k_p - k_q the
-    calibration constant is C = 2 k_p.k_q = -omega_f^2.  Diagonal sector:
+    calibration constant is C = 2 k_p.k_q = -omega_f^2, and every
+    non-diagonal amplitude is eps_rho / C.  Diagonal sector:
     the 3x3 system  k_p . (sum_q v_(qq) eps_qq) = rhs_p(eps3, eps8)  has
     rank 2 because the star wavenumbers sum to zero; the minimum-norm
     solution is returned together with the residual of the full system.
@@ -546,11 +532,6 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
     )
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     residual = float(np.max(np.abs(M @ sol - rhs)))
-    eps_map = {}
-    for p in range(3):
-        for q in range(3):
-            if p != q:
-                eps_map[(p, q)] = 1.0 / C  # eps_pq = eps_rho / C per unit eps_rho
     return {
         "C": C,
         "C_equals_minus_mass_sq": abs(C + w2),
@@ -558,7 +539,6 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
         "residual": residual,
         "rank": int(np.linalg.matrix_rank(M, tol=1e-12)),
         "row_sum": float(np.max(np.abs(M.sum(axis=0)))),
-        "nondiagonal_scale": eps_map,
     }
 
 

@@ -84,6 +84,8 @@ class LatticeSpec:
         for v in vecs:
             if v.shape != (4,):
                 raise ValidationError("lattice wavenumbers must be four-vectors")
+            if not np.isfinite(v).all():
+                raise ValidationError("lattice wavenumbers must be finite")
             if v[3] != 0.0:
                 raise ValidationError("lattice wavenumbers must be static")
         if self.dimensionality == 2:
@@ -149,15 +151,21 @@ def bragg_scatter_set(k_i, lattice: LatticeSpec, omega0):
     1e-9 relative (generically only the specular k_l = 0 term survives).
     2-D lattices: the normal component is solved from the shell condition;
     both real roots (outgoing, then ingoing) are kept.  Of wavenumbers that
-    several harmonic labels give, the first is kept.  A non-finite omega0
-    is a ValidationError.
+    several harmonic labels give, the first is kept.  An omega0 whose
+    square, or a k_i + k_l whose squared components, leave the float range
+    is a ValidationError; so is a non-finite k_i.
     """
     k_i = np.asarray(k_i, dtype=float)
-    if not np.isfinite(omega0):
-        raise ValidationError("omega0 must be finite")
-    if abs(minkowski_dot(k_i, k_i) + omega0 * omega0) > 1e-9 * omega0 * omega0:
+    omega0 = float(omega0)
+    if not np.isfinite(omega0 * omega0):
+        raise ValidationError("omega0 and its square must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        k_s = k_i + lattice.harmonics()  # the zero harmonic gives k_i itself
+        size = np.sum(k_s * k_s, axis=1)
+    if not np.isfinite(size).all():
+        raise ValidationError("a scattered wavenumber or its square leaves the float range")
+    if not abs(minkowski_dot(k_i, k_i) + omega0 * omega0) <= 1e-9 * omega0 * omega0:
         raise OffShell("incident wavenumber is off the mass shell")
-    k_s = k_i + lattice.harmonics()
     if lattice.dimensionality == 3:
         shell = np.abs(np.sum(METRIC * k_s * k_s, axis=1) + omega0 * omega0)
         out = k_s[shell <= 1e-9 * omega0**2]
@@ -264,8 +272,8 @@ def trap_verdict_by_integration(state: BraggTrapState):
     windings.
 
     Returns the verdict, s_max, s_end (where the run ended: s_max, or the
-    crossing), E at s_end, the largest first-integral drift along the
-    integrated path, and the trajectory (s, E, deltaS).
+    crossing), the largest first-integral drift along the integrated path,
+    and the trajectory (s, E, deltaS).
     """
     B = trapping_parameter(state)
     rate = state.gamma * max(abs(B - 1.0), 2e-3)
@@ -281,7 +289,6 @@ def trap_verdict_by_integration(state: BraggTrapState):
         "verdict": "Oscillatory" if res.stopped else "Trapped",
         "s_max": s_max,
         "s_end": float(s[-1]),
-        "E_final": float(E[-1]),
         "first_integral_drift": float(np.max(np.abs(drift))),
         "trajectory": (s, E, dS),
     }

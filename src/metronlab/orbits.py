@@ -109,6 +109,8 @@ def mode_response(lines, omega_p, mu, t, response):
     """
     if mu < 0:
         raise ValidationError("mu must be nonnegative")
+    if response not in ("stationary", "nonstationary", "damped"):
+        raise ValidationError(f"unknown response kind {response!r}")
     a = 0.0 + 0.0j
     for n, omega_n, g in lines:
         w = omega_n - omega_p
@@ -120,10 +122,8 @@ def mode_response(lines, omega_p, mu, t, response):
             delta = -1j / w
         elif response == "nonstationary":
             delta = t if w == 0 else -1j * (1.0 - np.exp(-1j * w * t)) / w
-        elif response == "damped":
-            delta = 1.0 / (1j * w + mu)
         else:
-            raise ValidationError(f"unknown response kind {response!r}")
+            delta = 1.0 / (1j * w + mu)
         a += delta * g * np.exp(1j * omega_n * t)
     return a
 
@@ -181,27 +181,20 @@ def _drift_rate(model, dr):
 
 
 def drift_equilibria(model: OrbitDriftModel):
-    """Both equilibrium offsets with linearized stability labels.
+    """Both equilibrium offsets with their stability labels.
 
-    Roots delta_r = C1 +- sqrt(C1^2 + C2 - C3); each is labeled Stable or
-    Unstable by the sign of d(RHS)/d(deltar) there.  Raises ComplexRoots
-    for a negative discriminant.
+    The rate is -d (deltar - r_-)(deltar - r_+) / (deltar^2 + C3) with
+    r_+- = C1 +- s, s = sqrt(C1^2 + C2 - C3); its slope is 2 d s / (.) at r_-
+    and -2 d s / (.) at r_+, so r_+ is Stable for d > 0 and r_- for d < 0,
+    read off the signs (d s can underflow), and a double root (s = 0) is
+    Unstable.  Raises ComplexRoots for a negative discriminant.
     """
     disc = model.C1**2 + model.C2 - model.C3
     if disc < 0:
         raise ComplexRoots(f"discriminant {disc:.6g} < 0")
     s = float(np.sqrt(disc))
-    out = []
-    for root in (model.C1 - s, model.C1 + s):
-        slope = _drift_slope(model, root)
-        out.append((float(root), "Stable" if slope < 0 else "Unstable"))
-    return out
-
-
-def _drift_slope(model, root, h=None):
-    if h is None:
-        h = 1e-7 * max(1.0, abs(root))
-    return float((drift_rhs(model, root + h) - drift_rhs(model, root - h)) / (2 * h))
+    return [(float(model.C1 - s), "Stable" if model.d < 0 and s > 0 else "Unstable"),
+            (float(model.C1 + s), "Stable" if model.d > 0 and s > 0 else "Unstable")]
 
 
 def integrate_drift(model: OrbitDriftModel, delta_r0, t_max):

@@ -64,6 +64,14 @@ __all__ = [
 ]
 
 
+def _require_positive(**values):
+    """Every solver's rule for scales, radii and tolerances: ValidationError
+    naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class SingleModeParams:
     omega_hat: float
@@ -74,16 +82,9 @@ class SingleModeParams:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.omega_hat, self.epsilon, self.r0, self.tol])):
-            raise ValidationError("omega_hat, epsilon, r0 and tol must be finite")
-        if not self.omega_hat > 0:
-            raise ValidationError("omega_hat must be positive")
-        if not self.r0 > 0:
-            raise ValidationError("r0 must be positive")
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive")
-        if self.epsilon == 0:
-            raise ValidationError("epsilon must be nonzero")
+        _require_positive(omega_hat=self.omega_hat, r0=self.r0, tol=self.tol)
+        if not (np.isfinite(self.epsilon) and self.epsilon != 0):
+            raise ValidationError("epsilon must be finite and nonzero")
         if self.mode_order < 0:
             raise ValidationError("mode_order must be non-negative")
 
@@ -342,12 +343,13 @@ def iterate_single_mode(params: SingleModeParams,
     size = abs(p.epsilon)
     sol = _single_solution(p, grid, omega, omega * omega, fields[0] / size, modes[0] / size,
                            core.sweeps)
-    well = sol.well_parameter()
-    if 0.0 < well < 1.0:
-        lo = p.omega_hat * float(np.sqrt(1.0 - well))
-        if not (lo < sol.omega < p.omega_hat):
-            raise NotTrapped(f"omega {sol.omega:.6g} outside the trapping window "
-                             f"({lo:.6g}, {p.omega_hat:.6g})")
+    try:
+        lo, hi = trapping_window(sol)
+    except WindowEmpty:  # a well outside (0, 1) bounds no window to check
+        return sol
+    if not lo < sol.omega < hi:
+        raise NotTrapped(f"omega {sol.omega:.6g} outside the trapping window "
+                         f"({lo:.6g}, {hi:.6g})")
     return sol
 
 
@@ -433,11 +435,14 @@ class MultiModeSpec:
         object.__setattr__(self, "scale_radii", tuple(self.scale_radii))
         if eps.shape[1] != len(self.modes):
             raise ValidationError("couplings must have one column per mode")
+        if not np.isfinite(eps).all():
+            raise ValidationError("couplings must be finite")
         if len(self.scale_radii) != len(self.modes):
             raise ValidationError("one scale radius per mode required")
+        for r0 in self.scale_radii:
+            _require_positive(scale_radius=r0)
         for w, s, m in self.modes:
-            if not w > 0:
-                raise ValidationError("mode omega_hat must be positive")
+            _require_positive(omega_hat=w)
             if s not in (1, -1):
                 raise ValidationError("sigma must be +1 or -1")
             if m < 0:
@@ -620,8 +625,12 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     the previous sweep's phi2; the first sweep, and any sweep whose warm
     solve fails, starts from Petviashvili's cold iteration instead.
     iterations_used counts the sweeps.  eps1 and eta2 must not have opposite
-    signs; eta2 = 0 reduces phi2 to the free radial wave.
+    signs; eta2 = 0 reduces phi2 to the free radial wave.  Both omega_hats
+    and r0 must be finite and positive, eps1 and eta2 finite.
     """
+    _require_positive(omega_hat_1=omega_hat_1, omega_hat_2=omega_hat_2, r0=r0)
+    if not np.isfinite([eps1, eta2]).all():
+        raise ValidationError("eps1 and eta2 must be finite")
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")
     if grid is None:

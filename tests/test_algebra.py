@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from metronlab.algebra import (
     GammaSet,
@@ -193,6 +194,43 @@ class TestElectroweak:
         assert cfg.Lambda_sq > 0
         assert cfg.g2 == pytest.approx(np.sqrt(cfg.C2))
         assert cfg.e_M == pytest.approx(np.sqrt(cfg.Lambda_sq / cfg.omega_nu_sq))
+
+    @staticmethod
+    def _bracket_search(target):
+        """The root search the closed form replaced: brentq on x = kappa/omega_nu
+        in [1e-9, 1 - 1e-9], where the ratio is sqrt((1 + x^2)/2); (k5, k9)."""
+        def f(x):
+            return float(mass_ratio(1.0, 1.0, x * x)) - target
+
+        x = brentq(f, 1e-9, 1.0 - 1e-9, xtol=1e-14, rtol=1e-15)
+        return np.sqrt(1.0 + x * x), x
+
+    def test_closed_form_keeps_the_bracket_search_bits_at_the_suite_target(self):
+        cfg = find_mass_ratio_config(0.87)
+        k5, k9 = self._bracket_search(0.87)
+        assert (cfg.k5_e, cfg.k9) == (k5, k9)
+        assert cfg.k5_e.hex() == "0x1.3af940c5f554fp+0"
+        assert cfg.k9.hex() == "0x1.6f00346dc2179p-1"
+
+    def test_closed_form_ratio_matches_the_target(self):
+        for target in np.linspace(1.0 / np.sqrt(2.0), 1.0 - 1e-9, 52)[1:-1]:
+            cfg = find_mass_ratio_config(target)
+            assert abs(cfg.ratio - target) < 1e-15
+            k5, _ = self._bracket_search(target)
+            assert cfg.k5_e == pytest.approx(k5, rel=1e-13)
+
+    @pytest.mark.parametrize("target", [0.5, 0.7071067811865475, 1.0, 1.2, float("nan"),
+                                        float("inf")])
+    def test_unreachable_targets_are_refused(self, target):
+        # equal masses reach [1/sqrt(2), 1) only; 0.7071067811865475 is one
+        # ulp below 1/sqrt(2)
+        with pytest.raises(ValidationError, match="not reachable"):
+            find_mass_ratio_config(target)
+
+    @pytest.mark.parametrize("target", [0.7071067811865476, 0.9999999999])
+    def test_targets_at_the_edges_are_reached(self, target):
+        cfg = find_mass_ratio_config(target)
+        assert abs(cfg.ratio - target) < 1e-15
 
     def test_signature_inequality_enforced(self):
         with pytest.raises(InvalidSignature):

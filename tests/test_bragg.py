@@ -128,6 +128,33 @@ class TestBraggScatterSet:
         with pytest.raises(OffShell):
             bragg_scatter_set(FourVector(0.1, 0, 0, 0.5), lattice, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fundamental_refused_at_construction(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            LatticeSpec(fundamental_wavenumbers=(FourVector(bad, 0, 0, 0),))
+
+    @pytest.mark.parametrize("dimensionality", [2, 3])
+    @pytest.mark.parametrize("fundamental, k_i, omega0", [
+        # 3 x 1e308 overflows the harmonic itself
+        (1e308, [0.2, 0, 1.1, 1.5], 0.9999999999999999),
+        # the harmonics stay finite, but a square of 3e200 does not
+        (1e200, [0.2, 0, 1.1, 1.5], 0.9999999999999999),
+        # an incident wavenumber whose squares overflow
+        (0.6, [1e200, 0, 0, 1e200], 1.0),
+    ])
+    def test_out_of_range_wavenumbers_refused(self, dimensionality, fundamental, k_i,
+                                              omega0):
+        lattice = LatticeSpec(fundamental_wavenumbers=(FourVector(fundamental, 0, 0, 0),
+                                                       FourVector(0, fundamental, 0, 0)),
+                              dimensionality=dimensionality)
+        with pytest.raises(ValidationError, match="float range"):
+            bragg_scatter_set(np.array(k_i), lattice, omega0)
+
+    def test_omega0_whose_square_overflows_refused(self):
+        lattice = LatticeSpec(fundamental_wavenumbers=(FourVector(1, 0, 0, 0),))
+        with pytest.raises(ValidationError, match="square"):
+            bragg_scatter_set(FourVector(0, 0, 0, 1), lattice, 1e200)
+
     @staticmethod
     def _pairwise_oracle(k_i, lattice, omega0):
         """The scatter set harmonic by harmonic, each candidate checked with

@@ -48,6 +48,15 @@ class TestBasicCommands:
         assert man["verdict"]["verdict"] == "TrappedAt"
         assert (tmp_path / "phase_portrait.csv").exists()
 
+    def test_orbit_drift_tangent_root_is_unstable(self, tmp_path):
+        # C1^2 + C2 - C3 = 0: a double root, where the rate touches zero
+        # without changing sign
+        rc = run(["orbit-drift", "--c1", "1", "--c2", "0", "--c3", "1", "--delta-r0", "2",
+                  "--t-max", "5", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        man = read_json(tmp_path / "manifest.json")
+        assert man["equilibria"] == [{"delta_r": 1.0, "stability": "Unstable"}] * 2
+
     def test_greens_eval_lightcone(self, tmp_path):
         rc = run(["greens-eval", "--r", "2", "--t", "2", "--kind", "retarded",
                   "--method", "lightcone", "--output-dir", str(tmp_path)])
@@ -231,6 +240,13 @@ class TestExitCodes:
          "--max-order", "-1", "--omega0", "1"],
         ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "0.6,0,0",
          "--omega0", "nan"],
+        # a harmonic 3 x 1e308 overflows (Tier-1 turns a RuntimeWarning into
+        # an error, so a warning beside the refusal fails these too)
+        ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "1e308,0,0",
+         "--fundamental", "0,1e308,0", "--omega0", "0.9999999999999999"],
+        ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "1e308,0,0",
+         "--fundamental", "0,1e308,0", "--omega0", "0.9999999999999999",
+         "--dimensionality", "2"],
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         malformed = tmp_path / "malformed.cfg"

@@ -8,7 +8,9 @@ are capped (always passed, so no uncapped default runs): --n-points <= 101,
 20, and list values at most 4 entries with |r|, |t| <= 50. The greens-conserve
 --separation and --span reach +-1e300, where squared separations overflow:
 its cost depends on --samples alone, and its --sigma is mostly positive and
-its --speed within +-1, so most runs reach the kernel. Other reals stay
+its --speed within +-1, so most runs reach the kernel. The bragg-lattice
+vectors now and then reach +-1e308, where harmonics and their squares
+overflow: its cost depends on --max-order alone. Other reals stay
 within +-10, so no stiff or fast-oscillating trajectory makes a run long.
 The three-mode amplitudes and coupling stay within +-3, its damping rates
 within +-0.1 and its forcing within +-0.5: a negative rate, or a positive
@@ -54,9 +56,11 @@ def values(bound, n):
 
 
 def vector(n):
-    """n comma-separated numbers, or now and then one too few or too many."""
+    """n comma-separated numbers, or now and then one too few or too many; now
+    and then the components reach +-1e308, where harmonics and their squares
+    overflow."""
     return st.one_of(st.lists(real(), min_size=n, max_size=n),
-                     st.lists(real(), min_size=n, max_size=n),
+                     st.lists(real(1e308), min_size=n, max_size=n),
                      st.lists(real(), min_size=n - 1, max_size=n + 1)).map(",".join)
 
 

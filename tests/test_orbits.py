@@ -122,6 +122,11 @@ class TestModeResponse:
             a = mode_response(((0, 1.0, g),), 1.0, 0.0, t, response="nonstationary")
             assert abs(abs(a) - g * t) < 1e-12
 
+    @pytest.mark.parametrize("lines", [(), ((0, 1.0, 1.0),)])
+    def test_unknown_response_kind_is_refused(self, lines):
+        with pytest.raises(ValidationError, match="unknown response kind"):
+            mode_response(lines, 1.0, 0.0, 0.0, "bogus")
+
     def test_damped_resonance_steady_amplitude(self):
         g, mu = 0.7, 0.02
         a = mode_response(((0, 1.0, g),), 1.0, mu, 0.0, response="damped")
@@ -147,13 +152,31 @@ class TestDriftEquilibria:
         for root, _ in drift_equilibria(model):
             assert abs(drift_rhs(model, root)) < 1e-10
 
-    def test_stability_labels_match_analytic_slope(self):
-        for C1, C2, C3, d in ((-1.0, 0.5, 0.25, 1.0), (0.8, 0.3, 0.1, 1.0),
-                              (-0.6, 0.2, 0.05, -1.0)):
-            model = OrbitDriftModel(d=d, C1=C1, C2=C2, C3=C3)
-            for root, label in drift_equilibria(model):
-                slope = drift_slope_oracle(model, root)
-                assert (slope < 0) == (label == "Stable")
+    @pytest.mark.parametrize("C1, C2, C3, d", [
+        (-1.0, 0.5, 0.25, 1.0), (0.8, 0.3, 0.1, 1.0), (-0.6, 0.2, 0.05, -1.0),
+        (1.0, 0.5, 0.25, -2.0), (0.8, 0.3, 0.1, -1e-3),
+        # near-tangent: disc = C1^2 + C2 - C3 is about 1e-14, so the roots lie
+        # only 2e-7 apart
+        (1.0, 1e-14, 1.0, 1.0), (1.0, 1e-14, 1.0, -1.0), (-0.5, 1e-14, 0.25, 3.0),
+    ])
+    def test_stability_labels_match_analytic_slope(self, C1, C2, C3, d):
+        model = OrbitDriftModel(d=d, C1=C1, C2=C2, C3=C3)
+        labels = [label for _, label in drift_equilibria(model)]
+        assert sorted(labels) == ["Stable", "Unstable"]
+        for root, label in drift_equilibria(model):
+            slope = drift_slope_oracle(model, root)
+            assert (slope < 0) == (label == "Stable")
+
+    @pytest.mark.parametrize("d", [1.0, -1.0, 0.0])
+    def test_a_tangent_double_root_is_unstable(self, d):
+        # C1^2 + C2 - C3 = 0: the rate -d (deltar - 1)^2 / (deltar^2 + 1)
+        # keeps its sign on both sides of the root
+        model = OrbitDriftModel(d=d, C1=1.0, C2=0.0, C3=1.0)
+        assert drift_equilibria(model) == [(1.0, "Unstable"), (1.0, "Unstable")]
+
+    def test_without_drift_no_root_is_stable(self):
+        model = OrbitDriftModel(d=0.0, C1=-1.0, C2=0.5, C3=0.25)
+        assert {label for _, label in drift_equilibria(model)} == {"Unstable"}
 
     def test_c2_equals_c3_roots(self):
         model = OrbitDriftModel(d=1.0, C1=0.7, C2=0.3, C3=0.3)

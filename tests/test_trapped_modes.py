@@ -132,6 +132,14 @@ class TestSingleMode:
         with pytest.raises(ValidationError):
             SingleModeParams(omega_hat=1.0, epsilon=1.0, mode_order=-1)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("omega_hat", np.inf), ("omega_hat", np.nan), ("r0", np.nan), ("r0", -5.0),
+        ("tol", 0.0), ("tol", np.inf), ("epsilon", np.nan), ("epsilon", -np.inf),
+    ])
+    def test_non_finite_or_non_positive_params_refused(self, name, bad):
+        with pytest.raises(ValidationError, match=name):
+            SingleModeParams(**{"omega_hat": 1.0, "epsilon": 1.0, name: bad})
+
     def test_serialization_roundtrip(self, base_solution, tmp_path):
         doc = base_solution.to_json_dict()
         text = json.dumps(doc)
@@ -347,11 +355,39 @@ class TestMultiMode:
         with pytest.raises(ValidationError):
             MultiModeSpec(modes=[(1.0, 1, -1)], couplings=[[1.0]], scale_radii=(5.0,))
 
+    @pytest.mark.parametrize("omega_hat, coupling, radius, match", [
+        (np.inf, 1.0, 5.0, "omega_hat"),
+        (np.nan, 1.0, 5.0, "omega_hat"),
+        (-1.0, 1.0, 5.0, "omega_hat"),
+        (1.0, np.nan, 5.0, "couplings"),
+        (1.0, np.inf, 5.0, "couplings"),
+        (1.0, 1.0, np.nan, "scale_radius"),
+        (1.0, 1.0, -5.0, "scale_radius"),
+        (1.0, 1.0, np.inf, "scale_radius"),
+    ])
+    def test_non_finite_or_non_positive_spec_refused(self, omega_hat, coupling, radius,
+                                                     match):
+        with pytest.raises(ValidationError, match=match):
+            MultiModeSpec(modes=[(1.0, 1, 0), (omega_hat, 1, 0)],
+                          couplings=[[1.0, coupling]], scale_radii=(5.0, radius))
+
 
 class TestFifthOrder:
     def test_sign_condition(self):
         with pytest.raises(ValidationError):
             solve_fifth_order(1.0, 1.0, 1.0, -1.0, r0=5.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("omega_hat_1", -1.0), ("omega_hat_1", 0.0), ("omega_hat_1", np.nan),
+        ("omega_hat_2", np.inf), ("omega_hat_2", -1.0),
+        ("r0", -5.0), ("r0", np.nan), ("r0", np.inf),
+        ("eps1", np.nan), ("eps1", np.inf), ("eta2", np.nan), ("eta2", -np.inf),
+    ])
+    def test_non_finite_or_non_positive_parameters_refused(self, name, bad):
+        args = dict(omega_hat_1=1.0, omega_hat_2=1.0, eps1=1.0, eta2=1.0, r0=5.0)
+        args[name] = bad
+        with pytest.raises(ValidationError, match=name):
+            solve_fifth_order(**args, max_iters=1, grid=RadialGrid(40.0, 101))
 
     def test_decoupled_limit_free_wave(self):
         sol = solve_fifth_order(1.0, 1.0, 1.0, 0.0, r0=5.0, max_iters=300, tol=1e-9)
