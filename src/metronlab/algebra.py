@@ -393,10 +393,15 @@ def electroweak_config(k5_e, k9) -> ElectroweakConfig:
     omega_nu^2 = k6^2 - k9^2 and kappa^2 = k9^2.  Requires k5^2 > 2 k9^2
     and a positive Lambda^2 = omega_e^2 omega_nu^2 - kappa^4.  The scalar
     (Higgs-like) field is aligned with the neutrino wavenumber, which
-    makes the massive diagonal boson the neutral one exactly.
+    makes the massive diagonal boson the neutral one exactly.  Wavenumbers
+    that are not finite, or whose fourth powers (the size of Lambda^2)
+    leave the float range, are a ValidationError.
     """
     k5_e = float(k5_e)
     k9 = float(k9)
+    k5_sq, k9_sq = k5_e * k5_e, k9 * k9  # a product overflows to inf, ** raises
+    if not np.isfinite(k5_sq * k5_sq + k9_sq * k9_sq):
+        raise ValidationError("k5_e and k9 must be finite, with fourth powers in the float range")
     if not k5_e**2 > 2.0 * k9**2:
         raise InvalidSignature("k5^2 must exceed 2 k9^2")
     k6_nu = -k5_e

@@ -132,10 +132,17 @@ def resonance_direction(k_s, omega0):
 
     Requires k_s on the free-wave mass shell within 1e-10 relative and
     returns u with u.u = -1; the resonance condition v.u = -1 for unit
-    timelike v holds only at v = u.
+    timelike v holds only at v = u.  A k.k or omega0^2 that is not finite
+    (a NaN or infinite component, or one whose square overflows) and
+    omega0 = 0 are ValidationErrors.
     """
     k_s = np.asarray(k_s, dtype=float)
-    norm = minkowski_dot(k_s, k_s)
+    omega0 = float(omega0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norm = minkowski_dot(k_s, k_s)
+    if not (np.isfinite(norm) and 0.0 < omega0 * omega0 < np.inf):
+        raise ValidationError("k_s and omega0 must be finite, omega0 nonzero, "
+                              "and their squares in the float range")
     if abs(norm + omega0 * omega0) > 1e-10 * omega0 * omega0:
         raise OffShell(
             f"k.k = {norm:.12g}, expected {-omega0*omega0:.12g}"

@@ -355,7 +355,8 @@ def cmd_bragg_lattice(args, out):
 def cmd_orbit_drift(args, out):
     model = orbits.OrbitDriftModel(d=args.d, C1=args.c1, C2=args.c2, C3=args.c3)
     eq = orbits.drift_equilibria(model)
-    res = orbits.integrate_drift(model, args.delta_r0, args.t_max)
+    # the whole path to --t-max goes to drift_path.csv, not only its settled start
+    res = orbits.integrate_drift(model, args.delta_r0, args.t_max, full_path=True)
     write_csv(out / "drift_path.csv", {"t": res["t"], "delta_r": res["delta_r"]})
     dr = np.linspace(min(res["delta_r"].min(), -3), max(res["delta_r"].max(), 3), 601)
     rate = orbits.drift_rhs(model, dr)

@@ -511,8 +511,13 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
 def response_delta(omega, s):
     """Finite-time resonance response (1 - exp(-i omega s)) / (i omega),
     with the removable value s at omega = 0; tends to pi*delta(omega) for
-    large s when integrated against a smooth test function."""
+    large s when integrated against a smooth test function.  A phase
+    omega * s that is not finite (NaN or infinite omega or s, or an
+    overflowing product) is a ValidationError."""
     omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN: refused too
+        if not np.isfinite(omega * s).all():
+            raise ValidationError("omega, s and the phase omega * s must be finite")
     out = np.empty(omega.shape, dtype=complex)
     small = np.abs(omega) < 1e-300
     out[small] = s

@@ -197,7 +197,12 @@ def drift_equilibria(model: OrbitDriftModel):
             (float(model.C1 + s), "Stable" if model.d > 0 and s > 0 else "Unstable")]
 
 
-def integrate_drift(model: OrbitDriftModel, delta_r0, t_max):
+# A start within this distance of a stable root r, relative to max(1, |r|),
+# is settled: integrate_drift ends the run there unless asked for the full path
+_SETTLE = 1e-9
+
+
+def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, *, full_path=False):
     """Integrate the drift; verdict TrappedAt(root) or Escaped(direction).
 
     delta_r0 is one start or a 1-D array of starts; the starts evolve
@@ -207,19 +212,40 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max):
     Returns one dict for a scalar start and a list of dicts, in start
     order, for an array; each holds the verdict, the shared times "t" and
     that start's path "delta_r".
+
+    The run ends once every start is settled, within delta =
+    1e-9 max(1, |r|) of the stable root r; "t" and "delta_r" end there.  The
+    rate is -d (deltar - r_-)(deltar - r_+) / (deltar^2 + C3), so on a band
+    |deltar - r| <= delta holding no other root and no pole it points
+    toward r from both sides, and a 1-D flow cannot leave it (Strogatz,
+    Nonlinear Dynamics and Chaos, 1994, ch. 2): the verdict at t_max is the
+    same.  Where delta is not below half the root distance, or at C3 = 0
+    the band reaches the pole 0, the run goes to t_max, as it does for a
+    start inside the band (its distance never falls through delta).
+    full_path=True always runs to t_max, for callers that keep the path,
+    such as orbit-drift's drift_path.csv.
     """
     starts = np.asarray(delta_r0, dtype=float)
     if starts.ndim > 1:
         raise ValidationError("delta_r0 must be a scalar or a 1-D array of starts")
     try:
-        stable = [root for root, label in drift_equilibria(model) if label == "Stable"]
+        eq = drift_equilibria(model)
     except ComplexRoots:
-        stable = []
+        eq = []
+    stable = [root for root, label in eq if label == "Stable"]
 
     def rhs(t, y):
         return _drift_rate(model, y)
 
-    res = integrate_ivp(rhs, starts, (0.0, t_max), tol=1e-10)
+    settle = None
+    if stable and not full_path:
+        root = stable[0]
+        band = _SETTLE * max(1.0, abs(root))
+        if band < 0.5 * (eq[1][0] - eq[0][0]) and (model.C3 > 0 or abs(root) > band):
+            def settle(t, y):
+                return np.max(np.abs(y - root)) - band
+
+    res = integrate_ivp(rhs, starts, (0.0, t_max), tol=1e-10, stop=settle)
     out = []
     for path in res.y.T:
         final = float(path[-1])

@@ -236,6 +236,14 @@ class TestElectroweak:
         with pytest.raises(InvalidSignature):
             electroweak_config(1.0, 0.9)
 
+    @pytest.mark.parametrize("k5, k9", [(np.inf, 0.0), (np.nan, 0.0), (1e200, 1.0),
+                                        (1e80, 0.0)])
+    def test_non_finite_or_overflowing_wavenumbers_are_refused(self, k5, k9):
+        # 1e200**2 raised a plain OverflowError, inf gave NaN masses, and
+        # 1e80 squares fine but Lambda^2 ~ k5^4 overflows
+        with pytest.raises(ValidationError, match="finite"):
+            electroweak_config(k5, k9)
+
     def test_ratio_continuity(self):
         xs = np.linspace(0.0, 0.69, 40)
         vals = [electroweak_config(np.sqrt(1 + x * x), x).ratio for x in xs]

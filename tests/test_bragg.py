@@ -43,6 +43,14 @@ class TestResonanceDirection:
         with pytest.raises(OffShell):
             resonance_direction(FourVector(0.5, 0, 0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("k, omega0", [([np.nan, 0, 0, 1], 1.0), ([1e200, 0, 0, 1e200], 1.0),
+                                           ([0, 0, 0, 0], 0.0), ([0, 0, 0, 1], np.inf)])
+    def test_non_finite_or_overflowing_inputs_are_refused(self, k, omega0):
+        # the shell test is False for NaN, and k.k overflows at 1e200; a
+        # RuntimeWarning would fail the test as an error of another type
+        with pytest.raises(ValidationError, match="finite"):
+            resonance_direction(k, omega0)
+
     def test_resonance_condition_unique(self):
         # v.u = -1 for unit timelike v happens only at v = u
         rng = np.random.default_rng(42)

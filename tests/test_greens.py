@@ -566,6 +566,12 @@ class TestResponseDelta:
     def test_resonance_secular_value(self):
         assert response_delta(0.0, 7.5) == pytest.approx(7.5)
 
+    @pytest.mark.parametrize("omega, s", [(np.nan, 1.0), (1.0, np.inf), (0.0, np.inf),
+                                          (1e300, 1e300), ([0.5, np.nan], 1.0)])
+    def test_non_finite_phase_is_refused(self, omega, s):
+        with pytest.raises(ValidationError, match="finite"):
+            response_delta(omega, s)
+
     def test_full_oscillation_zero(self):
         s = 3.0
         w = 2.0 * np.pi / s

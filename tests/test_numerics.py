@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from metronlab import numerics, trapped_modes
-from metronlab.bragg import BraggTrapState, first_integral, integrate_trap
+from metronlab.bragg import (
+    BraggTrapState,
+    first_integral,
+    integrate_trap,
+    trap_verdict_by_integration,
+)
 from metronlab.errors import (
     EvaluationBudgetExceeded,
     LapackFailure,
@@ -16,6 +21,7 @@ from metronlab.errors import (
     StepUnderflow,
     ValidationError,
 )
+from metronlab.orbits import OrbitDriftModel, drift_rhs
 from metronlab.trapped_modes import SingleModeParams, iterate_single_mode
 from metronlab.numerics import (
     RadialField,
@@ -111,6 +117,102 @@ class TestIntegrateIvp:
         assert len(s) - 1 <= 150
         const = first_integral(E, dS, state)
         assert np.max(np.abs(const - const[0])) < 1e-10
+
+
+def _solve_ivp_reference(field, y0, span, tol, t_eval=None, stop=None):
+    """The same integration handed whole to scipy.integrate.solve_ivp, with
+    integrate_ivp's tolerances and its stop as a terminal falling event."""
+    y0 = np.asarray(y0)
+    atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
+    events = None
+    if stop is not None:
+        def events(s, y):
+            return stop(s, y)
+        events.terminal, events.direction = True, -1
+    sol = solve_ivp(field, span, y0, method="DOP853", t_eval=t_eval, events=events,
+                    rtol=tol, atol=atol)
+    assert sol.success
+    return sol
+
+
+def _three_mode_rhs(K):
+    def rhs(t, y):
+        A1, A2, A12 = y
+        return np.array([1j * K * A12 * A2, 1j * np.conj(K) * np.conj(A12) * A1,
+                         1j * np.conj(K) * A1 * np.conj(A2)])
+    return rhs
+
+
+class TestStepDriver:
+    """integrate_ivp drives DOP853 step by step; it must return solve_ivp's
+    bits, its stop point included, and count the work it did."""
+
+    @staticmethod
+    def assert_bit_equal(res, ref):
+        np.testing.assert_array_equal(res.t, ref.t)
+        np.testing.assert_array_equal(res.y, ref.y.T)
+        assert res.stopped == (ref.status == 1)
+        assert res.nfev == ref.nfev
+
+    def test_batched_grid(self):
+        rng = np.random.default_rng(3)
+        n = 20
+        E0 = 3.0 * (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n
+        PH = 2.0 * np.pi * (rng.permutation(n) + rng.uniform(0.0, 1.0, n)) / n
+
+        def rhs(s, y):
+            return np.concatenate([-y[:n] * np.cos(y[n:] + PH), -y[:n]])
+
+        y0 = np.concatenate([E0, np.zeros(n)])
+        res = integrate_ivp(rhs, y0, (0.0, 50.0), tol=1e-12)
+        self.assert_bit_equal(res, _solve_ivp_reference(rhs, y0, (0.0, 50.0), 1e-12))
+        assert res.steps == len(res.t) - 1
+
+    @pytest.mark.parametrize("t_max", [50.0, -50.0])
+    def test_three_mode_samples_forward_and_backward(self, t_max):
+        rhs = _three_mode_rhs(0.5)
+        y0 = np.array([1.0, 0.4 + 0.1j, 0.3 - 0.2j])
+        t_eval = np.linspace(0.0, t_max, 2001)
+        res = integrate_ivp(rhs, y0, (0.0, t_max), tol=1e-12, t_eval=t_eval)
+        self.assert_bit_equal(res, _solve_ivp_reference(rhs, y0, (0.0, t_max), 1e-12,
+                                                        t_eval=t_eval))
+        np.testing.assert_array_equal(res.t, t_eval)
+        # the three-mode reference: 12 evaluations per accepted step, 3 more
+        # for each step's dense output, 2 to start
+        assert (res.steps, res.nfev) == (232, 3482)
+
+    @pytest.mark.parametrize("E, phi, verdict", [(0.3, 0.0, "Trapped"),
+                                                  (1.5, 0.3, "Oscillatory")])
+    def test_bragg_cells_with_their_stop(self, E, phi, verdict):
+        state = BraggTrapState(E=E, deltaS=0.0, gamma=1.0, phi=phi, omega0=1.0)
+        assert trap_verdict_by_integration(state)["verdict"] == verdict
+        level = -4.0 * np.pi
+
+        def rhs(s, y):
+            return np.array([-y[0] * np.cos(y[1] + phi), -y[0]])
+
+        def stop(s, y):
+            return y[1] - level
+
+        res = integrate_ivp(rhs, [E, 0.0], (0.0, 200.0), tol=1e-10, stop=stop)
+        self.assert_bit_equal(res, _solve_ivp_reference(rhs, [E, 0.0], (0.0, 200.0), 1e-10,
+                                                        stop=stop))
+        assert res.stopped == (verdict == "Oscillatory")
+        assert res.steps == len(res.t) - 1
+
+    def test_full_drift_path(self):
+        model = OrbitDriftModel(d=1.0, C1=-1.0, C2=0.5, C3=0.25)
+
+        def rhs(t, y):
+            return drift_rhs(model, y)
+
+        res = integrate_ivp(rhs, [-0.071], (0.0, 600.0), tol=1e-10)
+        self.assert_bit_equal(res, _solve_ivp_reference(rhs, [-0.071], (0.0, 600.0), 1e-10))
+        assert res.steps == 825
+
+    def test_a_run_of_zero_length_counts_nothing(self):
+        res = integrate_ivp(lambda s, y: y, [1.0], (2.0, 2.0))
+        assert (res.steps, res.nfev) == (0, 0)
 
 
 def _matrix_eigen_oracle(well, grid, index):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metronlab import orbits
 from metronlab.errors import (
     ComplexRoots,
     GridMismatch,
@@ -245,6 +246,97 @@ class TestIntegrateDrift:
         res = integrate_drift(model, 0.5 * (stable + unstable), 400.0)
         assert res["verdict"] == "TrappedAt"
         assert res["root"] == pytest.approx(stable, abs=1e-6)
+
+
+CANYON = OrbitDriftModel(d=1.0, C1=-1.0, C2=0.5, C3=0.25)
+
+
+def _drift_runs(monkeypatch, model, x0, t_max, **kw):
+    """integrate_drift's verdict and the IvpResult of its integration."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(integrate_ivp(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(orbits, "integrate_ivp", spy)
+    return integrate_drift(model, x0, t_max, **kw), seen[-1]
+
+
+def _verdict(res):
+    return {k: v for k, v in res.items() if k not in ("t", "delta_r")}
+
+
+class TestSettledDrift:
+    """integrate_drift ends once every start is within 1e-9 max(1, |r|) of
+    the stable root r; full_path=True runs to t_max."""
+
+    def test_settled_run_is_short_and_ends_in_the_band(self, monkeypatch):
+        stable = drift_equilibria(CANYON)[1][0]
+        full, full_res = _drift_runs(monkeypatch, CANYON, -0.071, 600.0, full_path=True)
+        settled, res = _drift_runs(monkeypatch, CANYON, -0.071, 600.0)
+        assert full_res.steps == 825 and full["t"][-1] == 600.0
+        assert res.stopped and res.steps <= 45 and settled["t"][-1] < 600.0
+        assert abs(settled["delta_r"][-1] - stable) <= 1.01e-9
+        assert _verdict(settled) == _verdict(full) and settled["verdict"] == "TrappedAt"
+        # up to the settle step the two runs took the same steps
+        n = res.steps
+        np.testing.assert_array_equal(settled["t"][:n], full["t"][:n])
+
+    def test_settled_verdicts_match_the_full_path_on_criterion_5_starts(self):
+        (unstable, _), (stable, _) = drift_equilibria(CANYON)
+        ics = [x for x in np.linspace(unstable - 1.5, stable + 2.0, 52)
+               if abs(x - unstable) > 0.05][:50]
+        full = integrate_drift(CANYON, np.array(ics), 600.0, full_path=True)
+        settled = [integrate_drift(CANYON, x, 600.0) for x in ics]
+        assert [_verdict(s) for s in settled] == [_verdict(f) for f in full]
+        assert sum(s["t"][-1] < 600.0 for s in settled) == sum(
+            f["verdict"] == "TrappedAt" for f in full) > 30
+
+    def test_settled_verdicts_match_the_full_path_in_both_bench_basins(self):
+        (unstable, _), (stable, _) = drift_equilibria(CANYON)
+        starts = np.concatenate([np.linspace(unstable - 1.5, unstable - 0.05, 6),
+                                 np.linspace(unstable + 0.05, stable + 2.0, 6),
+                                 [-0.071, 1.692]])
+        full = integrate_drift(CANYON, starts, 600.0, full_path=True)
+        for x0, f in zip(starts, full):
+            assert _verdict(integrate_drift(CANYON, x0, 600.0)) == _verdict(f)
+        # a batch settles only once every start has: not while some escape,
+        # but a batch of trapped starts does
+        assert integrate_drift(CANYON, starts, 600.0)[0]["t"][-1] == 600.0
+        trapped = starts[6:]
+        settled = integrate_drift(CANYON, trapped, 600.0)
+        assert settled[0]["t"][-1] < 600.0
+        assert [_verdict(s) for s in settled] == [_verdict(f) for f in full[6:]]
+
+    def test_a_start_on_the_root_runs_to_t_max(self, monkeypatch):
+        # the distance starts inside the band: the stop sees no falling crossing
+        stable = drift_equilibria(CANYON)[1][0]
+        res, ivp = _drift_runs(monkeypatch, CANYON, stable, 600.0)
+        assert not ivp.stopped and res["t"][-1] == 600.0
+        assert res["verdict"] == "TrappedAt" and res["root"] == stable
+
+    def test_a_near_double_root_runs_to_t_max(self, monkeypatch):
+        # s = sqrt(C1^2 + C2 - C3) ~ 3e-10 is below the band 1e-9, which would
+        # hold both roots; the path does reach the band by t_max
+        model = OrbitDriftModel(d=1.0, C1=1e-3, C2=1e-19, C3=1e-6)
+        (lo, _), (stable, label) = drift_equilibria(model)
+        assert label == "Stable" and 0 < stable - lo < 1e-9
+        res, ivp = _drift_runs(monkeypatch, model, 1e-3 + 1e-6, 1e4)
+        assert not ivp.stopped and res["t"][-1] == 1e4
+        assert abs(res["delta_r"][-1] - stable) < 1e-9
+        assert res["verdict"] == "TrappedAt" and res["root"] == stable
+
+    def test_a_root_by_the_pole_runs_to_t_max(self, monkeypatch):
+        # C3 = 0 puts a pole at deltar = 0, inside the band around the stable
+        # root -9e-10; the path does reach the band by t_max
+        model = OrbitDriftModel(d=-4e-19, C1=1.0, C2=1.8e-9, C3=0.0)
+        (stable, label), _ = drift_equilibria(model)
+        assert label == "Stable" and -1e-9 < stable < 0
+        res, ivp = _drift_runs(monkeypatch, model, -1e-8, 400.0)
+        assert not ivp.stopped and res["t"][-1] == 400.0
+        assert abs(res["delta_r"][-1] - stable) < 1e-9
+        assert res["verdict"] == "TrappedAt" and res["root"] == stable
 
 
 class TestThreeMode:
