@@ -21,6 +21,8 @@ from .errors import (
     MetricMismatch,
     SingularVChoice,
     ValidationError,
+    require_finite,
+    require_positive,
 )
 
 __all__ = [
@@ -181,8 +183,10 @@ def _polarization_model(name, family, scale, eta, k, axes) -> PolarizationModel:
     (a,c), (b,c); the "euclidean" family (target I/E) takes phi1^R = (a,b),
     phi2^R = (a,c), phi1^L = (b,b)-(c,c), phi2^L = (b,c).
     """
-    if not scale > 0:
-        raise ValidationError(f"{'omega_hat' if family == 'dirac' else 'E'} must be positive")
+    label = "omega_hat" if family == "dirac" else "E"
+    require_positive(**{label: scale})
+    # n^2 = 1/(2 scale), the size of every spinor metric entry, must not overflow
+    require_finite(**{f"1/(2 {label})": 1.0 / (2.0 * float(scale))})
     m = len(eta)
     a, b, c = axes
     n = 1.0 / np.sqrt(2.0 * scale)
@@ -312,25 +316,17 @@ def quark_star(omega_hat_f, orientation_angle=0.0):
     combination A1 + 2 A2 = 0 removes the net diagonal boson), and the
     couplings g3 = sqrt(C3), g3' = sqrt(6) g3.
     """
-    if not omega_hat_f > 0:
-        raise ValidationError("omega_hat_f must be positive")
-    ks = []
-    for p in range(3):
-        ang = orientation_angle + 2.0 * np.pi * p / 3.0
-        ks.append(omega_hat_f * np.array([np.cos(ang), np.sin(ang)]))
-    ks = tuple(ks)
+    require_finite(orientation_angle=orientation_angle)
+    # a float product overflows to inf (or underflows to 0), where ** raises
+    require_positive(omega_hat_f=omega_hat_f,
+                     boson_mass_squared=3.0 * float(omega_hat_f) * float(omega_hat_f))
+    ks = tuple(omega_hat_f * np.array([np.cos(ang), np.sin(ang)])
+               for ang in (orientation_angle + 2.0 * np.pi * p / 3.0 for p in range(3)))
     C3 = 0.5 * omega_hat_f**2
     A1 = 2.0 * float(ks[0] @ ks[0]) / C3
     A2 = 2.0 * float(ks[0] @ ks[1]) / C3
-    bosons = {}
-    for p in range(3):
-        for q in range(3):
-            if p != q:
-                kb = ks[p] - ks[q]
-                bosons[(p, q)] = {
-                    "k": kb,
-                    "mass": float(np.sqrt(kb @ kb)),
-                }
+    kbs = {(p, q): ks[p] - ks[q] for p in range(3) for q in range(3) if p != q}
+    bosons = {pq: {"k": kb, "mass": float(np.sqrt(kb @ kb))} for pq, kb in kbs.items()}
     g3 = float(np.sqrt(C3))
     return {
         "wavenumbers": ks,
@@ -378,11 +374,12 @@ def mass_ratio(omega_e_sq, omega_nu_sq, kappa_sq):
                     / (omega_nu * sqrt(omega_nu^2 + omega_e^2 + 2 kappa^2))
 
     obtained from the two square masses; continuous and equal to 1/sqrt(2)
-    at omega_e = omega_nu, kappa = 0.
+    at omega_e = omega_nu, kappa = 0.  Elementwise: a NaN passes through
+    without a warning, as does a negative square's.
     """
-    num = omega_nu_sq + kappa_sq
-    den = np.sqrt(omega_nu_sq) * np.sqrt(omega_nu_sq + omega_e_sq + 2.0 * kappa_sq)
-    return num / den
+    with np.errstate(all="ignore"):
+        den = np.sqrt(omega_nu_sq) * np.sqrt(omega_nu_sq + omega_e_sq + 2.0 * kappa_sq)
+        return (omega_nu_sq + kappa_sq) / den
 
 
 def electroweak_config(k5_e, k9) -> ElectroweakConfig:
@@ -400,8 +397,7 @@ def electroweak_config(k5_e, k9) -> ElectroweakConfig:
     k5_e = float(k5_e)
     k9 = float(k9)
     k5_sq, k9_sq = k5_e * k5_e, k9 * k9  # a product overflows to inf, ** raises
-    if not np.isfinite(k5_sq * k5_sq + k9_sq * k9_sq):
-        raise ValidationError("k5_e and k9 must be finite, with fourth powers in the float range")
+    require_finite(**{"k5_e^4 + k9^4": k5_sq * k5_sq + k9_sq * k9_sq})
     if not k5_e**2 > 2.0 * k9**2:
         raise InvalidSignature("k5^2 must exceed 2 k9^2")
     k6_nu = -k5_e
@@ -517,24 +513,15 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
     w2 = star["omega_hat_f"] ** 2
     C = 2.0 * float(ks[0] @ ks[1])
     if v_diag is None:
-        v_diag = (
-            np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]),
-            np.array([1.0, 1.0]) / np.sqrt(2.0),
-        )
+        v_diag = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2.0))
     v_diag = tuple(np.asarray(v, dtype=float) for v in v_diag)
     W = np.column_stack(v_diag)  # 2 x 3 color-plane projections
     if np.linalg.matrix_rank(W, tol=1e-12) < 2:
         raise SingularVChoice("diagonal direction vectors are collinear")
     K = np.array(ks)  # 3 x 2
     M = K @ W  # 3 x 3, rank 2 because sum_p k_p = 0
-    rhs = 0.5 * np.array(
-        [
-            eps3 + eps8 / np.sqrt(3.0),
-            -eps3 + eps8 / np.sqrt(3.0),
-            -2.0 * eps8 / np.sqrt(3.0),
-        ]
-    )
+    rhs = 0.5 * np.array([eps3 + eps8 / np.sqrt(3.0), -eps3 + eps8 / np.sqrt(3.0),
+                          -2.0 * eps8 / np.sqrt(3.0)])
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     residual = float(np.max(np.abs(M @ sol - rhs)))
     return {
@@ -558,38 +545,31 @@ def calibrate_constants(a_sq, beta, M, k5, G_prime):
         hbar = G'/G,  epsilon = (1/2) (M / (beta k5))^2.
 
     The loop identity G (m/q)^2 = epsilon closes algebraically.  A
-    vanishing denominator, or an epsilon beyond the float range, is a
+    vanishing denominator, or a constant beyond the float range, is a
     DivisionDegenerate; a non-finite input a ValidationError.
     """
-    if not np.isfinite([a_sq, beta, M, k5, G_prime]).all():
-        raise ValidationError("a_sq, beta, M, k5 and G_prime must be finite")
-    if a_sq <= 0 or beta <= 0 or beta * k5 == 0:
-        raise DivisionDegenerate("a_sq and beta must be positive and beta * k5 nonzero")
+    require_finite(a_sq=a_sq, beta=beta, M=M, k5=k5, G_prime=G_prime)
     G = a_sq / 2.0
-    e_prime = k5 * np.sqrt(a_sq)
-    q = e_prime * beta / (2.0 * G)
-    m = M / (2.0 * G)
-    hbar = G_prime / G
-    try:
-        epsilon = 0.5 * (M / (beta * k5)) ** 2
-    except OverflowError:
-        raise DivisionDegenerate(f"M / (beta * k5) = {M / (beta * k5):.3g} overflows "
-                                 "epsilon") from None
-    return {
-        "G": G,
-        "e_prime": e_prime,
-        "q": q,
-        "m": m,
-        "hbar": hbar,
-        "epsilon_ratio": epsilon,
-    }
+    if G <= 0 or beta <= 0 or beta * k5 == 0:
+        raise DivisionDegenerate("a_sq / 2 and beta must be positive and beta * k5 nonzero")
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        e_prime = k5 * np.sqrt(a_sq)
+        constants = {"G": G, "e_prime": e_prime, "q": e_prime * beta / (2.0 * G),
+                     "m": M / (2.0 * G), "hbar": G_prime / G}
+        try:
+            constants["epsilon_ratio"] = 0.5 * (M / (beta * k5)) ** 2
+        except OverflowError:  # a float's ** raises where a product gives inf
+            constants["epsilon_ratio"] = np.inf
+    for name, value in constants.items():
+        if not np.isfinite(value):
+            raise DivisionDegenerate(f"{name} overflows the float range")
+    return constants
 
 
 def scale_ratio(epsilon):
     """Core-to-far-field length-scale ratio epsilon^(1/6) under the
     order-one amplitude assumption."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    require_positive(epsilon=epsilon)
     return float(epsilon ** (1.0 / 6.0))
 
 

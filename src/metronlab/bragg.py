@@ -24,6 +24,9 @@ from .errors import (
     NoEquilibrium,
     OffShell,
     ValidationError,
+    require_finite,
+    require_nonnegative,
+    require_positive,
 )
 from .numerics import integrate_ivp
 
@@ -79,23 +82,17 @@ class LatticeSpec:
         object.__setattr__(self, "fundamental_wavenumbers", vecs)
         if self.dimensionality not in (2, 3):
             raise ValidationError("dimensionality must be 2 or 3")
-        if self.max_order < 0:
-            raise ValidationError("max_order must be nonnegative")
-        for v in vecs:
-            if v.shape != (4,):
-                raise ValidationError("lattice wavenumbers must be four-vectors")
-            if not np.isfinite(v).all():
-                raise ValidationError("lattice wavenumbers must be finite")
-            if v[3] != 0.0:
-                raise ValidationError("lattice wavenumbers must be static")
+        require_nonnegative(max_order=self.max_order)
+        if any(v.shape != (4,) for v in vecs):
+            raise ValidationError("lattice wavenumbers must be four-vectors")
+        require_finite(lattice_wavenumbers=vecs)
+        if any(v[3] != 0.0 for v in vecs):
+            raise ValidationError("lattice wavenumbers must be static")
         if self.dimensionality == 2:
             if self.normal_axis not in (0, 1, 2):
                 raise ValidationError("normal_axis must be 0, 1 or 2")
-            for v in vecs:
-                if v[self.normal_axis] != 0.0:
-                    raise ValidationError(
-                        "2-D lattice wavenumbers must lie in the lattice plane"
-                    )
+            if any(v[self.normal_axis] != 0.0 for v in vecs):
+                raise ValidationError("2-D lattice wavenumbers must lie in the lattice plane")
 
     def harmonics(self):
         """All integer combinations of the fundamentals up to max_order, one
@@ -119,12 +116,9 @@ class BraggTrapState:
     omega0: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.E, self.deltaS, self.gamma, self.phi, self.omega0])):
-            raise ValidationError("E, deltaS, gamma, phi and omega0 must be finite")
-        if self.E < 0:
-            raise ValidationError("perturbation energy E must be nonnegative")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be nonnegative (phase absorbed in phi)")
+        # a negative gamma is a phase, absorbed in phi
+        require_nonnegative(E=self.E, gamma=self.gamma)
+        require_finite(deltaS=self.deltaS, phi=self.phi, omega0=self.omega0)
 
 
 def resonance_direction(k_s, omega0):
@@ -140,9 +134,8 @@ def resonance_direction(k_s, omega0):
     omega0 = float(omega0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         norm = minkowski_dot(k_s, k_s)
-    if not (np.isfinite(norm) and 0.0 < omega0 * omega0 < np.inf):
-        raise ValidationError("k_s and omega0 must be finite, omega0 nonzero, "
-                              "and their squares in the float range")
+    require_finite(k_dot_k=norm)
+    require_positive(omega0_squared=omega0 * omega0)
     if abs(norm + omega0 * omega0) > 1e-10 * omega0 * omega0:
         raise OffShell(
             f"k.k = {norm:.12g}, expected {-omega0*omega0:.12g}"
@@ -164,8 +157,7 @@ def bragg_scatter_set(k_i, lattice: LatticeSpec, omega0):
     """
     k_i = np.asarray(k_i, dtype=float)
     omega0 = float(omega0)
-    if not np.isfinite(omega0 * omega0):
-        raise ValidationError("omega0 and its square must be finite")
+    require_finite(omega0_square=omega0 * omega0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         k_s = k_i + lattice.harmonics()  # the zero harmonic gives k_i itself
         size = np.sum(k_s * k_s, axis=1)

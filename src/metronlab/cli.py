@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, bragg, greens, orbits, trapped_modes
-from .errors import MetronLabError, NoConvergence, ValidationError
+from .errors import MetronLabError, NoConvergence, ValidationError, require_finite
 from .io import read_config, write_csv, write_gnuplot_stub, write_json
 from .numerics import RadialGrid
 
@@ -42,8 +42,7 @@ def parse_values(text):
             f"expected a comma list or start:stop:count, got {text!r}") from None
     if not values:
         raise ValidationError(f"empty list {text!r}")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"non-finite value in {text!r}")
+    require_finite(**{f"every value in {text!r}": values})
     return values
 
 
@@ -333,16 +332,9 @@ def cmd_bragg_sweep(args, out):
 
 def cmd_bragg_lattice(args, out):
     k_i = parse_vector(args.ki, 4)
-    fundamentals = []
-    for g in args.fundamental:
-        v = parse_vector(g, 3)
-        fundamentals.append(np.array([v[0], v[1], v[2], 0.0]))
-    lattice = bragg.LatticeSpec(
-        fundamental_wavenumbers=tuple(fundamentals),
-        dimensionality=args.dimensionality,
-        max_order=args.max_order,
-        normal_axis=args.normal_axis,
-    )
+    fundamentals = tuple(np.append(parse_vector(g, 3), 0.0) for g in args.fundamental)
+    lattice = bragg.LatticeSpec(fundamentals, dimensionality=args.dimensionality,
+                                max_order=args.max_order, normal_axis=args.normal_axis)
     ks = bragg.bragg_scatter_set(k_i, lattice, args.omega0)
     k = np.reshape(ks, (-1, 4))
     write_csv(out / "scatter_set.csv", {
@@ -396,8 +388,7 @@ def cmd_orbit_threemode(args, out):
 def cmd_orbit_variance(args, out):
     if args.samples < 1:
         raise ValidationError("--samples must be at least 1")
-    if not np.isfinite(args.t_max):
-        raise ValidationError("--t-max must be finite")
+    require_finite(**{"--t-max": args.t_max})
     t = np.linspace(0.0, args.t_max, args.samples)
     N1, N2 = orbits.evolve_variances(args.n1, args.n2, args.kprime,
                                      args.mu1, args.mu2, t)

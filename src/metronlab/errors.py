@@ -4,8 +4,13 @@ Two base classes split failures into "the inputs were never admissible"
 (ValidationError, CLI exit code 2) and "the computation did not reach its
 goal" (NumericalError, CLI exit code 3).  ValidationError is also a
 ValueError, so callers catching the builtin still see bad inputs.
+
+require_finite, require_positive and require_nonnegative are every module's
+rule for plain inputs: each raises ValidationError naming the first named
+number or array, real or complex, that is not finite (or not > 0, or < 0).
 """
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 
@@ -19,6 +24,24 @@ class ValidationError(MetronLabError, ValueError):
 
 class NumericalError(MetronLabError):
     exit_code = 3
+
+
+def _rule(rule, admissible):
+    def require(**values):
+        for name, value in values.items():
+            if isinstance(value, (int, float)):  # a plain number, without numpy's overhead
+                ok = -np.inf < value < np.inf and admissible(value)
+            else:
+                v = np.asarray(value)
+                ok = np.isfinite(v).all() and admissible(v).all()
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}")
+    return require
+
+
+require_finite = _rule("finite", lambda v: np.True_)
+require_positive = _rule("positive and finite", lambda v: v > 0)
+require_nonnegative = _rule("nonnegative and finite", lambda v: v >= 0)
 
 
 # --- shared numerics -------------------------------------------------------

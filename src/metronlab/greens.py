@@ -33,6 +33,9 @@ from .errors import (
     QuadratureNotConverged,
     SuperluminalCone,
     ValidationError,
+    require_finite,
+    require_nonnegative,
+    require_positive,
 )
 from .bragg import METRIC
 
@@ -69,10 +72,10 @@ class DispersionParams:
     k_max: float = 60.0
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):
-            squares_finite = np.isfinite(np.square([self.omega_hat, self.k_max])).all()
-        if not (self.omega_hat >= 0 and self.k_max > 0 and squares_finite):
-            raise ValidationError("omega_hat >= 0 and k_max > 0 required, with finite squares")
+        require_nonnegative(omega_hat=self.omega_hat)
+        require_positive(k_max=self.k_max)
+        with np.errstate(over="ignore"):  # an overflow is inf, refused here
+            require_finite(squares=np.square([self.omega_hat, self.k_max]))
 
     def omega_k(self, k):
         return np.sqrt(self.omega_hat**2 + np.asarray(k) ** 2)
@@ -372,8 +375,7 @@ class WorldLine:
             raise ValidationError("s must hold at least 2 proper times for the trapezoid rule")
         if x.shape != (len(s), 4) or u.shape != x.shape:
             raise ValidationError("x and u must be (n, 4) arrays matching s")
-        if not all(np.isfinite(a).all() for a in (s, x, u, self.weight)):
-            raise ValidationError("world line s, x, u and weight must be finite")
+        require_finite(s=s, x=x, u=u, weight=self.weight)
         with np.errstate(over="ignore"):  # an overflowing norm fails the check
             norms = np.sum(METRIC * u * u, axis=1)
         if np.max(np.abs(norms + 1.0)) > 1e-8:
@@ -451,8 +453,8 @@ def momentum_exchange(line_i: WorldLine, line_j: WorldLine, sigma, kind="symmetr
     does.  Returns (dp_i, dp_j) as contravariant 4-vectors.
     """
     _branch_weights(kind)
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
+    if not np.isnan(sigma):  # NaN is refused with sigma^4, below
+        require_positive(sigma=sigma)
     with np.errstate(over="ignore"):
         sigma4 = np.float64(sigma) ** 4
         if not 0 < sigma4 < np.inf:
@@ -516,8 +518,7 @@ def response_delta(omega, s):
     overflowing product) is a ValidationError."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN: refused too
-        if not np.isfinite(omega * s).all():
-            raise ValidationError("omega, s and the phase omega * s must be finite")
+        require_finite(phase=omega * s)
     out = np.empty(omega.shape, dtype=complex)
     small = np.abs(omega) < 1e-300
     out[small] = s
@@ -561,15 +562,19 @@ def freewave_growth(FR, a_sq, k, k0, omega0, dispersion: DispersionParams):
 
     with the frequency integral collapsed onto the dispersion surface.
     k and k0 are 3-vectors; FR is isotropic as in damping_coefficient.
+    omega_k^2 must be nonzero, and it and |k -+ k0| in the float range.
     """
-    if a_sq < 0:
-        raise ValidationError("|a|^2 must be nonnegative")
+    require_nonnegative(a_sq=a_sq)
     k = np.asarray(k, dtype=float)
     k0 = np.asarray(k0, dtype=float)
-    kmag = float(np.sqrt(np.sum(k * k)))
-    wk = float(dispersion.omega_k(kmag))
-    qm = float(np.sqrt(np.sum((k - k0) ** 2)))
-    qp = float(np.sqrt(np.sum((k + k0) ** 2)))
+    require_finite(k=k, k0=k0, omega0=omega0)
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        kmag = float(np.sqrt(np.sum(k * k)))
+        wk = float(dispersion.omega_k(kmag))
+        qm = float(np.sqrt(np.sum((k - k0) ** 2)))
+        qp = float(np.sqrt(np.sum((k + k0) ** 2)))
+    require_positive(omega_k_squared=wk * wk)
+    require_finite(wavenumber_differences=[qm, qp])
     val = FR(qm, wk - omega0) + FR(qp, wk + omega0)
     return np.pi / (2.0 * wk**2) * a_sq * float(val)
 

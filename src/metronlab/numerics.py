@@ -44,6 +44,8 @@ from .errors import (
     NotTrapped,
     StepUnderflow,
     ValidationError,
+    require_finite,
+    require_positive,
 )
 
 __all__ = [
@@ -67,10 +69,10 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_points < 16:
             raise ValidationError("n_points must be >= 16")
-        if not (self.r_max > 0 and np.isfinite(self.r_max)):
-            raise ValidationError("r_max must be positive and finite")
-        if not self.spacing ** 2 >= np.finfo(float).tiny:
-            raise ValidationError("grid spacing too small: 1/h^2 overflows")
+        require_positive(r_max=self.r_max)
+        h = float(self.spacing)  # a float product overflows to inf, ** raises
+        if not np.finfo(float).tiny <= h * h < np.inf:
+            raise ValidationError("grid spacing h leaves h^2 or 1/h^2 outside the float range")
 
     @property
     def spacing(self) -> float:
@@ -95,8 +97,7 @@ class RadialField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_points,):
             raise ValidationError("values length must equal n_points")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("field values must be finite")
+        require_finite(values=vals)
         object.__setattr__(self, "values", vals)
 
     def max_abs(self) -> float:
@@ -155,7 +156,8 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None, stop=None) -> IvpResul
     Accepts real or complex state vectors.  Returns the accepted step
     points, or, when t_eval is given, the states at those times from each
     step's 7th-order dense output (forward or backward in s).
-    A non-finite span end or initial state raises ValidationError.
+    A non-finite span end or initial state, and a tol that is not finite or
+    is below DOP853's floor of 100 eps, raise ValidationError.
     Raises NonFiniteState when field returns a non-finite derivative,
     StepUnderflow when the solver stops short of the span end (its step
     fell below the floating-point spacing of s), and
@@ -176,32 +178,29 @@ def integrate_ivp(field, y0, span, tol=1e-8, t_eval=None, stop=None) -> IvpResul
     y = np.atleast_1d(np.asarray(y0))
     if not np.issubdtype(y.dtype, np.complexfloating):
         y = y.astype(float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not (np.isfinite([s0, s1]).all() and np.isfinite(y).all()):
-        raise ValidationError("span and initial state must be finite")
+    if not 100 * np.finfo(float).eps <= tol < np.inf:  # DOP853 raises a smaller rtol to this
+        raise ValidationError("tol must be finite and at least 100 eps, DOP853's floor")
+    require_finite(span=[s0, s1], initial_state=y)
     if s1 == s0:
         t = np.array([s0]) if t_eval is None else np.asarray(t_eval, dtype=float)
         return IvpResult(t, np.repeat(y[None, :], len(t), axis=0))
     forward = s1 > s0
     if t_eval is not None:
         t_eval = np.asarray(t_eval)
-        if t_eval.ndim != 1 or np.any(t_eval < min(s0, s1)) or np.any(t_eval > max(s0, s1)):
-            raise ValueError("t_eval must be a 1-D array of times within the span")
+        if t_eval.ndim != 1 or not np.all((min(s0, s1) <= t_eval) & (t_eval <= max(s0, s1))):
+            raise ValidationError("t_eval must be a 1-D array of times within the span")
         d = np.diff(t_eval)
         if np.any(d <= 0) if forward else np.any(d >= 0):
-            raise ValueError("t_eval must run in the direction of the span")
+            raise ValidationError("t_eval must run in the direction of the span")
         if not forward:  # ascending, for searchsorted; sampled from the top down
             t_eval = t_eval[::-1]
         next_sample = 0 if forward else len(t_eval)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y))))
 
-    evals = 0
+    solver = None  # the budget counts from the solver's own nfev, once it is built
 
     def checked(s, state):
-        nonlocal evals
-        evals += 1
-        if evals > _MAX_RHS_EVALS:
+        if solver is not None and solver.nfev > _MAX_RHS_EVALS:
             raise EvaluationBudgetExceeded(
                 f"{_MAX_RHS_EVALS} derivative evaluations spent by s={s:.6g} "
                 f"of a span ending at {s1:.6g}")
@@ -313,26 +312,26 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
     same fixed point to within a few ulp.
 
     A bound mode lies in the window 0 < omega^2 < V(R), below the continuum
-    edge; the window's top is sqrt(V(R)) * (1 - 1e-9).  V(R) <= 0
-    raises NotTrapped (the well reaches the box edge), omega^2 <= 0 raises
+    edge; the window's top is sqrt(V(R)) * (1 - 1e-9).  A V(R) that is not
+    above 0, or not finite (as where a sweep's field has blown up), raises
+    NotTrapped (the well reaches the box edge), omega^2 <= 0 raises
     NoBracket (well too deep), and omega at or above the top NotTrapped
-    (mode not bound).  A node_count outside [0, n_points - 3] raises
-    ValidationError, a non-finite V or guess ValueError, a LAPACK failure
+    (mode not bound).  A non-finite V elsewhere or guess and a node_count
+    outside [0, n_points - 3] raise ValidationError, a LAPACK failure
     LapackFailure (a LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n_points,):
-        raise ValueError("potential length must equal n_points")
-    if not V[-1] > 0.0:
-        raise NotTrapped("the well reaches the box edge: no bound mode")
+        raise ValidationError("potential length must equal n_points")
+    # the guess enters squared; a float product overflows to inf where ** raises
+    require_finite(potential=V[:-1],
+                   guess_squared=0.0 if guess is None else float(guess) * float(guess))
+    if not 0.0 < V[-1] < np.inf:
+        raise NotTrapped("the well reaches the box edge, or V(R) is not finite: no bound mode")
     hi = float(np.sqrt(V[-1])) * (1 - 1e-9)
     if not 0 <= node_count < grid.n_points - 2:
         raise ValidationError("node_count must lie in [0, n_points - 3]")
-    if not np.isfinite(V).all():
-        raise ValueError("potential must be finite")
-    if guess is not None and not np.isfinite(guess):
-        raise ValueError("guess must be finite")
     if np.all(hi * hi - V <= 0.0):
         raise NotTrapped("kappa^2 <= 0 everywhere: no classically allowed region")
 

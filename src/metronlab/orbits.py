@@ -18,6 +18,8 @@ from .errors import (
     NonFiniteState,
     ResonanceSingularity,
     ValidationError,
+    require_finite,
+    require_nonnegative,
 )
 from .numerics import integrate_ivp
 
@@ -93,11 +95,9 @@ def forcing_spectrum(modulation, phase, T):
     tt = t[:-1]
     Omega = 2.0 * np.pi / T
     n_lines = (n_samp - 1) // 2
-    lines = []
-    for n in range(-n_lines, n_lines + 1):
-        cn = np.mean(mm * np.exp(-1j * n * Omega * tt))
-        lines.append((n, omega_bar + n * Omega, complex(cn)))
-    return ForcingSpectrum(omega_bar=float(omega_bar), Omega=float(Omega), lines=tuple(lines))
+    lines = tuple((n, omega_bar + n * Omega, complex(np.mean(mm * np.exp(-1j * n * Omega * tt))))
+                  for n in range(-n_lines, n_lines + 1))
+    return ForcingSpectrum(omega_bar=float(omega_bar), Omega=float(Omega), lines=lines)
 
 
 def mode_response(lines, omega_p, mu, t, response):
@@ -105,12 +105,16 @@ def mode_response(lines, omega_p, mu, t, response):
 
     response kinds: "stationary" uses -i/(omega_n - omega_p) and refuses
     exact resonance; "nonstationary" uses -i (1 - exp(-i w t))/w with the
-    secular value t at w = 0; "damped" uses 1/(i w + mu).
+    secular value t at w = 0; "damped" uses 1/(i w + mu).  The phases,
+    up to (max |omega_n| + |omega_p|) |t|, must stay in the float range.
     """
-    if mu < 0:
-        raise ValidationError("mu must be nonnegative")
+    require_finite(omega_p=omega_p, t=t)
+    require_nonnegative(mu=mu)
     if response not in ("stationary", "nonstationary", "damped"):
         raise ValidationError(f"unknown response kind {response!r}")
+    with np.errstate(over="ignore"):  # an overflow is inf, refused here
+        require_finite(largest_phase=(max((abs(o) for _, o, _ in lines), default=0.0)
+                                      + abs(omega_p)) * abs(t))
     a = 0.0 + 0.0j
     for n, omega_n, g in lines:
         w = omega_n - omega_p
@@ -141,7 +145,9 @@ class OrbitDriftModel:
         d(deltar)/dt = d * { -1 + (2*C1*deltar + C2) / (deltar^2 + C3) },
 
     with C1 = Im(alpha*gamma)/(2*beta*d), C2 = mu*Re(alpha*gamma)/(beta^2*d)
-    and C3 = mu^2/beta^2 derived from the forcing constants.
+    and C3 = mu^2/beta^2 derived from the forcing constants.  C3 must be
+    nonnegative, and the discriminant C1^2 + C2 - C3 of the equilibria
+    finite.
     """
 
     d: float
@@ -150,27 +156,29 @@ class OrbitDriftModel:
     C3: float
 
     def __post_init__(self):
-        if not np.isfinite([self.d, self.C1, self.C2, self.C3]).all():
-            raise ValidationError("d, C1, C2 and C3 must be finite")
-        if self.C3 < 0:
-            raise ValidationError("C3 = mu^2/beta^2 must be nonnegative")
+        require_finite(d=self.d, C1=self.C1, C2=self.C2)
+        require_nonnegative(C3=self.C3)
+        with np.errstate(over="ignore"):  # an overflow is inf, refused here
+            require_finite(discriminant=self.C1 * self.C1 + self.C2 - self.C3)
 
     @classmethod
     def from_primitives(cls, d, alpha, gamma, beta, mu):
         """The model of the forcing constants; beta * d = 0 leaves C1 and C2
         undefined (ValidationError), as does beta^2 * d underflowing to 0."""
+        require_finite(d=d, alpha=alpha, gamma=gamma, beta=beta, mu=mu)
         if beta * d == 0 or beta * beta * d == 0:
             raise ValidationError("beta * d = 0: C1 and C2 are undefined")
         ag = complex(alpha) * gamma
+        ratio = mu / beta  # its square overflows to inf, which the constructor refuses
         return cls(d=d, C1=ag.imag / (2.0 * beta * d), C2=mu * ag.real / (beta * beta * d),
-                   C3=(mu / beta) ** 2)
+                   C3=ratio * ratio)
 
 
 def drift_rhs(model: OrbitDriftModel, delta_r):
     """Right-hand side of the reduced drift equation.  At its pole,
     deltar^2 + C3 = 0 (only C3 = 0, deltar = 0), it is inf or nan, without
     a floating-point warning; callers decide what a non-finite rate means."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _drift_rate(model, np.asarray(delta_r, dtype=float))
 
 
@@ -281,10 +289,11 @@ class ThreeModeState:
     beta_dr: float = 0.0
 
     def __post_init__(self):
-        for v in (self.A1, self.A2, self.A12, self.K, self.mu1, self.mu2, self.gamma_f,
-                  self.beta_dr):
-            if not np.isfinite(complex(v)):
-                raise ValidationError("amplitudes, coupling, damping and forcing must be finite")
+        require_finite(A1=self.A1, A2=self.A2, A12=self.A12, K=self.K, mu1=self.mu1,
+                       mu2=self.mu2, gamma_f=self.gamma_f, beta_dr=self.beta_dr)
+        # the invariants and the exchange rate |K A| are built from squared moduli
+        require_finite(sum_of_squared_moduli=sum(abs(complex(v)) * abs(complex(v))
+                                                 for v in (self.A1, self.A2, self.A12, self.K)))
 
 
 def integrate_three_mode(state: ThreeModeState, mode="Emission", t_max=10.0, tol=1e-11,
@@ -326,14 +335,18 @@ def integrate_three_mode(state: ThreeModeState, mode="Emission", t_max=10.0, tol
 
 def manley_rowe(A1, A2, A12):
     """The two quadratic invariants of the undamped, unforced system:
-    |A1|^2 + |A2|^2 and |A2|^2 - |A12|^2."""
-    return np.abs(A1) ** 2 + np.abs(A2) ** 2, np.abs(A2) ** 2 - np.abs(A12) ** 2
+    |A1|^2 + |A2|^2 and |A2|^2 - |A12|^2; an overflow or NaN passes through
+    without a warning."""
+    with np.errstate(all="ignore"):
+        return np.abs(A1) ** 2 + np.abs(A2) ** 2, np.abs(A2) ** 2 - np.abs(A12) ** 2
 
 
 def pair_growth_rate(K, A1, mu):
     """Growth rate of the seeded (A2, A12) pair at fixed A1:
-    nu = -mu/2 + sqrt((mu/2)^2 + |K A1|^2)."""
-    return -mu / 2.0 + np.sqrt((mu / 2.0) ** 2 + abs(K * A1) ** 2)
+    nu = -mu/2 + sqrt((mu/2)^2 + |K A1|^2), with the root taken by hypot, so
+    neither square can overflow."""
+    require_finite(K=K, A1=A1, mu=mu)
+    return -mu / 2.0 + np.hypot(mu / 2.0, abs(K * A1))
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +361,10 @@ def evolve_variances(N1_0, N2_0, K_prime, mu1, mu2, t):
     symmetric, so its eigenvectors are orthonormal.  A non-finite time is
     a ValidationError; a variance beyond the float range is NonFiniteState.
     """
-    if not np.isfinite([N1_0, N2_0, K_prime, mu1, mu2]).all():
-        raise ValidationError("variances, K_prime, mu1 and mu2 must be finite")
-    if K_prime < 0:
-        raise ValidationError("K_prime must be nonnegative")
-    if N1_0 < 0 or N2_0 < 0:
-        raise ValidationError("variances must be nonnegative")
+    require_finite(mu1=mu1, mu2=mu2)
+    require_nonnegative(N1_0=N1_0, N2_0=N2_0, K_prime=K_prime)
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValidationError("times must be finite")
+    require_finite(times=t)
     lam, Q = np.linalg.eigh([[2.0 * mu1 - K_prime, K_prime],
                              [K_prime, 2.0 * mu2 - K_prime]])
     y0 = np.array([N1_0, N2_0], dtype=float)

@@ -40,6 +40,9 @@ from .errors import (
     TailNotFree,
     ValidationError,
     WindowEmpty,
+    require_finite,
+    require_nonnegative,
+    require_positive,
 )
 from .numerics import (
     RadialField,
@@ -64,14 +67,6 @@ __all__ = [
 ]
 
 
-def _require_positive(**values):
-    """Every solver's rule for scales, radii and tolerances: ValidationError
-    naming the first value that is not finite and positive."""
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and positive")
-
-
 @dataclass(frozen=True)
 class SingleModeParams:
     omega_hat: float
@@ -82,11 +77,12 @@ class SingleModeParams:
     tol: float = 1e-9
 
     def __post_init__(self):
-        _require_positive(omega_hat=self.omega_hat, r0=self.r0, tol=self.tol)
-        if not (np.isfinite(self.epsilon) and self.epsilon != 0):
-            raise ValidationError("epsilon must be finite and nonzero")
-        if self.mode_order < 0:
-            raise ValidationError("mode_order must be non-negative")
+        w, eps = float(self.omega_hat), float(self.epsilon)
+        # omega_hat enters squared, and the solution is the unit one over |epsilon|
+        require_positive(omega_hat=w, r0=self.r0, tol=self.tol, max_iters=self.max_iters,
+                         omega_hat_squared=w * w)
+        require_finite(epsilon=eps, inverse_epsilon=1.0 / eps if eps else np.inf)
+        require_nonnegative(mode_order=self.mode_order)
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ class TrappedModeSolution:
         """First sign change of kappa^2, located by linear interpolation."""
         kv = self.kappa_sq.values
         r = self.grid.r
-        idx = np.where(kv[:-1] * kv[1:] < 0)[0]
+        idx = np.where(np.sign(kv[:-1]) * np.sign(kv[1:]) < 0)[0]  # a product may overflow
         if idx.size == 0:
             return float("nan")
         j = idx[0]
@@ -172,9 +168,13 @@ class _PinnedDepthCore:
         self.grid, self.radii, self.max_iters, self.extra = grid, radii, max_iters, extra
         self.eps = np.atleast_2d(np.asarray(couplings, dtype=float))
         self.w_hats = np.array([w for w, _ in modes], dtype=float)
-        self.w2 = self.w_hats**2
+        with np.errstate(over="ignore"):  # an overflow is inf, refused here
+            self.w2 = self.w_hats**2
+            self.gram = self.eps.T @ self.eps
+            # a mode's depth is pinned through its squared couplings (eps^T eps)_qq,
+            # which bound the rest of eps^T eps
+            require_positive(omega_hat_squared=self.w2, squared_couplings=np.diag(self.gram))
         self.orders = [m for _, m in modes]
-        self.gram = self.eps.T @ self.eps
         # each field is measured in depth units, times its strongest coupling
         # (1 if it has none)
         strongest = self.eps[np.arange(len(self.eps)), np.argmax(np.abs(self.eps), axis=1)]
@@ -341,8 +341,9 @@ def iterate_single_mode(params: SingleModeParams,
     omegas, modes, fields = core.solve(p.tol)
     omega = p.omega_hat * float(omegas[0])
     size = abs(p.epsilon)
-    sol = _single_solution(p, grid, omega, omega * omega, fields[0] / size, modes[0] / size,
-                           core.sweeps)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _single_solution
+        sol = _single_solution(p, grid, omega, omega * omega, fields[0] / size,
+                               modes[0] / size, core.sweeps)
     try:
         lo, hi = trapping_window(sol)
     except WindowEmpty:  # a well outside (0, 1) bounds no window to check
@@ -354,20 +355,19 @@ def iterate_single_mode(params: SingleModeParams,
 
 
 def _single_solution(p, grid, omega, omega_sq, phi0, phi1, iterations):
-    """The TrappedModeSolution of given fields, with kappa^2 and residuals."""
+    """The TrappedModeSolution of given fields, with kappa^2 and residuals.
+    Called under np.errstate: fields or residuals beyond the float range (the
+    fields scale as 1/epsilon) are refused, as non-finite values."""
     w2 = p.omega_hat**2
     kappa = omega_sq - w2 + p.epsilon * w2 * phi0
     src = p.epsilon * w2 * phi1**2
+    res_e = _residual(grid, phi1, kappa * phi1, np.max(np.abs(phi1)))
+    res_p = _residual(grid, phi0, src, np.max(np.abs(src)))
+    require_finite(residual_eigen=res_e, residual_poisson=res_p)
     return TrappedModeSolution(
-        params=p,
-        omega=omega,
-        phi0=RadialField(grid, phi0),
-        phi1=RadialField(grid, phi1),
-        kappa_sq=RadialField(grid, kappa),
-        residual_eigen=_residual(grid, phi1, kappa * phi1, np.max(np.abs(phi1))),
-        residual_poisson=_residual(grid, phi0, src, np.max(np.abs(src))),
-        iterations_used=iterations,
-    )
+        params=p, omega=omega, phi0=RadialField(grid, phi0), phi1=RadialField(grid, phi1),
+        kappa_sq=RadialField(grid, kappa), residual_eigen=res_e, residual_poisson=res_p,
+        iterations_used=iterations)
 
 
 def _residual(grid, phi, term, scale):
@@ -407,10 +407,11 @@ def rescale(sol: TrappedModeSolution, lam: float) -> TrappedModeSolution:
     p = sol.params
     w2 = p.omega_hat**2
     omega_sq = w2 - lam * lam * (w2 - sol.omega**2)
-    return _single_solution(
-        replace(p, r0=p.r0 / lam), RadialGrid(sol.grid.r_max / lam, sol.grid.n_points),
-        float(np.sqrt(max(omega_sq, 0.0))), omega_sq, lam * lam * sol.phi0.values,
-        lam * lam * sol.phi1.values, sol.iterations_used)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _single_solution
+        return _single_solution(
+            replace(p, r0=p.r0 / lam), RadialGrid(sol.grid.r_max / lam, sol.grid.n_points),
+            float(np.sqrt(max(omega_sq, 0.0))), omega_sq, lam * lam * sol.phi0.values,
+            lam * lam * sol.phi1.values, sol.iterations_used)
 
 
 # --- Multi-mode generalization ----------------------------------------------
@@ -435,18 +436,15 @@ class MultiModeSpec:
         object.__setattr__(self, "scale_radii", tuple(self.scale_radii))
         if eps.shape[1] != len(self.modes):
             raise ValidationError("couplings must have one column per mode")
-        if not np.isfinite(eps).all():
-            raise ValidationError("couplings must be finite")
+        require_finite(couplings=eps)
         if len(self.scale_radii) != len(self.modes):
             raise ValidationError("one scale radius per mode required")
-        for r0 in self.scale_radii:
-            _require_positive(scale_radius=r0)
+        require_positive(scale_radius=self.scale_radii)
         for w, s, m in self.modes:
-            _require_positive(omega_hat=w)
+            require_positive(omega_hat=w)
             if s not in (1, -1):
                 raise ValidationError("sigma must be +1 or -1")
-            if m < 0:
-                raise ValidationError("node order must be non-negative")
+            require_nonnegative(node_order=m)
 
 @dataclass(frozen=True)
 class MultiModeSolution:
@@ -469,6 +467,7 @@ def solve_multimode(spec: MultiModeSpec, max_iters: int = 600, tol: float = 1e-9
     counts the sweeps; NoConvergence is raised when they would exceed
     max_iters, NotTrapped when a mode loses its binding.
     """
+    require_positive(max_iters=max_iters, tol=tol)
     if grid is None:
         width = _seed_width(spec.scale_radii, [m for _, _, m in spec.modes])
         grid = RadialGrid(max(30.0, 4.0 * width), 2001)
@@ -532,7 +531,7 @@ def _cold_phi2(c, u):
             u_lu = float(np.sum(np.diff(u, prepend=0.0) ** 2))
             off = -np.ones(len(u) - 1)
             *_, v, info = dgtsv(off, np.append(-2.0 * off, 1.0), off.copy(), nu, 1, 1, 1, 1)
-            new = (u_lu / u_nu) ** 1.5 * v
+            new = np.power(u_lu / u_nu, 1.5) * v  # an overflow is inf, refused below
             if info or not np.isfinite(new).all():
                 raise TailNotFree("the cold phi2 iteration leaves the float range")
             change = np.max(np.abs(new - u)) / np.max(np.abs(new))
@@ -628,9 +627,11 @@ def solve_fifth_order(omega_hat_1: float, omega_hat_2: float, eps1: float, eta2:
     signs; eta2 = 0 reduces phi2 to the free radial wave.  Both omega_hats
     and r0 must be finite and positive, eps1 and eta2 finite.
     """
-    _require_positive(omega_hat_1=omega_hat_1, omega_hat_2=omega_hat_2, r0=r0)
-    if not np.isfinite([eps1, eta2]).all():
-        raise ValidationError("eps1 and eta2 must be finite")
+    # omega_hat_2 enters squared; a float product overflows to inf, where ** raises
+    require_positive(omega_hat_1=omega_hat_1, omega_hat_2=omega_hat_2, r0=r0, tol=tol,
+                     max_iters=max_iters,
+                     omega_hat_2_squared=float(omega_hat_2) * float(omega_hat_2))
+    require_finite(eps1=eps1, eta2=eta2)
     if eps1 * eta2 < 0:
         raise ValidationError("eps1 and eta2 must have the same sign")
     if grid is None:

@@ -10,8 +10,11 @@ are capped (always passed, so no uncapped default runs): --n-points <= 101,
 its cost depends on --samples alone, and its --sigma is mostly positive and
 its --speed within +-1, so most runs reach the kernel. The bragg-lattice
 vectors now and then reach +-1e308, where harmonics and their squares
-overflow: its cost depends on --max-order alone. Other reals stay
-within +-10, so no stiff or fast-oscillating trajectory makes a run long.
+overflow: its cost depends on --max-order alone. The metron-solve and
+metron-rescale --omega-hat, --eps, --r0 and --r-max now and then reach the
+float range's edges, 1e300 and 1e-320: their cost is capped by --n-points
+and --max-iters. Other reals stay within +-10, so no stiff or
+fast-oscillating trajectory makes a run long.
 The three-mode amplitudes and coupling stay within +-3, its damping rates
 within +-0.1 and its forcing within +-0.5: a negative rate, or a positive
 one run to a negative --t-max, grows the amplitudes as exp(|mu t|), the
@@ -40,6 +43,12 @@ def real(bound=10.0, lo=None):
 
 # mostly positive, for parameters that must be positive to reach the library
 POSITIVE = real(lo=-1.0)
+
+
+def or_edge(strategy):
+    """strategy, or about one time in four an edge of the float range."""
+    edge = st.sampled_from(["1e300", "1e-320"])
+    return st.integers(0, 3).flatmap(lambda i: edge if i == 0 else strategy)
 
 
 def integer(lo, hi):
@@ -71,13 +80,13 @@ def cplx():
 
 # flag -> (strategy, always passed); only the capped flags are always passed
 _SOLVE = {
-    "--omega-hat": (POSITIVE, False),
-    "--eps": (real(), False),
+    "--omega-hat": (or_edge(POSITIVE), False),
+    "--eps": (or_edge(real()), False),
     "--mode": (st.one_of(integer(-2, 3), st.just("3000")), False),
-    "--r0": (POSITIVE, False),
+    "--r0": (or_edge(POSITIVE), False),
     "--max-iters": (integer(-1, 5), True),
     "--tol": (POSITIVE, False),
-    "--r-max": (POSITIVE, False),
+    "--r-max": (or_edge(POSITIVE), False),
     "--n-points": (integer(-5, 101), True),
 }
 
