@@ -16,6 +16,7 @@ echoed in the manifest but does not change how a command runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -201,6 +202,15 @@ def build_parser():
     p.add_argument("--gprime", type=float, required=True)
 
     return top, commands
+
+
+@functools.cache
+def _shared_parser():
+    """build_parser()'s result, built on the first run() of a process and
+    reused by every later one.  Parsing keeps no state between runs: each
+    parse_args fills a fresh Namespace from the actions' defaults, and an
+    append action copies its list before adding to it."""
+    return build_parser()
 
 
 def _apply_config(command, argv):
@@ -462,7 +472,7 @@ def cmd_calibrate(args, out):
 def run(argv):
     """Execute one command; returns the process exit code, which is 0 unless
     the command returns its own as a third value (algebra-check)."""
-    parser, commands = build_parser()
+    parser, commands = _shared_parser()
     args = None
     try:
         if argv and argv[0] in commands:

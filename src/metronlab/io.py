@@ -6,13 +6,16 @@ columnar and works a block of rows at a time: in each block an array
 column is formatted once per distinct value and the strings are indexed
 back into the rows.  The bytes are those of csv.writer with minimal quoting
 over format_number's cells, row by row.
-JSON: UTF-8 with sorted keys.  Config files: flat "key = value" lines with
-'#' comments.
+JSON: ASCII with sorted keys and a two-space indent, the bytes of json.dump
+with indent=2 and sort_keys=True, built in one pass and written at once; a
+list of floats is joined from float.__repr__ in one go.  Config files: flat
+"key = value" lines with '#' comments.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -99,12 +102,105 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x):
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _floats_text(values, sep):
+    """values joined by sep as json writes floats, from float.__repr__ in one
+    pass, or None when one of them is not a float."""
+    try:
+        text = sep.join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    if "n" in text:  # a nan or inf repr, which json writes NaN, Infinity
+        text = sep.join(map(_float_text, values))
+    return text
+
+
+def _key_text(key):
+    """A dict key as json writes it, quoted."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return '"' + _float_text(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + json.dumps(key) + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(obj, newline, parts):
+    """Append obj's JSON text to parts; newline is a line break and the
+    indent of the line obj starts on.  What json cannot encode itself goes
+    through _json_default."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        parts.append("[" + inner)
+        text = _floats_text(obj, sep)
+        if text is not None:
+            parts.append(text)
+        else:
+            for i, value in enumerate(obj):
+                if i:
+                    parts.append(sep)
+                _encode(value, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        sep = inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + _key_text(key) + ": ")
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        _encode(_json_default(obj), newline, parts)
+
+
 def write_json(path, payload):
+    """Write payload as json.dump(payload, fh, indent=2, sort_keys=True,
+    default=_json_default) and a newline would, in one write; returns the
+    path."""
+    parts = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write("".join(parts))
     return path
 
 

@@ -273,6 +273,12 @@ _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 # Relative half-width of the value window in which each pass of a warm start
 # after its first tracks the previous pass's eigenvalue (one Robin update old)
 _WARM_WINDOW = 1e-10
+# Largest matrix entry (2/h^2 + V, or 1/h^2) the LAPACK calls take.  stebz
+# squares the entries to find where the matrix splits: from sqrt(max) =
+# 1.3e154 on it splits it into wrong 1x1 blocks, then fails (info=4).  stein's
+# inverse iteration overflows to NaN (with info=0) from about 1e145 at 16001
+# points to 1e149 at 16, as measured on the scaled reference well.
+_EIGEN_ENTRY_MAX = 1e140
 
 
 def _count_nodes_floor(u):
@@ -317,8 +323,9 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
     NotTrapped (the well reaches the box edge), omega^2 <= 0 raises
     NoBracket (well too deep), and omega at or above the top NotTrapped
     (mode not bound).  A non-finite V elsewhere or guess and a node_count
-    outside [0, n_points - 3] raise ValidationError, a LAPACK failure
-    LapackFailure (a LinAlgError).
+    outside [0, n_points - 3] raise ValidationError, as does a matrix entry
+    (2/h^2 + V or 1/h^2) of `_EIGEN_ENTRY_MAX` or more, where the LAPACK
+    calls overflow; a LAPACK failure raises LapackFailure (a LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
     V = np.asarray(V, dtype=float)
@@ -339,6 +346,10 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
     h = grid.spacing
     h2 = h * h
     diag = 2.0 / h2 + V[1:-1]
+    if not max(float(np.abs(diag).max()), 1.0 / h2) < _EIGEN_ENTRY_MAX:
+        raise ValidationError(f"an eigen matrix entry (2/h^2 + V or 1/h^2) reaches "
+                              f"{_EIGEN_ENTRY_MAX:g}, past which LAPACK's bisection and "
+                              "inverse iteration overflow: the grid is too fine, or V too large")
     off = np.full(grid.n_points - 3, -1.0 / h2)
     d_last = diag[-1]
     index = node_count + 1  # LAPACK counts eigenvalues from 1

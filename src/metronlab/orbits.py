@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
     require_finite,
     require_nonnegative,
+    require_positive,
 )
 from .numerics import integrate_ivp
 
@@ -392,6 +393,10 @@ def bohr_check(omega_prime_p, E_p, omega0, m):
     With m c^2 = hbar * omega0 the resonance condition omega_bar = omega_p
     is equivalent to E_p = hbar * omega'_p, so a vanishing residual means
     the orbit energy and the wave eigenfrequency satisfy the quantum
-    relation.  Natural units: c = 1, so m c^2 = m.
+    relation.  Natural units: c = 1, so m c^2 = m.  A zero or non-finite
+    omega'_p, a mass that is not positive and finite, or a non-finite E_p
+    or omega0 is a ValidationError.
     """
+    require_finite(E_p=E_p, omega0=omega0)
+    require_positive(m=m, **{"|omega'_p|": abs(omega_prime_p)})
     return abs(omega_prime_p - E_p * omega0 / m) / abs(omega_prime_p)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metronlab import numerics
+from metronlab import cli, numerics
 from metronlab.cli import parse_values, run
 from metronlab.errors import ValidationError
 
@@ -324,7 +324,9 @@ class TestExitCodes:
                 "--r-max", "1.0851078496319515e-82", "--n-points", "16", "--lam", "0",
                 "--output-dir", str(tmp_path)]
         proc = self.fresh_process(argv)
-        assert proc.returncode == 3
+        # the unit grid's 2/h^2 ~ 4e166 is past what the eigen bisection takes,
+        # a ValidationError (it once failed inside dstebz with exit 3)
+        assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
@@ -415,3 +417,63 @@ class TestTrajectoryOutputs:
         assert rows.shape == (123, 6)
         assert np.max(np.abs(rows[:, 0] - np.linspace(0.0, 50.0, 123))) <= 1e-12 * 50.0
         assert read_json(tmp_path / "manifest.json")["invariant_drift"] < 1e-8
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Drop the process's parser and count the builds until the test ends."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    yield builds
+    cli._shared_parser.cache_clear()
+
+
+class TestParserReuse:
+    """run() builds its parser once per process; no run leaks into the next."""
+
+    def test_runs_build_the_parser_once(self, tmp_path, fresh_parser):
+        for j in range(5):
+            assert run(["calibrate", "--a-sq", "2", "--beta", "0.7", "--m-core", "0.3",
+                        "--k5", "1.4", "--gprime", str(2.0 + j),
+                        "--output-dir", str(tmp_path / str(j))]) == 0
+        assert run(["bragg-classify", "--E0", "x"]) == 2
+        assert len(fresh_parser) == 1
+
+    def test_config_values_do_not_outlive_their_run(self, tmp_path, fresh_parser):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 0.35\nspeed = 0.25\nsamples = 31\n")
+        assert run(["greens-conserve", "--config", str(cfg),
+                    "--output-dir", str(tmp_path / "a")]) == 0
+        assert read_json(tmp_path / "a" / "manifest.json")["parameters"]["sigma"] == 0.35
+        assert run(["greens-conserve", "--samples", "31",
+                    "--output-dir", str(tmp_path / "b")]) == 0
+        params = read_json(tmp_path / "b" / "manifest.json")["parameters"]
+        assert (params["sigma"], params["speed"], params["config"]) == (0.4, 0.3, None)
+
+    def test_appended_flags_do_not_outlive_their_run(self, tmp_path, fresh_parser):
+        argv = ["bragg-lattice", "--ki", "0.2,0,1.1,1.5", "--fundamental", "0.6,0,0",
+                "--dimensionality", "2", "--omega0", "1"]
+        assert run(argv + ["--fundamental", "0,0.6,0", "--output-dir", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--output-dir", str(tmp_path / "b")]) == 0
+        assert read_json(tmp_path / "b" / "manifest.json")["parameters"]["fundamental"] == [
+            "0.6,0,0"]
+        cli._shared_parser.cache_clear()
+        assert run(argv + ["--output-dir", str(tmp_path / "alone")]) == 0
+        assert ((tmp_path / "b" / "scatter_set.csv").read_bytes()
+                == (tmp_path / "alone" / "scatter_set.csv").read_bytes())
+
+    def test_refused_run_leaves_the_next_unchanged(self, tmp_path, fresh_parser):
+        out = tmp_path / "out"
+        good = ["greens-conserve", "--samples", "41", "--output-dir", str(out)]
+        assert run(good) == 0
+        alone = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        cli._shared_parser.cache_clear()
+        assert run(["greens-conserve", "--sigma", "0.2", "--kind", "symmetric",
+                    "--samples", "x", "--output-dir", str(tmp_path / "refused")]) == 2
+        assert run(good) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == alone
+        assert len(fresh_parser) == 2

@@ -166,10 +166,15 @@ def _scale_ratio(d):
     return algebra.scale_ratio(d(num(2.4e-43)))
 
 
+def _bohr(d):
+    return orbits.bohr_check(d(num(-0.5)), d(num(-0.55)), d(num()), d(num()))
+
+
 CALLS = {f.__name__.lstrip("_"): f for f in (
     _eigen, _field, _ivp, _single_mode, _multimode, _fifth_order, _lattice, _bragg_state,
     _drift, _drift_primitives, _three_mode, _mode_response, _variances, _pair_growth, _formulas,
-    _momentum_exchange, _freewave, _polarization, _quark_star, _calibrate, _scale_ratio)}
+    _momentum_exchange, _freewave, _polarization, _quark_star, _calibrate, _scale_ratio,
+    _bohr)}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -199,9 +204,13 @@ def test_every_call_returns_or_raises_a_metronlab_error(name, data):
     lambda: trapped_modes.solve_multimode(trapped_modes.MultiModeSpec(
         modes=[(1.0, 1, 0)], couplings=[[1.0]], scale_radii=(5.0,)), max_iters=0),
     lambda: trapped_modes.solve_fifth_order(1.0, 1.0, 1.0, 1.0, 5.0, max_iters=-1),
+    lambda: orbits.bohr_check(0.0, 1.0, 1.0, 1.0),
+    lambda: orbits.bohr_check(1.0, 1.0, 1.0, 0.0),
+    lambda: orbits.bohr_check(1.0, math.nan, 1.0, 1.0),
 ], ids=["grid-1e300", "drift-c1-1e200", "drift-mu-1e200", "star-1e200", "star-inf",
         "threemode-a1-1e200", "eps-1e-320", "fifth-1e200", "ivp-tol-nan", "scale-nan",
-        "scale-inf", "single-max-iters-0", "multimode-max-iters-0", "fifth-max-iters-neg"])
+        "scale-inf", "single-max-iters-0", "multimode-max-iters-0", "fifth-max-iters-neg",
+        "bohr-omega-0", "bohr-m-0", "bohr-energy-nan"])
 def test_inputs_out_of_range_are_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
@@ -231,6 +240,8 @@ def test_nan_potential_inside_the_box_is_validation_error():
     (["orbit-threemode", "--a1", "1e200"], 2),
     # kappa^2 ~ omega_hat^2 = 9e302, whose products overflow
     (["metron-solve", "--omega-hat", "3e151", "--r0", "1.6666e-151", "--r-max", "1e-150"], 0),
+    # the unit grid's 2/h^2 ~ 9e303 overflows the eigen bisection (once exit 3)
+    (["metron-solve", "--omega-hat", "1e-150"], 2),
 ])
 def test_cli_exits_with_one_error_line_or_an_empty_stderr(tmp_path, capsys, argv, code):
     rc = run(argv + ["--output-dir", str(tmp_path)])

@@ -1,14 +1,18 @@
 """The columnar CSV writer against the row writer it replaced: csv.writer
-with minimal quoting over format_number's cells, one row at a time.  Every
-case must come out byte for byte the same."""
+with minimal quoting over format_number's cells, one row at a time; and the
+one-pass JSON writer against json.dump with indent=2 and sort_keys=True.
+Every case must come out byte for byte the same."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from metronlab import cli
-from metronlab.io import format_number, write_csv
+from metronlab.io import _json_default, format_number, write_csv, write_json
 
 
 def oracle_csv(path, columns):
@@ -91,3 +95,48 @@ def test_command_outputs_match_the_row_writer(tmp_path, monkeypatch, argv):
         want = oracle_csv(tmp_path / "oracle.csv", columns)
         assert path.read_bytes() == want.read_bytes(), path.name
 
+
+def oracle_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+    return path
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 2.0**53 + 2.0])
+TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+               max_size=8)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), FLOATS, TEXT,
+    st.builds(complex, FLOATS, FLOATS),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.builds(np.complex128, FLOATS, FLOATS),
+    st.lists(FLOATS, max_size=12).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
+)
+PAYLOADS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.lists(children, max_size=3).map(tuple),
+    st.lists(FLOATS, max_size=8), st.dictionaries(TEXT, children, max_size=5),
+    st.dictionaries(st.integers(-9, 9) | st.sampled_from([True, False]), children, max_size=3),
+    st.dictionaries(FLOATS, children, max_size=3)), max_leaves=20)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(payload=PAYLOADS)
+@example(payload={})
+@example(payload=[{}, [], {"a": []}, np.array([]), "é", [[[-0.0]]]])
+def test_json_bytes_match_json_dump(tmp_path, payload):
+    got = write_json(tmp_path / "got.json", payload)
+    assert got == tmp_path / "got.json"
+    assert got.read_bytes() == oracle_json(tmp_path / "want.json", payload).read_bytes()
+
+
+def test_unencodable_json_payloads_raise_as_json_dump_does(tmp_path):
+    for payload in ({"a": object()}, {1: 1, "b": 2}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            oracle_json(tmp_path / "want.json", payload)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "got.json", payload)

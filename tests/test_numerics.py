@@ -479,6 +479,25 @@ class TestLapackKernels:
             with pytest.raises(NotTrapped, match="box edge"):
                 solve_radial_eigen(bad, 0, grid=grid)
 
+    @pytest.mark.parametrize("entry", [0.9e140, 1.1e140, 1e150, 2e154, 1e155])
+    def test_scaled_grid_up_to_the_entry_bound(self, entry):
+        # the problem on a grid 1/s as fine, with V s^2, has omega s.  Below
+        # 1e140 the entries 2/h^2 + V leave LAPACK room; past it the solve is
+        # refused.  At 1e150 dstein returned NaN, at 2e154 dstebz split the
+        # matrix into 1x1 blocks (a wrong eigenvalue), at 1e155 it failed
+        grid = RadialGrid(40.0, 201)
+        V = 1.0 - np.exp(-((grid.r / 10.0) ** 2))
+        omega, phi = solve_radial_eigen(V, 0, grid=grid)
+        s = np.sqrt(entry / (2.0 / grid.spacing**2 + V.max()))
+        fine = RadialGrid(40.0 / s, 201)
+        if entry > 1e140:
+            with pytest.raises(ValidationError, match="inverse iteration overflow"):
+                solve_radial_eigen(V * s * s, 0, grid=fine)
+            return
+        omega_s, phi_s = solve_radial_eigen(V * s * s, 0, grid=fine)
+        assert omega_s / s == pytest.approx(omega, rel=1e-12)
+        np.testing.assert_allclose(phi_s.values, phi.values, rtol=0, atol=1e-12)
+
     def test_node_count_beyond_the_grid_raises(self):
         grid = RadialGrid(30.0, 301)
         with pytest.raises(ValueError, match="node_count"):
