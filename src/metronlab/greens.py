@@ -12,12 +12,15 @@ Gaussian: a weighted sum of the two causal masks would drop the pairs at
 equal time.
 
 The light-cone descriptor and both dispersive kernels take broadcast r and
-t, so a scan is one call.  momentum_exchange evaluates the kernel once for
-both particles, on scalar (n_i, n_j) planes of the separation components
-built once per row block of a fixed pair budget, so its memory does not
-grow with the sample counts.  World lines with a non-finite sample, and
-pairs of lines whose squared separations overflow, are refused with
-ValidationError.
+t, so a scan is one call.  The dispersive quadrature builds each point's
+sin(kr) from a two-level angle-addition table, sin(a_m + b_l) over sub-block
+starts a_m and in-block offsets b_l, so a point costs 2(M + S) sines and
+cosines per block of M sub-blocks of S nodes, not one sine per node.
+momentum_exchange evaluates the kernel once for both particles, on scalar
+(n_i, n_j) planes of the separation components built once per row block of
+a fixed pair budget, so its memory does not grow with the sample counts.
+World lines with a non-finite sample, and pairs of lines whose squared
+separations overflow, are refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -148,10 +151,11 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
 # Dispersive kernel: windowed oscillatory quadrature and asymptotics
 # ---------------------------------------------------------------------------
 
-# the dispersive quadrature works on blocks of _NODE_BLOCK nodes by at most
-# _ROW_BLOCK points, so its memory grows with neither the nodes nor the scan
+# the dispersive quadrature works on blocks of _NODE_BLOCK nodes, each split
+# into sub-blocks of _SUB_BLOCK nodes for the angle-addition table of sin(kr),
+# so its memory grows with neither the nodes nor the scan
 _NODE_BLOCK = 8192
-_ROW_BLOCK = 32
+_SUB_BLOCK = 128
 
 
 def _scan_points(r, t):
@@ -209,12 +213,22 @@ def _dispersive_integrals(r, t, params, k_window):
     end, 1.8 * k_window, so no truncation ringing survives and the rule
     converges spectrally.  Each point takes 40 nodes per 2 pi of its largest
     phase rate, 4096 to 4e6.  The points with one node count share its
-    blocks: the k-only factors are built once per block and sin(w_k t) once
-    per distinct t, and each point adds the last-axis sum of an elementwise
-    product, so its value does not depend on the rest of the scan.  The
-    phase w_k t is summed as j (h t) + t omega_hat^2 / (w_k + k) at node j
-    of spacing h: its rounding, the roundoff floor at thousands of rad, is
-    then below that of the product w_k t.
+    blocks: the k-only factors are built once per block and the weighted
+    time factor F = sin(w_k t) W (2h) k/w_k once per distinct t, as an
+    (M, S) table of M sub-blocks of S = _SUB_BLOCK nodes (8192 = 64 x 128),
+    the tail sub-block zero-padded.  Node j = j0 + m S + l of a block has
+    sin(k_j r) = sin(a_m) cos(b_l) + cos(a_m) sin(b_l), with the sub-block
+    start a_m = r k_(j0 + m S) and the offset b_l = r (l h), so a point's
+    block sum is sin(a) . (F cos b) + cos(a) . (F sin b): 2(M + S) = 384
+    sines and cosines and two matrix-vector products per full block, where
+    a sine per node took 8192.  Each point reduces its own table products,
+    so its value does not depend on the rest of the scan.  The rounding is
+    no worse than a sine per node's: a_m is rounded as r k_j was, b_l (below
+    S 2 pi / 40, about 20 rad, under the node cap) to an ulp of 3.6e-15 or
+    less, and the products and their sum add a few ulp of 1.  The phase
+    w_k t is summed as j (h t) + t omega_hat^2 / (w_k + k) at node j of
+    spacing h: its rounding, the roundoff floor at thousands of rad, is then
+    below that of the product w_k t.
     """
     k_end = 1.8 * k_window
     counts = np.minimum(np.maximum(
@@ -225,6 +239,7 @@ def _dispersive_integrals(r, t, params, k_window):
         by_t = {}
         for i in np.flatnonzero(counts == n):
             by_t.setdefault(t[i], []).append(i)
+        offsets = np.arange(_SUB_BLOCK) * h  # l h within a sub-block
         for j0 in range(0, n, _NODE_BLOCK):
             j = np.arange(j0, min(j0 + _NODE_BLOCK, n))
             k = j * h
@@ -235,11 +250,14 @@ def _dispersive_integrals(r, t, params, k_window):
                 weighted[0] *= 0.5
             if j0 + _NODE_BLOCK >= n:
                 weighted[-1] *= 0.5
+            starts = k[::_SUB_BLOCK]  # (j0 + m S) h, the sub-block starts
+            # the time factor on an (M, S) table, the tail sub-block zero-padded
+            table = np.zeros((len(starts), _SUB_BLOCK))
             for tt, points in by_t.items():
-                time_factor = np.sin(j * (h * tt) + tt * excess) * weighted
-                for s in range(0, len(points), _ROW_BLOCK):
-                    rows = points[s:s + _ROW_BLOCK]
-                    out[rows] += np.sum(np.sin(r[rows, None] * k) * time_factor, axis=-1)
+                table.flat[:len(j)] = np.sin(j * (h * tt) + tt * excess) * weighted
+                for i in points:
+                    a, b = r[i] * starts, r[i] * offsets
+                    out[i] += np.sin(a) @ (table @ np.cos(b)) + np.cos(a) @ (table @ np.sin(b))
     return out
 
 
@@ -258,7 +276,8 @@ def greens_dispersive(r, t, params: DispersionParams, kind):
     `_phase_check`): no cutoff can converge such an integrand.
 
     The points of a scan that take one node count share its node grid, which
-    is summed in blocks of _NODE_BLOCK nodes (see `_dispersive_integrals`):
+    is summed in blocks of _NODE_BLOCK nodes, each point's sin(kr) from a
+    two-level angle-addition table (see `_dispersive_integrals`):
     the memory does not grow with the node count, and every value equals its
     single-point value bit for bit.  A scan raises the error of its first
     failing point in flat (C) order, the check that point fails first.

@@ -322,7 +322,9 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
     above 0, or not finite (as where a sweep's field has blown up), raises
     NotTrapped (the well reaches the box edge), omega^2 <= 0 raises
     NoBracket (well too deep), and omega at or above the top NotTrapped
-    (mode not bound).  A non-finite V elsewhere or guess and a node_count
+    (mode not bound), as do `_ROBIN_PASSES` passes whose last two lie on
+    opposite sides of the top; passes that run out otherwise raise
+    NoConvergence.  A non-finite V elsewhere or guess and a node_count
     outside [0, n_points - 3] raise ValidationError, as does a matrix entry
     (2/h^2 + V or 1/h^2) of `_EIGEN_ENTRY_MAX` or more, where the LAPACK
     calls overflow; a LAPACK failure raises LapackFailure (a LinAlgError).
@@ -379,9 +381,14 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
         lam = float(w[0])
         if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
             break
-        lam_prev = lam
+        lam_before, lam_prev = lam_prev, lam  # the last two passes
         tail = robin_tail(lam)
     else:
+        # passes that alternate across the continuum edge, each one's Robin
+        # tail sending the next to the other side: the mode is not bound
+        if (lam_before < hi * hi) != (lam < hi * hi):
+            raise NotTrapped(f"mode {node_count} cycles across the continuum edge "
+                             f"(omega^2 {lam_before:.6g}, then {lam:.6g}): not bound")
         raise NoConvergence(
             f"outer boundary fixed point not reached in {_ROBIN_PASSES} passes"
         )

@@ -145,6 +145,17 @@ class TestExitCodes:
                   "--r0", "5", "--max-iters", "4", "--output-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("omega_hat", ["0.3", "0.1", "0.01", "1e-3"])
+    def test_below_the_family_end_is_not_trapped(self, tmp_path, capsys, omega_hat):
+        # omega_hat r0 from 1.5 down to 0.005: the eigen solve's Robin passes
+        # alternate across the continuum edge, so the mode is not bound
+        rc = run(["metron-solve", "--omega-hat", omega_hat, "--output-dir", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("error: NotTrapped")
+        assert "not bound" in lines[0]
+        assert read_json(tmp_path / "manifest.json")["error"]["type"] == "NotTrapped"
+
     @pytest.mark.parametrize("r", ["1e15", "1.000000000000001e15"])
     def test_stationary_phase_without_digits_exits_3_with_one_line(self, tmp_path,
                                                                    capsys, r):

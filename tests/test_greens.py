@@ -195,6 +195,32 @@ def cos_difference_kernel(r, t, params, kind):
     return w * (-float(np.trapezoid(integrand, k)) / ((2.0 * np.pi) ** 2 * r))
 
 
+def direct_integrals(r, t, params, k_window):
+    """The quadrature integrals as they stood before the angle-addition
+    table: one sin(kr) per node and point, summed against the same weighted
+    time factor on the same 8192-node blocks.  The oracle of
+    greens._dispersive_integrals."""
+    k_end = 1.8 * k_window
+    counts = np.minimum(np.maximum(
+        4096.0, 40 * k_end * np.fmax(np.fmax(r, t), 1.0) / (2 * np.pi)), 4_000_000).astype(int)
+    out = np.zeros(r.shape)
+    for i, n in enumerate(counts):
+        h = k_end / (n - 1)
+        for j0 in range(0, n, 8192):
+            j = np.arange(j0, min(j0 + 8192, n))
+            k = j * h
+            wk = params.omega_k(k)
+            excess = params.omega_hat**2 / (wk + k)
+            weighted = (2.0 * h) * (k / wk) * np.exp(-((k / k_window) ** 8))
+            if j0 == 0:
+                weighted[0] *= 0.5
+            if j0 + 8192 >= n:
+                weighted[-1] *= 0.5
+            time_factor = np.sin(j * (h * t[i]) + t[i] * excess) * weighted
+            out[i] += np.sum(np.sin(r[i] * k) * time_factor)
+    return out
+
+
 def bessel_kernel(r, t, omega_hat):
     """The retarded massive kernel inside the cone in closed form,
     omega_hat J1(omega_hat s) / (4 pi s) with s = sqrt(t^2 - r^2)."""
@@ -336,6 +362,24 @@ class TestScans:
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("error: OriginSingular")
+
+    # node counts: the 4096 floor, one that is not a multiple of the 128-node
+    # sub-block, and counts just past a 8192-node block, whose tail block is
+    # short (one node for 8193)
+    @pytest.mark.parametrize("nodes", [4096, 5000, 8193, 8200, 20001])
+    @pytest.mark.parametrize("cutoff", [1.0, 0.8])
+    def test_integrals_match_the_direct_sum_oracle(self, nodes, cutoff):
+        params = DispersionParams(0.9, 60.0)
+        k_window = cutoff * params.k_max
+        # several r share one t, which sets the node count (t > r); t = 3
+        # takes 2062 nodes or fewer, so the floor
+        t = 3.0 if nodes == 4096 else (nodes + 0.5) * 2 * np.pi / (40 * 1.8 * k_window)
+        r, t = np.array([0.1, 0.25, 0.5, 0.7]) * t, np.full(4, t)
+        counts = np.maximum(4096.0, 40 * 1.8 * k_window * t / (2 * np.pi)).astype(int)
+        np.testing.assert_array_equal(counts, nodes)
+        values = greens._dispersive_integrals(r, t, params, k_window)
+        oracle = direct_integrals(r, t, params, k_window)
+        assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_memory_stays_bounded_at_the_node_cap(self):
         # both points take the 4e6-node cap at both cutoffs; a whole-grid

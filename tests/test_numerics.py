@@ -14,6 +14,7 @@ from metronlab.errors import (
     EvaluationBudgetExceeded,
     LapackFailure,
     NoBracket,
+    NoConvergence,
     NonDecayingSource,
     NonFiniteState,
     NotTrapped,
@@ -277,6 +278,23 @@ class TestRadialEigen:
         V[-1] = 0.5
         with pytest.raises(NotTrapped, match="continuum edge"):
             solve_radial_eigen(V, 0, grid=grid)
+
+    def test_passes_cycling_across_the_continuum_edge_are_not_bound(self):
+        # a well 0.1 deep and 1 wide binds nothing: the Robin passes alternate
+        # between omega^2 above the edge and just below it
+        grid = RadialGrid(30.0, 2001)
+        V = 1.0 - 0.1 * np.exp(-(grid.r**2))
+        with pytest.raises(NotTrapped, match="cycles across the continuum edge"):
+            solve_radial_eigen(V, 0, grid=grid)
+
+    def test_passes_that_run_out_below_the_edge_do_not_converge(self, monkeypatch):
+        # two passes of a bound mode whose tail matters (see
+        # test_outer_boundary_term_matters), both below the edge, cannot settle
+        monkeypatch.setattr(numerics, "_ROBIN_PASSES", 2)
+        grid = RadialGrid(30.0, 301)
+        V = 1.0 - np.exp(-((grid.r / 5.0) ** 2))
+        with pytest.raises(NoConvergence, match="2 passes"):
+            solve_radial_eigen(V, 1, grid=grid)
 
     def test_long_forbidden_region(self):
         # one-sided marches would need sub-double omega resolution here
