@@ -17,11 +17,13 @@ The two radial kernels call LAPACK directly, with the arguments SciPy's
 are the same bits without the wrappers' checks: the eigen solve runs one
 `dstebz` bisection per outer-boundary pass and one `dstein` inverse
 iteration per solve, and the Poisson solve is one `dgtsv` call.  An eigen
-solve given a guess of its omega (the self-consistent solvers pass the
-previous sweep's) starts its outer-boundary passes there; its first pass
-picks the mode's eigenvalue by index, as a cold pass does, and each later
-pass tracks it in a narrow value window, so it returns the cold result to
-within a few ulp.
+solve given a guess (the self-consistent solvers pass the previous sweep's
+omega and shape) does not bisect the whole spectrum: a few shifted `dgtsv`
+solves (inverse iteration with Rayleigh-quotient shifts) seed it, its
+passes bisect in a narrow value window around the seed, usually once, and
+one Sturm count confirms the mode's index, so it returns the cold result
+to within a few ulp; a seed that lands on another mode falls back to the
+cold pass.
 """
 
 from __future__ import annotations
@@ -271,14 +273,49 @@ _ROBIN_PASSES = 8
 # eps * ||T||, would leave ~1e-12 absolute error on fine grids)
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 # Relative half-width of the value window in which each pass of a warm start
-# after its first tracks the previous pass's eigenvalue (one Robin update old)
+# tracks its seed's or the previous pass's eigenvalue (one Robin update old)
 _WARM_WINDOW = 1e-10
+# An absolute tolerance wider than any interval: stebz then returns the count
+# of eigenvalues in (vl, vu], from a Sturm count at each end, without bisecting
+_COUNT_ABSTOL = np.finfo(float).max
+# Shifted solves a warm seed may take, and the relative change of its
+# Rayleigh quotient at which it stops, well inside _WARM_WINDOW
+_SEED_SOLVES, _SEED_TOL = 6, 1e-7
 # Largest matrix entry (2/h^2 + V, or 1/h^2) the LAPACK calls take.  stebz
 # squares the entries to find where the matrix splits: from sqrt(max) =
 # 1.3e154 on it splits it into wrong 1x1 blocks, then fails (info=4).  stein's
 # inverse iteration overflows to NaN (with info=0) from about 1e145 at 16001
 # points to 1e149 at 16, as measured on the scaled reference well.
 _EIGEN_ENTRY_MAX = 1e140
+
+
+def _shifted_seed(diag, off, d_last, h2, robin_tail, lam, x):
+    """omega^2 of the eigenvector nearest lam, by inverse iteration from x
+    with Rayleigh-quotient shifts (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 4): each `dgtsv` solve of (T - shift) y = x, the
+    first at lam, takes the Robin tail of its shift, and the next shift is
+    the Rayleigh quotient of y.  The quotient is formed in difference form,
+    (sum s_i y_i^2 + sum (y_{i+1} - y_i)^2 / h^2) / sum y_i^2 with s the row
+    sums of T, since y^T T y would cancel ||T|| ~ 4/h^2 against omega^2.
+    Returns the last shift, which the caller checks, and the last y's
+    y_last^2 / sum y_i^2: d omega^2 / d T_last to first order."""
+    s = diag - 2.0 / h2  # the row sums; the interior ones are exact (Sterbenz)
+    s[0] += 1.0 / h2
+    for _ in range(_SEED_SOLVES):
+        last = d_last - robin_tail(lam) / h2  # T's last entry under this shift's tail
+        shifted = diag - lam
+        shifted[-1] = last - lam
+        *_, y, info = dgtsv(off, shifted, off, x, 0, 1, 0, 0)
+        scale = np.max(np.abs(y))
+        if info or not 0.0 < scale < np.inf:
+            break
+        x = y / scale
+        s[-1] = last - 1.0 / h2
+        dx = np.diff(x)
+        shift, lam = lam, (s @ (x * x) + (dx @ dx) / h2) / (x @ x)
+        if abs(lam - shift) <= _SEED_TOL * abs(lam):
+            break
+    return lam, x[-1] * x[-1] / (x @ x)
 
 
 def _count_nodes_floor(u):
@@ -308,14 +345,23 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
 
     Without a guess the passes start from a Dirichlet tail and each bisects
     for eigenvalue m+1 by index over the whole spectrum.  A guess (an earlier
-    omega of the same mode, e.g. the previous sweep's) warm-starts them: the
-    first pass takes the Robin tail of guess^2 and counts guess^2 as the
-    previous eigenvalue, so it can be accepted at once.  It still picks
-    eigenvalue m+1 by index, so a guess of another mode cannot steer it; each
-    later pass tracks that eigenvalue in a window of relative half-width
-    `_WARM_WINDOW` around the previous pass's, over the whole spectrum when
-    the window does not hold exactly one eigenvalue.  Both starts reach the
-    same fixed point to within a few ulp.
+    omega of the same mode, e.g. the previous sweep's, or the (omega,
+    RadialField) pair an earlier solve on this grid returned) seeds them
+    instead: inverse iteration with Rayleigh-quotient shifts, from guess^2
+    and the earlier shape (or a flat vector), each shift with its own Robin
+    tail (`_shifted_seed`, a few `dgtsv` solves), finds the nearby
+    eigenvalue.  Every pass then bisects in a window of relative half-width
+    `_WARM_WINDOW` around the seed's or the previous pass's eigenvalue, so
+    the value returned is still a bisection result.  On the first pass one
+    count-only `dstebz` call confirms that node_count eigenvalues lie below
+    the window; a wrong count (the seed found another mode, so a guess of
+    another mode cannot steer the solve) or a window that does not hold
+    exactly one eigenvalue falls back to bisection by index over the whole
+    spectrum, for that pass.  Until such a fallback the seed's vector also
+    gives d omega^2 / d(last entry), and the passes stop once the next one
+    would move omega^2 by less than an ulp to first order: after the first
+    pass, for the deep tail of a bound mode.
+    Both starts reach the same fixed point to within a few ulp.
 
     A bound mode lies in the window 0 < omega^2 < V(R), below the continuum
     edge; the window's top is sqrt(V(R)) * (1 - 1e-9).  A V(R) that is not
@@ -330,6 +376,9 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
     calls overflow; a LAPACK failure raises LapackFailure (a LinAlgError).
     Returns (omega, RadialField), normalized to max|phi| = 1, phi(0) > 0.
     """
+    shape = None
+    if isinstance(guess, tuple):
+        guess, shape = guess
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n_points,):
         raise ValidationError("potential length must equal n_points")
@@ -361,17 +410,29 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
         kr = np.sqrt(max(V[-1] - lam, 0.0))
         return 1.0 / (1.0 + h * kr - h / grid.r_max)
 
-    lam_prev = float(guess) ** 2 if warm else None
+    lam_prev = weight = None
+    if warm:
+        x = np.ones(diag.size) if shape is None else r[1:-1] * shape.values[1:-1]
+        lam_prev, weight = _shifted_seed(diag, off, d_last, h2, robin_tail,
+                                         float(guess) ** 2, x)
     tail = robin_tail(lam_prev) if warm else 0.0  # 0 is the Dirichlet start
     for k in range(_ROBIN_PASSES):
         diag[-1] = d_last - tail / h2
         m = info = 0
-        if warm and k:
+        if warm:
             # range 'V' (1) bisects the eigenvalues in (vl, vu] alone
             width = _WARM_WINDOW * abs(lam_prev)
             m, w, iblock, isplit, info = dstebz(diag, off, 1, lam_prev - width,
                                                 lam_prev + width, 0, 0, _STEBZ_ABSTOL, "B")
+            if not (k or info) and m == 1:
+                # the seed's eigenvalue must be the mode's: node_count of them
+                # from below every Gershgorin disc (radius 2/h^2) to the window
+                below, _, _, _, info = dstebz(diag, off, 1, diag.min() - 3.0 / h2,
+                                              lam_prev - width, 0, 0, _COUNT_ABSTOL, "B")
+                if below != node_count:
+                    m = 0  # another mode's: bisect by index instead
         if info or m != 1:
+            weight = None  # the seed's vector may be another eigenvalue's
             # range 'I' (2) picks eigenvalue `index` alone; vl, vu are unused;
             # block order 'B' is what dstein expects
             m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index, index,
@@ -381,6 +442,14 @@ def solve_radial_eigen(V, node_count, grid, guess=None):
         lam = float(w[0])
         if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * abs(lam):
             break
+        if weight is not None and lam < V[-1]:
+            # the next pass moves the last entry by (tail(lam) - tail) / h^2, so
+            # omega^2 by weight * tail'(lam) / h^2 * |lam - lam_prev| to first
+            # order, with tail' = tail^2 h / (2 kappa(R)): below an ulp, it is done
+            t = robin_tail(lam)
+            next_change = weight * t * t / (2.0 * h * np.sqrt(V[-1] - lam)) * abs(lam - lam_prev)
+            if next_change <= 1e-16 * abs(lam):
+                break
         lam_before, lam_prev = lam_prev, lam  # the last two passes
         tail = robin_tail(lam)
     else:

@@ -228,11 +228,11 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, *, full_path=False)
     |deltar - r| <= delta holding no other root and no pole it points
     toward r from both sides, and a 1-D flow cannot leave it (Strogatz,
     Nonlinear Dynamics and Chaos, 1994, ch. 2): the verdict at t_max is the
-    same.  Where delta is not below half the root distance, or at C3 = 0
-    the band reaches the pole 0, the run goes to t_max, as it does for a
-    start inside the band (its distance never falls through delta).
-    full_path=True always runs to t_max, for callers that keep the path,
-    such as orbit-drift's drift_path.csv.
+    same.  A batch whose starts all lie in the band already is settled at
+    t = 0, without a step.  Where delta is not below half the root
+    distance, or at C3 = 0 the band reaches the pole 0, the run goes to
+    t_max.  full_path=True always runs to t_max, for callers that keep the
+    path, such as orbit-drift's drift_path.csv.
     """
     starts = np.asarray(delta_r0, dtype=float)
     if starts.ndim > 1:
@@ -254,7 +254,10 @@ def integrate_drift(model: OrbitDriftModel, delta_r0, t_max, *, full_path=False)
             def settle(t, y):
                 return np.max(np.abs(y - root)) - band
 
-    res = integrate_ivp(rhs, starts, (0.0, t_max), tol=1e-10, stop=settle)
+    # the stop fires on a falling crossing of the band, which a start inside
+    # it never makes: a batch settled at the start ends there
+    settled = settle is not None and settle(0.0, starts) <= 0
+    res = integrate_ivp(rhs, starts, (0.0, 0.0 if settled else t_max), tol=1e-10, stop=settle)
     out = []
     for path in res.y.T:
         final = float(path[-1])

@@ -193,7 +193,7 @@ class _PinnedDepthCore:
         seed = np.where(strongest != 0, math.exp(self.log_seed), 0.0)[:, None]
         self.fields = seed * np.exp(-(x * x)) / self.scale
         self.sweeps = 0
-        self.last_omegas = [None] * len(self.orders)  # each mode's eigen warm start
+        self.last_solves = [None] * len(self.orders)  # each mode's (omega, shape) warm start
 
     def sweep(self):
         """Eigen and Poisson solves of every mode in the current fields."""
@@ -202,8 +202,8 @@ class _PinnedDepthCore:
         for p, order in enumerate(self.orders):
             w2 = self.w2[p]
             V = w2 - (self.eps[:, p] * w2) @ self.fields
-            omegas[p], shape = solve_radial_eigen(V, order, self.grid, self.last_omegas[p])
-            self.last_omegas[p] = omegas[p]
+            self.last_solves[p] = solve_radial_eigen(V, order, self.grid, self.last_solves[p])
+            omegas[p], shape = self.last_solves[p]
             shapes.append(shape.values)
             units.append(solve_radial_poisson(RadialField(self.grid, w2 * shape.values**2)).values)
         source = np.zeros_like(self.fields) if self.extra is None else self.extra(self.fields)
@@ -511,6 +511,8 @@ _PHI2_COLD_STEPS = 40
 _PHI2_NEWTON_STEPS = 8
 # phi2(0) of the eta2 = 0 free wave, which no equation fixes
 _FREE_PHI2_AMPLITUDE = 0.3
+# Veltkamp's splitter: a * _SPLIT parts a double into two 26-bit halves
+_SPLIT = 2.0**27 + 1.0
 
 
 def _cold_phi2(c, u):
@@ -563,10 +565,13 @@ def _newton_steps(c, h, u):
     """Newton's method of `_newton_phi2` from (u_1..u_{n-1}): the root with
     u_0 = 0 prepended.  The Jacobian is tridiagonal, so a step is one
     `dgtsv`.  Once a step settles to 1e-14 (relative) one more step polishes
-    the last bits, so starts that reach the root by different paths end on
-    the same bits.  None when a step fails or leaves u non-finite, the steps
-    do not settle within _PHI2_NEWTON_STEPS, or the root has a node or an
-    amplitude u_1 / h outside (1e-12, 1e12)."""
+    the last bits.  Its rows are summed to about eps of themselves
+    (`_accurate_rows`), where the plain sum leaves about half an ulp of
+    noise in the step, so it rounds u to the floats nearest the root and
+    starts that reach the root by different paths end on the same bits.
+    None when a step fails or leaves u non-finite, the steps do not settle
+    within _PHI2_NEWTON_STEPS, or the root has a node or an amplitude
+    u_1 / h outside (1e-12, 1e12)."""
     n = len(u) + 1
     u = np.concatenate(([0.0], u))
     settled = False
@@ -576,7 +581,9 @@ def _newton_steps(c, h, u):
             # second differences as differences of first differences, which
             # are exact wherever neighbours lie within a factor 2 of each other
             d = np.diff(u)
-            res = np.append(d[1:] - d[:-1] + c * x * x * x, d[-1])
+            second = d[1:] - d[:-1]
+            rows = _accurate_rows(second, c, x) if settled else second + c * x * x * x
+            res = np.append(rows, d[-1])
             diag = np.append(3.0 * c * x * x - 2.0, 1.0)
             lower = np.append(np.ones(n - 3), -1.0)
             # every array is a temporary, so LAPACK may overwrite them all
@@ -594,6 +601,31 @@ def _newton_steps(c, h, u):
     if not (1e-12 < u[1] / h < 1e12 and u.min() >= 0.0):
         return None
     return u
+
+
+def _two_product(a, b):
+    """a * b as p + e exactly (Dekker, Numer. Math. 18, 224, 1971)."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _accurate_rows(second, c, x):
+    """second + c x^3 to about eps of the sum rather than of its terms: the
+    cube as p + e from exact products, the sum by Knuth's two-sum (TAOCP
+    vol. 2, 4.2.2).  Rows whose splitting overflows keep the plain sum."""
+    x2, e2 = _two_product(x, x)
+    x3, e3 = _two_product(x2, x)
+    p, e = _two_product(c, x3)
+    e += c * (e3 + e2 * x)
+    t = second + p
+    z = t - second
+    rows = t + (((second - (t - z)) + (p - z)) + e)
+    return np.where(np.isfinite(rows), rows, second + c * x * x * x)
 
 
 def _decayed_tail(src, grid):

@@ -427,20 +427,26 @@ class TestLapackKernels:
 
     def test_one_eigenvector_per_returned_solve(self, monkeypatch):
         # the reference single-mode solve: every eigen solve after the first
-        # starts from the previous sweep's omega, so its first Robin pass picks
-        # the eigenvalue by index ('I') and its later passes track it in a
-        # 1e-10 window ('V'); dstein runs once per solve that returns, and
-        # once in the one sweep that fails the tail check
+        # is seeded by shifted inverse iteration from the previous sweep's
+        # omega and shape, so its Robin passes track the eigenvalue in 1e-10
+        # windows ('V') and one count-only 'V' call (a huge tolerance)
+        # confirms its index; a whole-spectrum bisection by index ('I') is
+        # left to the cold first solve and the rare seed that fails that
+        # check.  dstein runs once per solve that returns, and once in the
+        # one sweep that fails the tail check
         calls = {"window": 0, "full": 0, "dstein": 0}
         half_widths = []
+        count_tols = []  # the tolerance of each 'V' call from below the spectrum
         returned = []
 
         def stebz(*args):
-            if args[2] == 1:
+            if args[2] == 2:
+                calls["full"] += 1
+            elif args[3] < 0.0:
+                count_tols.append(args[7])
+            else:
                 calls["window"] += 1
                 half_widths.append((args[4] - args[3]) / (args[4] + args[3]))
-            else:
-                calls["full"] += 1
             return dstebz(*args)
 
         def stein(*args):
@@ -459,9 +465,14 @@ class TestLapackKernels:
         sol = iterate_single_mode(SingleModeParams(omega_hat=1.0, epsilon=1.0))
         assert sol.iterations_used == len(returned) == 18
         assert calls["dstein"] == len(returned) + 1
-        assert calls["full"] <= 25 and calls["window"] >= 23
-        # no wide first-pass window: every window is the 1e-10 tracking one
+        # the index passes were 25 when every warm solve began with one
+        assert calls["full"] <= 4
+        # every other call is a 1e-10 tracking window, or a count from below
+        # the spectrum with a tolerance that leaves it unrefined, at most one
+        # per warm solve (18: 17 returned, 1 raised)
         assert max(half_widths) < 2e-10
+        assert min(count_tols) >= 1e300
+        assert 0 < len(count_tols) <= len(returned) <= calls["window"]
 
     def test_failed_warm_start_computes_one_eigenvector(self, monkeypatch):
         # mode 0 of this shallow well is bound below the continuum edge, but
@@ -584,6 +595,89 @@ class TestWarmStart:
         grid, V = self._problem(201)
         with pytest.raises(ValueError, match="guess"):
             solve_radial_eigen(V, 0, grid=grid, guess=guess)
+
+
+def _stebz_calls(monkeypatch):
+    """A list that grows by the kind of each dstebz call: "index" (range 'I',
+    the whole spectrum), "count" (range 'V' with a tolerance wider than any
+    interval) or "window" (range 'V', bisected)."""
+    kinds = []
+    dstebz = numerics.dstebz
+
+    def stebz(*args):
+        kinds.append("index" if args[2] == 2 else
+                     "count" if args[7] == np.finfo(float).max else "window")
+        return dstebz(*args)
+
+    monkeypatch.setattr(numerics, "dstebz", stebz)
+    return kinds
+
+
+class TestWarmSeed:
+    """A warm solve seeded by shifted inverse iteration from a far guess
+    still returns its own mode, checked against numpy's dense `eigvalsh`
+    (LAPACK dsyevd: a reduction to tridiagonal form and divide and conquer,
+    not bisection) of the same Robin-closed matrix."""
+
+    @pytest.mark.parametrize("n_points", [201, 801, 2001])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_far_guesses_match_the_dense_eigenvalue(self, mode, n_points):
+        grid, V = TestWarmStart._problem(n_points)
+        h = grid.spacing
+        omegas = [solve_radial_eigen(V, m, grid=grid)[0] for m in range(3)]
+        guesses = [omegas[mode] * f for f in (0.5, 0.8, 1.25, 2.0)]
+        guesses += [omegas[m] for m in range(3) if m != mode]
+        found = [solve_radial_eigen(V, mode, grid=grid, guess=g) for g in guesses]
+        kr = np.sqrt(V[-1] - found[0][0] ** 2)
+        robin = 1.0 / (1.0 + h * kr - h / grid.r_max)
+        dense = np.linalg.eigvalsh(_dense_operator(V, grid, robin))[mode]
+        # dsyevd's eigenvalues are good to a small multiple of eps ||T||
+        bound = 64 * np.finfo(float).eps * (4.0 / h**2 + np.max(V))
+        for omega, phi in found:
+            assert abs(omega**2 - dense) <= bound
+            assert abs(omega - found[0][0]) <= 4 * np.spacing(omega)
+            assert _sign_changes(phi) == mode
+
+    def test_guess_of_another_mode_at_4001_points_falls_back(self, monkeypatch):
+        # the shifts settle on the guessed mode's eigenvalue, whose Sturm
+        # count is wrong; the solve falls back to bisection by index
+        grid, V = TestWarmStart._problem(4001)
+        omegas = [solve_radial_eigen(V, m, grid=grid)[0] for m in range(3)]
+        calls = _stebz_calls(monkeypatch)
+        for mode in range(3):
+            for other in set(range(3)) - {mode}:
+                calls.clear()
+                omega, phi = solve_radial_eigen(V, mode, grid=grid, guess=omegas[other])
+                assert calls[:2] == ["window", "count"] and "index" in calls
+                assert abs(omega - omegas[mode]) <= 4 * np.spacing(omegas[mode])
+                assert _sign_changes(phi) == mode
+
+    def test_a_guess_with_its_shape_takes_one_window_pass(self, monkeypatch):
+        # the previous solve's (omega, shape) of a slightly deeper well, as a
+        # sweep passes it: the seed lands in the window, the count agrees, and
+        # the tails are deep, so the next pass could move omega^2 by far less
+        # than an ulp and is not made
+        grid, V = TestWarmStart._problem(2001)
+        calls = _stebz_calls(monkeypatch)
+        for mode in range(3):
+            previous = solve_radial_eigen(V - 1e-3, mode, grid=grid)
+            cold = solve_radial_eigen(V, mode, grid=grid)[0]
+            calls.clear()
+            omega, phi = solve_radial_eigen(V, mode, grid=grid, guess=previous)
+            assert calls == ["window", "count"]
+            assert abs(omega - cold) <= 4 * np.spacing(cold)
+            assert _sign_changes(phi) == mode
+
+    def test_a_tail_that_matters_takes_another_window_pass(self, monkeypatch):
+        # mode 0 of this shallow well is not small at R = 12 (the tail check
+        # refuses it): the Robin term moves omega^2 at first order, so the
+        # passes go on until two agree
+        grid = RadialGrid(12.0, 401)
+        V = 1.0 - 0.5 * np.exp(-((grid.r / 6.0) ** 2))
+        calls = _stebz_calls(monkeypatch)
+        with pytest.raises(NotTrapped, match="tail magnitude"):
+            solve_radial_eigen(V, 0, grid=grid, guess=0.9)
+        assert calls[:2] == ["window", "count"] and calls.count("window") >= 2
 
 
 class TestRadialPoisson:

@@ -309,12 +309,21 @@ class TestSettledDrift:
         assert settled[0]["t"][-1] < 600.0
         assert [_verdict(s) for s in settled] == [_verdict(f) for f in full[6:]]
 
-    def test_a_start_on_the_root_runs_to_t_max(self, monkeypatch):
-        # the distance starts inside the band: the stop sees no falling crossing
+    @pytest.mark.parametrize("offset", [0.0, 1e-10])
+    def test_a_start_inside_the_band_is_settled_at_once(self, monkeypatch, offset):
+        # the stop sees no falling crossing from inside the band: such a start
+        # ran 794-796 steps to t_max, and now takes none
         stable = drift_equilibria(CANYON)[1][0]
-        res, ivp = _drift_runs(monkeypatch, CANYON, stable, 600.0)
-        assert not ivp.stopped and res["t"][-1] == 600.0
+        res, ivp = _drift_runs(monkeypatch, CANYON, stable + offset, 600.0)
+        assert ivp.steps == 0 and res["t"].tolist() == [0.0]
+        assert res["delta_r"].tolist() == [stable + offset]
         assert res["verdict"] == "TrappedAt" and res["root"] == stable
+        full = integrate_drift(CANYON, stable + offset, 600.0, full_path=True)
+        assert full["t"][-1] == 600.0 and _verdict(full) == _verdict(res)
+        # a batch settles at once only when every start is inside the band
+        batch = integrate_drift(CANYON, np.array([stable, stable + offset, -0.071]), 600.0)
+        assert 0.0 < batch[0]["t"][-1] < 600.0
+        assert [b["verdict"] for b in batch] == ["TrappedAt"] * 3
 
     def test_a_near_double_root_runs_to_t_max(self, monkeypatch):
         # s = sqrt(C1^2 + C2 - C3) ~ 3e-10 is below the band 1e-9, which would

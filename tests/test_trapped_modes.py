@@ -516,6 +516,22 @@ class TestPhi2FlatTail:
         np.testing.assert_array_equal(found[4], found[1])
         np.testing.assert_array_equal(found[5], found[1])
 
+    def test_shaped_starts_end_on_the_same_bits_for_nearby_phi0(self, phi2_problem):
+        # phi0 moved by 1e-13 (relative), as a kernel change moves the
+        # converged field: with the polish step's plain row sums, starts of
+        # different shapes ended 1-2 ulp apart for about half of such phi0
+        grid, base = phi2_problem
+        r = grid.r[1:]
+        h = grid.spacing
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            phi0 = base * (1.0 + 1e-13 * rng.standard_normal(base.size))
+            c = (h * h * 2.0) * phi0[1:-1] / (r[:-1] * r[:-1])
+            roots = [trapped_modes._newton_steps(c, h, trapped_modes._cold_phi2(c, start))
+                     for start in (np.ones_like(r), r, 1.0 + np.sin(r) ** 2)]
+            for u in roots[1:]:
+                np.testing.assert_array_equal(u, roots[0])
+
     def test_returned_phi2_is_the_march_at_the_root(self, phi2_problem):
         grid, phi0 = phi2_problem
         phi2 = trapped_modes._newton_phi2(grid, phi0, 1.0, 1.0)
