@@ -507,8 +507,10 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
     rank 2 because the star wavenumbers sum to zero; the minimum-norm
     solution is returned together with the residual of the full system.
     SingularVChoice is raised when the diagonal direction vectors have
-    parallel color-plane projections.
+    parallel color-plane projections; a non-finite eps3, eps8 or direction
+    component is a ValidationError.
     """
+    require_finite(eps3=eps3, eps8=eps8)
     ks = star["wavenumbers"]
     w2 = star["omega_hat_f"] ** 2
     C = 2.0 * float(ks[0] @ ks[1])
@@ -516,6 +518,7 @@ def gauge_correspondence(star, eps3, eps8, v_diag=None):
         v_diag = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2.0))
     v_diag = tuple(np.asarray(v, dtype=float) for v in v_diag)
     W = np.column_stack(v_diag)  # 2 x 3 color-plane projections
+    require_finite(v_diag=W)
     if np.linalg.matrix_rank(W, tol=1e-12) < 2:
         raise SingularVChoice("diagonal direction vectors are collinear")
     K = np.array(ks)  # 3 x 2

@@ -120,12 +120,18 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
     delta_width in its support argument.
 
     The closed-form (method of characteristics) answer for the retarded
-    branch is -s(t - r) / (2 pi r).
+    branch is -s(t - r) / (2 pi r).  r and the (at least 2) times are
+    finite, delta_width is positive, and the field is in the float range.
     """
     weights = _branch_weights(kind)
+    require_finite(r=r)
+    require_positive(delta_width=delta_width)
     if r <= 0:
         raise OriginSingular("field evaluated at r = 0")
     t_grid = np.asarray(t_grid, dtype=float)
+    require_finite(t_grid=t_grid)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValidationError("t_grid must hold at least 2 times")
     width = t_grid[-1] - t_grid[0]
     # the source-time grid must resolve the mollified delta
     n_tp = int(np.ceil(3.0 * width / (delta_width / 8.0)))
@@ -133,17 +139,18 @@ def convolve_nondispersive(source, r, t_grid, kind="retarded", delta_width=0.02)
     s_vals = source(tp)
     out = np.zeros_like(t_grid)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * delta_width)
-    for i, t in enumerate(t_grid):
-        acc = 0.0
-        # the advanced branch is the retarded one in the mirrored delay -tau
-        for w, delay in zip(weights, (t - tp, tp - t)):
-            if w:
-                sel = delay > 0
-                acc += w * np.trapezoid(
-                    norm * np.exp(-((r - delay[sel]) ** 2) / (2 * delta_width**2)) * s_vals[sel],
-                    tp[sel],
-                )
-        out[i] = -acc / (2.0 * np.pi * r)
+    # a far point's Gaussian is exp(-inf) = 0; a field that overflows is refused below
+    with np.errstate(over="ignore"):
+        for i, t in enumerate(t_grid):
+            acc = 0.0
+            # the advanced branch is the retarded one in the mirrored delay -tau
+            for w, delay in zip(weights, (t - tp, tp - t)):
+                if w:
+                    sel = delay > 0
+                    gauss = np.exp(-((r - delay[sel]) ** 2) / (2 * delta_width**2))
+                    acc += w * np.trapezoid(norm * gauss * s_vals[sel], tp[sel])
+            out[i] = -acc / (2.0 * np.pi * r)
+    require_finite(field=out)
     return out
 
 
@@ -555,8 +562,13 @@ def damping_coefficient(FR, k0, omega0, dispersion: DispersionParams):
 
     restricted to the free-wave dispersion surface omega = omega_k.  FR is
     the isotropic response variance spectrum FR(q, w) >= 0 with q = |dk|.
+    k0, its square and omega0 are finite, and omega_k0^2 is nonzero.
     """
     k0 = float(k0)
+    # a float product overflows to inf (or underflows to 0), where ** raises
+    require_finite(k0=k0, omega0=omega0, k0_squared=k0 * k0)
+    wk0 = float(dispersion.omega_k(k0))
+    require_positive(omega_k0_squared=wk0 * wk0)
     k = np.linspace(0.0, dispersion.k_max, 400)
     theta, wth = np.polynomial.legendre.leggauss(200)
     cos_t = theta  # Gauss-Legendre nodes on [-1, 1]
@@ -568,7 +580,6 @@ def damping_coefficient(FR, k0, omega0, dispersion: DispersionParams):
         raise ValidationError("response spectrum must be nonnegative")
     inner = vals @ wth  # integral over cos(theta)
     integral = 2.0 * np.pi * np.trapezoid(k * k * inner, k)
-    wk0 = float(dispersion.omega_k(k0))
     return np.pi / (4.0 * wk0**2) * integral
 
 

@@ -6,16 +6,17 @@ columnar and works a block of rows at a time: in each block an array
 column is formatted once per distinct value and the strings are indexed
 back into the rows.  The bytes are those of csv.writer with minimal quoting
 over format_number's cells, row by row.
-JSON: ASCII with sorted keys and a two-space indent, the bytes of json.dump
-with indent=2 and sort_keys=True, built in one pass and written at once; a
-list of floats is joined from float.__repr__ in one go.  Config files: flat
-"key = value" lines with '#' comments.
+JSON: the bytes of json.dump with indent=2 and sort_keys=True (ASCII, sorted
+keys, two-space indent) and a newline, written at once.  The text is
+json.dumps's, but a list of finite floats at a top-level key is joined from
+float.__repr__ in one pass: with indent set, json leaves its C encoder
+aside and spends far longer per item.  Config files: flat "key = value"
+lines with '#' comments.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -102,101 +103,42 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
 
 
-def _float_text(x):
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _floats_text(values, sep):
-    """values joined by sep as json writes floats, from float.__repr__ in one
-    pass, or None when one of them is not a float."""
-    try:
-        text = sep.join(map(float.__repr__, values))
-    except TypeError:
+def _float_list_text(value):
+    """The items of value joined as json writes them at a top-level key, from
+    float.__repr__ in one pass, when value is a non-empty list, tuple or 1-D
+    float64 array of finite floats; else None."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        value = value.tolist()  # nested lists for a 2-D array, which fail below
+    if not isinstance(value, (list, tuple)) or not value:
         return None
-    if "n" in text:  # a nan or inf repr, which json writes NaN, Infinity
-        text = sep.join(map(_float_text, values))
-    return text
-
-
-def _key_text(key):
-    """A dict key as json writes it, quoted."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return '"' + _float_text(key) + '"'
-    if key is True or key is False or key is None:
-        return '"' + json.dumps(key) + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _encode(obj, newline, parts):
-    """Append obj's JSON text to parts; newline is a line break and the
-    indent of the line obj starts on.  What json cannot encode itself goes
-    through _json_default."""
-    if isinstance(obj, str):
-        parts.append(_encode_str(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        parts.append("[" + inner)
-        text = _floats_text(obj, sep)
-        if text is not None:
-            parts.append(text)
-        else:
-            for i, value in enumerate(obj):
-                if i:
-                    parts.append(sep)
-                _encode(value, inner, parts)
-        parts.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        parts.append("{")
-        sep = inner
-        for key, value in sorted(obj.items()):
-            parts.append(sep + _key_text(key) + ": ")
-            _encode(value, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
-    else:
-        _encode(_json_default(obj), newline, parts)
+    try:
+        text = ",\n    ".join(map(float.__repr__, value))
+    except TypeError:  # not every item is a float
+        return None
+    return None if "n" in text else text  # nan and inf, which json spells NaN, Infinity
 
 
 def write_json(path, payload):
     """Write payload as json.dump(payload, fh, indent=2, sort_keys=True,
     default=_json_default) and a newline would, in one write; returns the
     path."""
-    parts = []
-    _encode(payload, "\n", parts)
-    parts.append("\n")
+    floats = {}
+    if isinstance(payload, dict) and all(isinstance(k, str) for k in payload):
+        floats = {k: text for k, v in payload.items() if (text := _float_list_text(v)) is not None}
+    if floats:
+        parts = ["{"]
+        for i, key in enumerate(sorted(payload)):
+            parts.append(("," if i else "") + "\n  " + _ENCODER.encode(key) + ": ")
+            if key in floats:
+                parts += ("[\n    ", floats[key], "\n  ]")
+            else:
+                parts.append(_ENCODER.encode(payload[key]).replace("\n", "\n  "))
+        parts.append("\n}\n")
+    else:
+        parts = [_ENCODER.encode(payload), "\n"]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

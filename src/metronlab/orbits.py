@@ -48,14 +48,19 @@ def central_frequency(u4_samples, T, omega_e):
     """Mean phase rate over one orbital period.
 
     omega_bar = omega_e * T^-1 * Int_0^T [u4(t)]^-1 dt by trapezoidal
-    quadrature; u4 is the Lorentz factor along the orbit and must satisfy
-    u4 >= 1 everywhere.
+    quadrature over uniform samples, in the unit time t/T, where T cancels
+    (so a tiny T cannot overflow); u4 is the Lorentz factor along the
+    orbit, at least 2 samples that satisfy u4 >= 1 everywhere, and T is
+    positive.
     """
     u4 = np.asarray(u4_samples, dtype=float)
+    require_positive(T=T)
+    require_finite(u4_samples=u4, omega_e=omega_e)
+    if u4.ndim != 1 or len(u4) < 2:
+        raise ValidationError("u4_samples must be a series of at least 2 samples")
     if np.any(u4 < 1.0):
         raise InvalidSamples("u4 < 1 is not a Lorentz factor")
-    t = np.linspace(0.0, T, len(u4))
-    return omega_e / T * float(np.trapezoid(1.0 / u4, t))
+    return omega_e * float(np.trapezoid(1.0 / u4, np.linspace(0.0, 1.0, len(u4))))
 
 
 @dataclass(frozen=True)
@@ -80,22 +85,30 @@ def forcing_spectrum(modulation, phase, T):
     deltaS(t) = [S(t) - S(0)] - (t/T) [S(T) - S(0)] removes the secular
     phase; the periodic remainder is Fourier analyzed at the orbital
     harmonics omega_bar + n*Omega.  Both series must share one uniform
-    grid covering exactly one period (last sample at t = T).
+    grid covering exactly one period (last sample at t = T), of at least
+    2 finite samples, with T positive and the top harmonic in the float
+    range.
     """
     g = np.asarray(modulation, dtype=complex)
     S = np.asarray(phase, dtype=float)
     if g.shape != S.shape or g.ndim != 1:
         raise GridMismatch("modulation and phase must share one sampling grid")
     n_samp = len(g)
+    if n_samp < 2:
+        raise ValidationError("modulation and phase need at least 2 samples")
+    require_positive(T=T)
+    require_finite(modulation=g, phase=S)
+    n_lines = (n_samp - 1) // 2
     t = np.linspace(0.0, T, n_samp)
-    omega_bar = (S[-1] - S[0]) / T
-    delta_s = (S - S[0]) - (t / T) * (S[-1] - S[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, refused here
+        omega_bar = (S[-1] - S[0]) / T
+        Omega = 2.0 * np.pi / T
+        delta_s = (S - S[0]) - (t / T) * (S[-1] - S[0])
+        require_finite(top_harmonic=abs(omega_bar) + n_lines * Omega, secular_phase=delta_s)
     m = g * np.exp(1j * delta_s)
     # periodic Fourier coefficients via trapezoid = plain mean on [0, T)
     mm = m[:-1]
     tt = t[:-1]
-    Omega = 2.0 * np.pi / T
-    n_lines = (n_samp - 1) // 2
     lines = tuple((n, omega_bar + n * Omega, complex(np.mean(mm * np.exp(-1j * n * Omega * tt))))
                   for n in range(-n_lines, n_lines + 1))
     return ForcingSpectrum(omega_bar=float(omega_bar), Omega=float(Omega), lines=lines)

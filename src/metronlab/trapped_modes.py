@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     LambdaOutOfRange,
@@ -47,6 +46,7 @@ from .errors import (
 from .numerics import (
     RadialField,
     RadialGrid,
+    dgtsv,
     radial_laplacian,
     solve_radial_eigen,
     solve_radial_poisson,

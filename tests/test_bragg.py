@@ -330,6 +330,23 @@ class TestVerdictStop:
         assert len(s) - 1 <= 300
         assert abs(dS[-1] - (dS[0] - 4.0 * np.pi)) < 1e-9
 
+    # By the first integral, dDeltaS/ds = -gamma (B + sin(DeltaS + phi)): the
+    # phase takes 2 pi / (gamma sqrt(B^2 - 1)) to fall through each 2 pi,
+    # from any start phi, so the stop is at s* = 4 pi / (gamma sqrt(B^2 - 1)).
+    # The error grows as 1/(B - 1) through the slow passage near sin = -1,
+    # at about 0.15 of the integration tolerance 1e-11 over B - 1: over phi
+    # every 0.5 the worst cells read 1.4e-9 at B = 1.001 and 1.3e-8 at
+    # B = 1.0001, so the bound is 2e-12 / (B - 1), and 1e-9 far from B = 1.
+    @pytest.mark.parametrize("B", [1.0001] + list(1.0 + np.geomspace(1e-3, 2.76, 7)))
+    def test_the_stop_falls_at_the_closed_form_4pi_time(self, B):
+        rtol = max(1e-9, 2e-12 / (B - 1.0))
+        for phi, gamma in product(np.arange(0.0, 6.3, 0.75), [0.5, 2.5]):
+            state = BraggTrapState(E=(B + np.sin(phi)) * gamma, deltaS=0.0, gamma=gamma,
+                                   phi=phi, omega0=1.0)
+            s_star = 4.0 * np.pi / (gamma * np.sqrt(B * B - 1.0))
+            res = trap_verdict_by_integration(state)
+            assert res["s_end"] == pytest.approx(s_star, rel=rtol), (phi, gamma)
+
     @pytest.mark.parametrize("E,omega0", [(0.999, 1.0), (0.5, -1.0)])
     def test_a_trapped_cell_runs_to_s_max(self, E, omega0):
         state = BraggTrapState(E=E, deltaS=0.0, gamma=1.0, phi=0.0, omega0=omega0)

@@ -5,8 +5,9 @@ filter turns a floating-point warning into a failure, so no call warns.
 
 Every number is drawn from the edges of the float range (NaN, +-inf, 0,
 +-1e300, +-1e-300 and the subnormal 1e-320), from one value that reaches
-the computation, or from [-10, 10].  Grids hold 101 points and solvers take
-at most 3 sweeps, so no call runs long.  The command lines at the end each
+the computation, or from [-10, 10].  Grids hold 101 points, solvers take
+at most 3 sweeps and the convolution's times and widths come from short
+lists, so no call runs long.  The command lines at the end each
 once exited 1 with a traceback or printed a RuntimeWarning.
 """
 
@@ -170,11 +171,43 @@ def _bohr(d):
     return orbits.bohr_check(d(num(-0.5)), d(num(-0.55)), d(num()), d(num()))
 
 
+def _central_frequency(d):
+    return orbits.central_frequency(d(st.lists(num(1.5), max_size=4)), d(num(2.0 * math.pi)),
+                                    d(num()))
+
+
+def _forcing_spectrum(d):
+    n = d(st.integers(0, 5))
+    return orbits.forcing_spectrum([d(cplx()) for _ in range(n)], [d(num()) for _ in range(n)],
+                                   d(num()))
+
+
+def _convolve(d):
+    # the source-time grid has about 24 (t_max - t_min) / delta_width nodes
+    times = d(st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, 2.0]),
+                       max_size=3))
+    width = d(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.05]))
+    return greens.convolve_nondispersive(np.cos, d(num()), times,
+                                         d(st.sampled_from(list(greens.KERNEL_KINDS))), width)
+
+
+def _damping(d):
+    dispersion = greens.DispersionParams(d(num()), d(num(60.0)))
+    return greens.damping_coefficient(lambda q, w: np.exp(-q * q), d(num()), d(num()),
+                                      dispersion)
+
+
+def _gauge(d):
+    v_diag = d(st.none() | st.lists(st.lists(num(), min_size=2, max_size=2),
+                                    min_size=3, max_size=3))
+    return algebra.gauge_correspondence(algebra.quark_star(1.0), d(num()), d(num()), v_diag)
+
+
 CALLS = {f.__name__.lstrip("_"): f for f in (
     _eigen, _field, _ivp, _single_mode, _multimode, _fifth_order, _lattice, _bragg_state,
     _drift, _drift_primitives, _three_mode, _mode_response, _variances, _pair_growth, _formulas,
     _momentum_exchange, _freewave, _polarization, _quark_star, _calibrate, _scale_ratio,
-    _bohr)}
+    _bohr, _central_frequency, _forcing_spectrum, _convolve, _damping, _gauge)}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -207,10 +240,27 @@ def test_every_call_returns_or_raises_a_metronlab_error(name, data):
     lambda: orbits.bohr_check(0.0, 1.0, 1.0, 1.0),
     lambda: orbits.bohr_check(1.0, 1.0, 1.0, 0.0),
     lambda: orbits.bohr_check(1.0, math.nan, 1.0, 1.0),
+    lambda: orbits.central_frequency([1.0, 2.0], 0.0, 1.0),
+    lambda: orbits.central_frequency([1.0, 2.0], math.nan, 1.0),
+    lambda: orbits.central_frequency([1.0, math.nan], 1.0, 1.0),
+    lambda: orbits.central_frequency([1.5], 1.0, 1.0),
+    lambda: orbits.forcing_spectrum(np.ones(9), np.zeros(9), 0.0),
+    lambda: orbits.forcing_spectrum(np.ones(9), np.zeros(9), math.inf),
+    lambda: orbits.forcing_spectrum([1.0], [0.0], 1.0),
+    lambda: greens.convolve_nondispersive(np.cos, math.nan, [0.0, 1.0]),
+    lambda: greens.convolve_nondispersive(np.cos, 1.0, [0.0, 1.0], delta_width=0.0),
+    lambda: greens.convolve_nondispersive(np.cos, 1e-320, [0.0, 1.0]),
+    lambda: greens.damping_coefficient(lambda q, w: np.exp(-q * q), math.nan, 1.4,
+                                       greens.DispersionParams(1.0)),
+    lambda: algebra.gauge_correspondence(algebra.quark_star(1.0), 0.4, -0.7,
+                                         [[math.nan, 0.0], [0.0, 1.0], [1.0, 1.0]]),
 ], ids=["grid-1e300", "drift-c1-1e200", "drift-mu-1e200", "star-1e200", "star-inf",
         "threemode-a1-1e200", "eps-1e-320", "fifth-1e200", "ivp-tol-nan", "scale-nan",
         "scale-inf", "single-max-iters-0", "multimode-max-iters-0", "fifth-max-iters-neg",
-        "bohr-omega-0", "bohr-m-0", "bohr-energy-nan"])
+        "bohr-omega-0", "bohr-m-0", "bohr-energy-nan", "central-period-0",
+        "central-period-nan", "central-u4-nan", "central-one-sample", "forcing-period-0",
+        "forcing-period-inf", "forcing-one-sample", "convolve-r-nan", "convolve-width-0",
+        "convolve-field-overflow", "damping-k0-nan", "gauge-direction-nan"])
 def test_inputs_out_of_range_are_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
@@ -220,6 +270,11 @@ def test_pair_growth_rate_of_a_huge_damping_is_finite():
     # (mu/2)^2 overflows, but the rate itself is about |K A1|^2 / mu
     rate = orbits.pair_growth_rate(1.0, 1.0, 1e200)
     assert 0.0 <= rate < 1e-199
+
+
+def test_far_field_of_the_convolution_is_zero():
+    # the mollified delta's exponent overflows to -inf, whose exp is 0
+    assert not greens.convolve_nondispersive(np.cos, 1e300, [0.0, 1.0], "symmetric").any()
 
 
 def test_nan_potential_inside_the_box_is_validation_error():

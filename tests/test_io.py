@@ -1,6 +1,6 @@
 """The columnar CSV writer against the row writer it replaced: csv.writer
 with minimal quoting over format_number's cells, one row at a time; and the
-one-pass JSON writer against json.dump with indent=2 and sort_keys=True.
+JSON writer against json.dump with indent=2 and sort_keys=True.
 Every case must come out byte for byte the same."""
 
 import csv
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from metronlab import cli
 from metronlab.io import _json_default, format_number, write_csv, write_json
+from metronlab.trapped_modes import SingleModeParams, iterate_single_mode
 
 
 def oracle_csv(path, columns):
@@ -128,6 +129,12 @@ PAYLOADS = st.recursive(LEAVES, lambda children: st.one_of(
 @given(payload=PAYLOADS)
 @example(payload={})
 @example(payload=[{}, [], {"a": []}, np.array([]), "é", [[[-0.0]]]])
+@example(payload=iterate_single_mode(SingleModeParams(1.0, 1.0)).to_json_dict())
+@example(payload={"a": np.linspace(-1.0, 1.0, 7), "b": np.array([0.1, -0.0, 5e-324])})
+@example(payload={"x": [0.5, np.nan, 1.0], "y": [np.inf, -1e300], "z": [-np.inf]})
+@example(payload={"t": (0.1, -0.0, 2.0**53 + 2.0), "e": (), "one": (1e-300,)})
+@example(payload={1: [0.1, 0.2], 2.5: [0.3, -0.0], False: "x"})
+@example(payload=[0.1, [0.2, 0.3], {"a": [0.4]}])
 def test_json_bytes_match_json_dump(tmp_path, payload):
     got = write_json(tmp_path / "got.json", payload)
     assert got == tmp_path / "got.json"

@@ -42,6 +42,12 @@ class TestCentralFrequency:
         with pytest.raises(InvalidSamples):
             central_frequency(np.array([1.0, 0.99, 1.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("T", [1e-320, 1e-300, 2 * np.pi, 1e300])
+    def test_the_period_cancels(self, T):
+        # omega_e times the trapezoid mean of 1/u4; a subnormal T once gave inf
+        want = 3.0 * (0.5 / 1.5 + 1.0 / 2.0 + 0.5 / 1.25) / 2.0
+        assert central_frequency([1.5, 2.0, 1.25], T, 3.0) == pytest.approx(want, rel=1e-15)
+
     def test_circular_orbit_first_order_energy_shift(self):
         # toy fine structure alpha = 0.1: unit circular orbit, v = 1 in
         # orbit units, speed v/c = alpha
@@ -346,6 +352,40 @@ class TestSettledDrift:
         assert not ivp.stopped and res["t"][-1] == 400.0
         assert abs(res["delta_r"][-1] - stable) < 1e-9
         assert res["verdict"] == "TrappedAt" and res["root"] == stable
+
+
+class TestDriftPathClosedForm:
+    """The rate -d (r - r_-)(r - r_+) / (r^2 + C3) separates:
+
+        t(r) = -[r + alpha ln|r - r_-| + beta ln|r - r_+|] / d + const,
+
+    alpha = (r_-^2 + C3) / (r_- - r_+), beta = (r_+^2 + C3) / (r_+ - r_-).
+    The error in t grows near a root, where dt/dr is large, so the error in
+    r is measured as |t(r) - t| |dr/dt|.  A settled path hovers within about
+    1e-11 of its root while t runs on, so the measure grows with t there:
+    the worst of these paths, each integrated alone, reads 4.9e-8 at
+    t = 600."""
+
+    @pytest.mark.parametrize("model,starts", [
+        (CANYON, [-4.0, -2.5, -2.0, -0.071, 0.3, 1.692]),
+        (OrbitDriftModel(d=-1.0, C1=-1.0, C2=0.5, C3=0.25), [-4.0, -1.0, 0.0, 0.3, 3.0]),
+    ], ids=["canyon", "barrier"])
+    def test_the_full_path_follows_the_separable_solution(self, model, starts):
+        (r_lo, _), (r_hi, _) = drift_equilibria(model)
+        alpha = (r_lo * r_lo + model.C3) / (r_lo - r_hi)
+        beta = (r_hi * r_hi + model.C3) / (r_hi - r_lo)
+        verdicts = set()
+        for x0 in starts:
+            path = integrate_drift(model, x0, 600.0, full_path=True)
+            verdicts.add(path["verdict"])
+            t, r = path["t"], path["delta_r"]
+            off_root = (r != r_lo) & (r != r_hi)  # where ln|r - root| is finite
+            t, r = t[off_root], r[off_root]
+            t_closed = -(r + alpha * np.log(np.abs(r - r_lo))
+                         + beta * np.log(np.abs(r - r_hi))) / model.d
+            error = np.abs(t_closed - t_closed[0] - t) * np.abs(drift_rhs(model, r))
+            assert error.max() <= 1e-7, x0
+        assert verdicts == {"TrappedAt", "Escaped"}
 
 
 class TestThreeMode:
